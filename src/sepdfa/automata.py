@@ -3,7 +3,8 @@
 Provides the prefix-tree acceptor, backward minimisation of acyclic
 automata, an incremental construction that keeps the working automaton
 minimal while samples stream in ascending order, and the double automaton
-that pairs one acceptor per polarity.
+that places one minimal acceptor per polarity side by side, each with its
+own initial state.  All three are ThreeValuedDFA values.
 """
 
 from __future__ import annotations
@@ -34,23 +35,31 @@ class ThreeValuedDFA:
     """Deterministic acceptor whose states accept, reject or don't care.
 
     The transition map may be partial; a run that hits a missing entry is
-    undefined.  States are numbered 0 .. state_count - 1.
+    undefined.  States are numbered 0 .. state_count - 1.  Most acceptors
+    have one initial state; the double automaton has two, one per
+    polarity.
     """
 
     alphabet_size: int
     state_count: int
-    initial: int
+    initials: tuple[int, ...]
     transitions: dict[tuple[int, int], int]
     accepting: frozenset[int]
     rejecting: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "initials", tuple(self.initials))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "rejecting", frozenset(self.rejecting))
         if self.state_count < 1:
             raise ValueError("automaton needs at least one state")
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError("initial state out of range")
+        if not self.initials:
+            raise ValueError("automaton needs an initial state")
+        if len(set(self.initials)) != len(self.initials):
+            raise ValueError("initial states repeat")
+        for q in self.initials:
+            if not 0 <= q < self.state_count:
+                raise ValueError(f"initial state {q} out of range")
         if self.accepting & self.rejecting:
             raise ValueError("accepting and rejecting state sets overlap")
         for q in self.accepting | self.rejecting:
@@ -78,7 +87,7 @@ class LearnedDFA:
     transitions: dict[tuple[int, int], int]
     accepting: frozenset[int]
 
-    initial = 0
+    initials = (0,)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "accepting", frozenset(self.accepting))
@@ -105,85 +114,30 @@ class LearnedDFA:
             q = self.transitions[(q, a)]
         return q in self.accepting
 
-
-@dataclass(frozen=True)
-class DoubleDFA:
-    """Two disjoint three-valued automata sharing one state namespace.
-
-    Global ids 0 .. pos_part.state_count - 1 belong to the positive part;
-    the negative part follows, offset by pos_part.state_count.  Accepting
-    states are those of the positive part; the accepting states of the
-    negative part are re-labelled as rejecting.
-    """
-
-    pos_part: ThreeValuedDFA
-    neg_part: ThreeValuedDFA
-
-    def __post_init__(self) -> None:
-        if self.pos_part.alphabet_size != self.neg_part.alphabet_size:
-            raise ValueError("alphabet mismatch between the two parts")
-        if self.pos_part.rejecting or self.neg_part.rejecting:
-            raise ValueError("parts must carry accepting states only")
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.pos_part.alphabet_size
-
-    @property
-    def state_count(self) -> int:
-        return self.pos_part.state_count + self.neg_part.state_count
-
-    @property
-    def neg_offset(self) -> int:
-        return self.pos_part.state_count
-
-    @property
-    def initials(self) -> tuple[int, int]:
-        return (self.pos_part.initial, self.neg_offset + self.neg_part.initial)
-
-    @property
-    def accepting(self) -> frozenset[int]:
-        return self.pos_part.accepting
-
-    @property
-    def rejecting(self) -> frozenset[int]:
-        off = self.neg_offset
-        return frozenset(off + q for q in self.neg_part.accepting)
-
-    def transition_items(self):
-        """Yield (source, letter, target) triples with global state ids."""
-        for (q, a), r in self.pos_part.transitions.items():
-            yield q, a, r
-        off = self.neg_offset
-        for (q, a), r in self.neg_part.transitions.items():
-            yield q + off, a, r + off
+    def status(self, q: int) -> str:
+        return POSITIVE if q in self.accepting else NEGATIVE
 
 
 def run(a: ThreeValuedDFA, w: Word) -> str | None:
-    """Classify w with the acceptor; None when the run becomes undefined."""
-    q = a.initial
-    for letter in w:
-        if not 0 <= letter < a.alphabet_size:
-            raise ValueError(f"letter {letter} outside alphabet")
-        nxt = a.transitions.get((q, letter))
-        if nxt is None:
-            return None
-        q = nxt
-    return a.status(q)
+    """Classify w with the acceptor, trying each initial state in turn.
 
-
-def run_ddfa(dd: DoubleDFA, w: Word) -> str:
-    """Classify w with a double automaton.
-
-    Positive when the positive part accepts, negative when the negative
-    part accepts, don't-care otherwise.  The parts recognise disjoint word
-    sets, so the order of the two checks does not matter.
+    The first run that ends in an accepting or rejecting state decides.
+    Otherwise the result is don't-care when some run ends in a state, and
+    None when every run becomes undefined.
     """
-    if run(dd.pos_part, w) == POSITIVE:
-        return POSITIVE
-    if run(dd.neg_part, w) == POSITIVE:
-        return NEGATIVE
-    return DONT_CARE
+    outcome = None
+    for q in a.initials:
+        for letter in w:
+            if not 0 <= letter < a.alphabet_size:
+                raise ValueError(f"letter {letter} outside alphabet")
+            q = a.transitions.get((q, letter))
+            if q is None:
+                break
+        else:
+            outcome = a.status(q)
+            if outcome != DONT_CARE:
+                return outcome
+    return outcome
 
 
 def build_apta(samples: OrderedSampleSet) -> ThreeValuedDFA:
@@ -211,7 +165,7 @@ def build_apta(samples: OrderedSampleSet) -> ThreeValuedDFA:
             accepting.add(q)
         elif status[q] == NEGATIVE:
             rejecting.add(q)
-    return ThreeValuedDFA(samples.alphabet_size, len(children), 0,
+    return ThreeValuedDFA(samples.alphabet_size, len(children), (0,),
                           transitions, frozenset(accepting),
                           frozenset(rejecting))
 
@@ -219,11 +173,13 @@ def build_apta(samples: OrderedSampleSet) -> ThreeValuedDFA:
 def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
     """Renumber states in breadth-first discovery order, letters ascending.
 
-    Raises if any state is unreachable from the initial state; callers
-    that tolerate junk states must prune them first.
+    The search starts from all initial states at once, which become
+    0 .. len(initials) - 1 in their given order.  Raises if any state is
+    unreachable from them; callers that tolerate junk states must prune
+    them first.
     """
-    order = {a.initial: 0}
-    queue = deque([a.initial])
+    order = {q: idx for idx, q in enumerate(a.initials)}
+    queue = deque(a.initials)
     while queue:
         q = queue.popleft()
         for letter in range(a.alphabet_size):
@@ -237,7 +193,8 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
                    for (q, letter), r in a.transitions.items()}
     accepting = frozenset(order[q] for q in a.accepting)
     rejecting = frozenset(order[q] for q in a.rejecting)
-    return ThreeValuedDFA(a.alphabet_size, a.state_count, 0, transitions,
+    return ThreeValuedDFA(a.alphabet_size, a.state_count,
+                          tuple(range(len(a.initials))), transitions,
                           accepting, rejecting)
 
 
@@ -250,7 +207,8 @@ def isomorphic(a: ThreeValuedDFA, b: ThreeValuedDFA) -> bool:
         return False
     ca = canonical_form(a)
     cb = canonical_form(b)
-    return (ca.transitions == cb.transitions
+    return (ca.initials == cb.initials
+            and ca.transitions == cb.transitions
             and ca.accepting == cb.accepting
             and ca.rejecting == cb.rejecting)
 
@@ -262,33 +220,37 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
     either both lack a successor or lead to already-merged successors.
     Processing runs backwards over a depth-first post-order, so each
     state's successors are canonical before the state itself is keyed.
-    The input must be acyclic.
+    The input must be acyclic.  Initial states whose classifications
+    coincide merge into one.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     mark = [WHITE] * a.state_count
     post: list[int] = []
-    stack: list[tuple[int, int]] = [(a.initial, 0)]
-    mark[a.initial] = GRAY
-    while stack:
-        q, letter = stack[-1]
-        advanced = False
-        while letter < a.alphabet_size:
-            r = a.transitions.get((q, letter))
-            letter += 1
-            if r is None:
-                continue
-            if mark[r] == GRAY:
-                raise ValueError("automaton contains a cycle")
-            if mark[r] == WHITE:
-                stack[-1] = (q, letter)
-                stack.append((r, 0))
-                mark[r] = GRAY
-                advanced = True
-                break
-        if not advanced:
-            mark[q] = BLACK
-            post.append(q)
-            stack.pop()
+    stack: list[tuple[int, int]] = []
+    for q0 in a.initials:
+        if mark[q0] == WHITE:
+            stack.append((q0, 0))
+            mark[q0] = GRAY
+        while stack:
+            q, letter = stack[-1]
+            advanced = False
+            while letter < a.alphabet_size:
+                r = a.transitions.get((q, letter))
+                letter += 1
+                if r is None:
+                    continue
+                if mark[r] == GRAY:
+                    raise ValueError("automaton contains a cycle")
+                if mark[r] == WHITE:
+                    stack[-1] = (q, letter)
+                    stack.append((r, 0))
+                    mark[r] = GRAY
+                    advanced = True
+                    break
+            if not advanced:
+                mark[q] = BLACK
+                post.append(q)
+                stack.pop()
 
     register: dict[tuple, int] = {}
     rep: dict[int, int] = {}
@@ -317,7 +279,8 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
             accepting.add(new_id)
         elif rep_status[new_id] == NEGATIVE:
             rejecting.add(new_id)
-    merged = ThreeValuedDFA(a.alphabet_size, len(rep_children), rep[a.initial],
+    initials = tuple(dict.fromkeys(rep[q] for q in a.initials))
+    merged = ThreeValuedDFA(a.alphabet_size, len(rep_children), initials,
                             transitions, frozenset(accepting),
                             frozenset(rejecting))
     return canonical_form(merged)
@@ -419,8 +382,9 @@ class _IncrementalBuilder:
                 accepting.add(nq)
             elif self.status[q] == NEGATIVE:
                 rejecting.add(nq)
-        return ThreeValuedDFA(self.alphabet_size, len(order), 0, transitions,
-                              frozenset(accepting), frozenset(rejecting))
+        return ThreeValuedDFA(self.alphabet_size, len(order), (0,),
+                              transitions, frozenset(accepting),
+                              frozenset(rejecting))
 
 
 def build_min_3dfa_incremental(samples: OrderedSampleSet, track_peak=False):
@@ -439,27 +403,35 @@ def build_min_3dfa_incremental(samples: OrderedSampleSet, track_peak=False):
     return result
 
 
-def build_ddfa(s: SampleSet) -> DoubleDFA:
-    """Pair of minimal per-polarity acceptors over a shared namespace."""
+def build_ddfa(s: SampleSet) -> ThreeValuedDFA:
+    """Minimal per-polarity acceptors side by side, one initial state each.
+
+    States 0 .. P - 1 are the minimal acceptor of the positive words with
+    initial state 0.  The minimal acceptor of the negative words follows,
+    shifted by P, with initial state P and its accepting states relabelled
+    as rejecting.
+    """
     pos_only = SampleSet(s.alphabet_size, s.positives, frozenset())
     neg_only = SampleSet(s.alphabet_size, s.negatives, frozenset())
     pos = build_min_3dfa_incremental(sort_and_validate(pos_only))
     neg = build_min_3dfa_incremental(sort_and_validate(neg_only))
-    return DoubleDFA(pos, neg)
+    off = pos.state_count
+    transitions = dict(pos.transitions)
+    for (q, a), r in neg.transitions.items():
+        transitions[(q + off, a)] = r + off
+    return ThreeValuedDFA(s.alphabet_size, off + neg.state_count, (0, off),
+                          transitions, pos.accepting,
+                          frozenset(q + off for q in neg.accepting))
 
 
 def dump_automaton(a: ThreeValuedDFA | LearnedDFA) -> str:
     """Line-oriented text dump: header, status per state, transitions."""
-    if isinstance(a, DoubleDFA):
-        raise TypeError("double automata have no single-initial dump form")
-    lines = [f"states {a.state_count} initial {a.initial} "
+    if len(a.initials) != 1:
+        raise ValueError("the dump format holds a single initial state")
+    lines = [f"states {a.state_count} initial {a.initials[0]} "
              f"alphabet {a.alphabet_size}"]
     for q in range(a.state_count):
-        if isinstance(a, LearnedDFA):
-            code = "A" if q in a.accepting else "R"
-        else:
-            code = _STATUS_CODES[a.status(q)]
-        lines.append(f"state {q} {code}")
+        lines.append(f"state {q} {_STATUS_CODES[a.status(q)]}")
     for (q, letter), r in sorted(a.transitions.items()):
         lines.append(f"trans {q} {letter} {r}")
     return "\n".join(lines) + "\n"
@@ -512,16 +484,17 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
         elif code == "R":
             rejecting.add(q)
     try:
-        return ThreeValuedDFA(alphabet_size, state_count, initial, transitions,
-                              frozenset(accepting), frozenset(rejecting))
+        return ThreeValuedDFA(alphabet_size, state_count, (initial,),
+                              transitions, frozenset(accepting),
+                              frozenset(rejecting))
     except ValueError as err:
         raise AutomatonFormatError(str(err)) from None
 
 
 def as_learned_dfa(a: ThreeValuedDFA) -> LearnedDFA:
     """Reinterpret a total, two-valued automaton as a learned DFA."""
-    if a.initial != 0:
-        raise ValueError("learned automata start at state 0")
+    if a.initials != (0,):
+        raise ValueError("learned automata start at state 0 alone")
     if len(a.accepting) + len(a.rejecting) != a.state_count:
         raise ValueError("automaton has don't-care states")
     if len(a.transitions) != a.state_count * a.alphabet_size:

@@ -82,13 +82,6 @@ def cmd_gen_parity(args) -> int:
     except ValueError as err:
         print(f"gen-parity: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.stats:
-        print(format_stats_line(parity_stats(cfg, args.budget)))
-        return EXIT_OK
-    if not args.out:
-        print("gen-parity: --out is required unless --stats is given",
-              file=sys.stderr)
-        return EXIT_USAGE
     samples = gen_parity_samples(cfg, args.budget)
     _write_text(args.out, write_abbadingo(samples))
     print(f"wrote {samples.size} samples "
@@ -172,10 +165,8 @@ def build_parser() -> _Parser:
                                 help="enumerate a parity-game corpus")
     gen_parity.add_argument("--colours", type=int, required=True)
     gen_parity.add_argument("--length", type=int, required=True)
-    gen_parity.add_argument("--out", default=None,
+    gen_parity.add_argument("--out", required=True,
                             help="sample file to write")
-    gen_parity.add_argument("--stats", action="store_true",
-                            help="print corpus statistics instead of a file")
     gen_parity.add_argument("--budget", type=int, default=100_000_000,
                             help="word enumeration budget")
     gen_parity.set_defaults(func=cmd_gen_parity)

@@ -2,18 +2,19 @@
 
 A candidate DFA with n states is described by transition variables
 e(i, a, j), acceptance variables f(i) and product-reachability variables
-d(p, i) that tie the candidate to an acceptor.  Two optional groups are
-layered on top: breadth-first-tree symmetry breaking over auxiliary
-variables t(i, j), p(child, parent) and m(i, a, j), and shape constraints
-that force the candidate into safety or co-safety form for parity corpora.
+d(p, i) that tie the candidate to a three-valued acceptor, one row per
+acceptor state.  Two optional groups are layered on top:
+breadth-first-tree symmetry breaking over auxiliary variables t(i, j),
+p(child, parent) and m(i, a, j), and shape constraints that force the
+candidate into safety or co-safety form for parity corpora.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .automata import DoubleDFA, LearnedDFA, ThreeValuedDFA
+from .automata import LearnedDFA, ThreeValuedDFA
 
 Clause = tuple[int, ...]
 
@@ -52,29 +53,26 @@ class CnfFormula:
 class VarMap:
     """Fixed variable layout for one (candidate size, acceptor) pair.
 
-    Ids are contiguous from 1 in the order: all e, then f, then d, then,
-    when symmetry breaking is enabled, t, p and m.  d rows exist only for
-    the acceptor states handed in (the reachable ones).
+    Ids are contiguous from 1 in the order: all e, then f, then d (one row
+    of n per acceptor state), then, when symmetry breaking is enabled, t,
+    p and m.
     """
 
-    def __init__(self, n: int, alphabet_size: int,
-                 acceptor_states: Iterable[int], symmetry: bool):
+    def __init__(self, n: int, alphabet_size: int, acceptor_state_count: int,
+                 symmetry: bool):
         if n < 1:
             raise EncodingError("candidate size must be at least 1")
         if alphabet_size < 1:
             raise EncodingError("alphabet size must be at least 1")
         self.n = n
         self.alphabet_size = alphabet_size
-        self.acceptor_states = tuple(acceptor_states)
+        self.acceptor_state_count = acceptor_state_count
         self.symmetry = symmetry
-        self._row = {q: idx for idx, q in enumerate(self.acceptor_states)}
-        if len(self._row) != len(self.acceptor_states):
-            raise EncodingError("duplicate acceptor state")
         k = alphabet_size
         self._base_e = 0
         self._base_f = n * k * n
         self._base_d = self._base_f + n
-        total = self._base_d + len(self.acceptor_states) * n
+        total = self._base_d + acceptor_state_count * n
         # Upper-triangular pairs (i, j) with i < j, row-major in j.
         self._pairs = [(i, j) for j in range(n) for i in range(j)]
         self._pair_index = {pair: idx for idx, pair in enumerate(self._pairs)}
@@ -100,10 +98,9 @@ class VarMap:
 
     def d(self, p: int, i: int) -> int:
         """Acceptor state p and candidate state i are reached together."""
-        row = self._row.get(p)
-        if row is None or not 0 <= i < self.n:
+        if not (0 <= p < self.acceptor_state_count and 0 <= i < self.n):
             raise EncodingError(f"d({p}, {i}) out of range")
-        return 1 + self._base_d + row * self.n + i
+        return 1 + self._base_d + p * self.n + i
 
     def _pair(self, base: int, i: int, j: int) -> int:
         if not 0 <= i < j < self.n:
@@ -145,9 +142,9 @@ class VarMap:
             return ("e", i, a, j)
         if idx < self._base_d:
             return ("f", idx - self._base_f)
-        if idx < self._base_d + len(self.acceptor_states) * n:
-            row, i = divmod(idx - self._base_d, n)
-            return ("d", self.acceptor_states[row], i)
+        if idx < self._base_d + self.acceptor_state_count * n:
+            p, i = divmod(idx - self._base_d, n)
+            return ("d", p, i)
         if idx < self._base_p:
             i, j = self._pairs[idx - self._base_t]
             return ("t", i, j)
@@ -157,56 +154,6 @@ class VarMap:
         pair, a = divmod(idx - self._base_m, k)
         i, j = self._pairs[pair]
         return ("m", i, a, j)
-
-
-@dataclass(frozen=True)
-class AcceptorFacts:
-    """Acceptor data the encoder consumes, restricted to reachable states."""
-
-    alphabet_size: int
-    states: tuple[int, ...]
-    initials: tuple[int, ...]
-    accepting: frozenset[int]
-    rejecting: frozenset[int]
-    transitions: tuple[tuple[int, int, int], ...]
-
-
-def acceptor_facts(acceptor: ThreeValuedDFA | DoubleDFA) -> AcceptorFacts:
-    """Extract the reachable fragment of an acceptor in a uniform shape."""
-    if isinstance(acceptor, DoubleDFA):
-        initials = acceptor.initials
-        triples = list(acceptor.transition_items())
-        accepting = acceptor.accepting
-        rejecting = acceptor.rejecting
-    elif isinstance(acceptor, ThreeValuedDFA):
-        initials = (acceptor.initial,)
-        triples = [(q, a, r) for (q, a), r in acceptor.transitions.items()]
-        accepting = acceptor.accepting
-        rejecting = acceptor.rejecting
-    else:
-        raise TypeError(f"unsupported acceptor type: {type(acceptor).__name__}")
-    outgoing: dict[int, list[tuple[int, int]]] = {}
-    for q, a, r in triples:
-        outgoing.setdefault(q, []).append((a, r))
-    reachable = set(initials)
-    frontier = list(initials)
-    while frontier:
-        q = frontier.pop()
-        for _, r in outgoing.get(q, ()):
-            if r not in reachable:
-                reachable.add(r)
-                frontier.append(r)
-    states = tuple(sorted(reachable))
-    transitions = tuple(sorted((q, a, r) for q, a, r in triples
-                               if q in reachable))
-    return AcceptorFacts(
-        alphabet_size=acceptor.alphabet_size,
-        states=states,
-        initials=tuple(initials),
-        accepting=frozenset(accepting & reachable),
-        rejecting=frozenset(rejecting & reachable),
-        transitions=transitions,
-    )
 
 
 def encode_dfa_shape(vm: VarMap) -> list[Clause]:
@@ -222,28 +169,29 @@ def encode_dfa_shape(vm: VarMap) -> list[Clause]:
     return clauses
 
 
-def encode_product(vm: VarMap, facts: AcceptorFacts) -> list[Clause]:
+def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> list[Clause]:
     """Tie the candidate to the acceptor.
 
     Product pairs seed at the initial states and follow the acceptor's
-    transitions; candidate states paired with an accepting acceptor state
-    must accept, those paired with a rejecting one must reject.
+    transitions in the order they are stored; candidate states paired with
+    an accepting acceptor state must accept, those paired with a rejecting
+    one must reject.
     """
-    if facts.states != vm.acceptor_states:
+    if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
-    if facts.alphabet_size != vm.alphabet_size:
+    if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
     clauses: list[Clause] = []
     n = vm.n
-    for q0 in facts.initials:
+    for q0 in acceptor.initials:
         clauses.append((vm.d(q0, 0),))
-    for p in sorted(facts.accepting):
+    for p in sorted(acceptor.accepting):
         for i in range(n):
             clauses.append((-vm.d(p, i), vm.f(i)))
-    for p in sorted(facts.rejecting):
+    for p in sorted(acceptor.rejecting):
         for i in range(n):
             clauses.append((-vm.d(p, i), -vm.f(i)))
-    for p, a, r in facts.transitions:
+    for (p, a), r in acceptor.transitions.items():
         for i in range(n):
             for j in range(n):
                 clauses.append((-vm.d(p, i), -vm.e(i, a, j), vm.d(r, j)))
@@ -361,16 +309,16 @@ def encode_parity_constraints(vm: VarMap, colours: int) -> list[Clause]:
     return clauses
 
 
-def build_formula(n: int, facts: AcceptorFacts, symmetry: bool = True,
+def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                   safety: bool = False) -> tuple[VarMap, CnfFormula]:
     """Assemble the full formula for one candidate size."""
-    vm = VarMap(n, facts.alphabet_size, facts.states, symmetry)
+    vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
     clauses = encode_dfa_shape(vm)
-    clauses += encode_product(vm, facts)
+    clauses += encode_product(vm, acceptor)
     if symmetry:
         clauses += encode_symmetry_breaking(vm, safety_mode=safety)
     if safety:
-        clauses += encode_parity_constraints(vm, facts.alphabet_size)
+        clauses += encode_parity_constraints(vm, acceptor.alphabet_size)
     return vm, CnfFormula(vm.variable_count, tuple(clauses))
 
 

@@ -1,25 +1,24 @@
 """Search for the smallest DFA separating a sample set.
 
-The miner builds an acceptor for the samples, then asks the SAT solver
-for candidate DFAs of growing size until one exists.  Acceptor choice is
-the mode: the raw prefix tree, the incrementally minimised three-valued
-automaton, or the per-polarity double automaton.
+The miner builds a three-valued acceptor for the samples, then asks the
+SAT solver for candidate DFAs of growing size until one exists.  Acceptor
+choice is the mode: the raw prefix tree, the incrementally minimised
+three-valued automaton, or the per-polarity double automaton with one
+initial state per polarity.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .automata import (
-    DoubleDFA,
     LearnedDFA,
     ThreeValuedDFA,
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
 )
-from .encoding import acceptor_facts, build_formula, decode_model
+from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word, sort_and_validate
 from .solver import DEFAULT_SOLVER_COMMAND, SolverError, solve
 
@@ -81,39 +80,18 @@ class MiningReport:
             lines.append(f"verified {'yes' if self.verified else 'no'}")
         return "\n".join(lines) + "\n"
 
-    def to_kv(self) -> str:
-        """Flat key=value dump for machine consumption."""
-        pairs = [
-            ("mode", self.mode),
-            ("safety", int(self.safety)),
-            ("symmetry_breaking", int(self.symmetry_breaking)),
-            ("acceptor_size", self.acceptor_size),
-            ("attempts", len(self.attempts)),
-        ]
-        for idx, att in enumerate(self.attempts, start=1):
-            pairs.append((f"attempt{idx}.n", att.n))
-            pairs.append((f"attempt{idx}.outcome", att.outcome))
-            pairs.append((f"attempt{idx}.variables", att.variables))
-            pairs.append((f"attempt{idx}.clauses", att.clauses))
-            pairs.append((f"attempt{idx}.seconds", f"{att.solve_seconds:.3f}"))
-        if self.dfa is not None:
-            pairs.append(("minimal_size", self.dfa.state_count))
-            pairs.append(("verified", int(self.verified)))
-        return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
 
-
-def upper_bound(acceptor: ThreeValuedDFA | DoubleDFA) -> int:
+def upper_bound(acceptor: ThreeValuedDFA) -> int:
     """Size at which a separating DFA certainly exists.
 
-    Completing the acceptor (for a double automaton, its positive part)
-    with one rejecting sink separates the samples, so the bound is the
-    relevant state count plus one.
+    Completing the acceptor with one rejecting sink separates the samples,
+    so the bound is its state count plus one.  For a double automaton only
+    the positive part, the states below the second initial state, needs
+    completing.
     """
-    if isinstance(acceptor, DoubleDFA):
-        return acceptor.pos_part.state_count + 1
-    if isinstance(acceptor, ThreeValuedDFA):
-        return acceptor.state_count + 1
-    raise TypeError(f"unsupported acceptor type: {type(acceptor).__name__}")
+    if len(acceptor.initials) > 1:
+        return acceptor.initials[1] + 1
+    return acceptor.state_count + 1
 
 
 def verify_separating(dfa: LearnedDFA, samples: SampleSet) -> VerificationOutcome:
@@ -133,7 +111,7 @@ def verify_separating(dfa: LearnedDFA, samples: SampleSet) -> VerificationOutcom
     return VerificationOutcome(not violations, tuple(violations))
 
 
-def _build_acceptor(samples: SampleSet, mode: str) -> ThreeValuedDFA | DoubleDFA:
+def _build_acceptor(samples: SampleSet, mode: str) -> ThreeValuedDFA:
     if mode == "apta":
         return build_apta(sort_and_validate(samples))
     if mode == "min3dfa":
@@ -147,8 +125,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                  safety: bool = False, symmetry_breaking: bool = True,
                  solver_command=DEFAULT_SOLVER_COMMAND,
                  timeout: float | None = None, n_start: int | None = None,
-                 n_max: int | None = None,
-                 use_stdin: bool = False) -> MiningReport:
+                 n_max: int | None = None) -> MiningReport:
     """Find a smallest separating DFA for the samples.
 
     Candidate sizes grow one by one from n_start (1 by default, 2 in
@@ -160,12 +137,11 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     bound guarantees a solution exists.
     """
     acceptor = _build_acceptor(samples, mode)
-    facts = acceptor_facts(acceptor)
     report = MiningReport(
         mode=mode,
         safety=safety,
         symmetry_breaking=symmetry_breaking,
-        acceptor_size=len(facts.states),
+        acceptor_size=acceptor.state_count,
     )
     if n_start is None:
         n_start = 2 if safety else 1
@@ -176,11 +152,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     bound = upper_bound(acceptor) if n_max is None else n_max
     n = n_start
     while n <= bound:
-        vm, formula = build_formula(n, facts, symmetry=symmetry_breaking,
+        vm, formula = build_formula(n, acceptor, symmetry=symmetry_breaking,
                                     safety=safety)
         try:
-            verdict = solve(formula, solver_command, timeout=timeout,
-                            use_stdin=use_stdin)
+            verdict = solve(formula, solver_command, timeout=timeout)
         except SolverError as err:
             err.partial_report = report
             raise

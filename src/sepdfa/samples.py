@@ -24,21 +24,6 @@ class ConflictingLabelsError(SampleError):
     """The same word carries both a positive and a negative label."""
 
 
-def lex_compare(u: Word, v: Word) -> int:
-    """Three-way comparison of words.
-
-    The first position where the words differ decides; if one word is a
-    prefix of the other, the shorter word comes first.  Returns -1, 0 or 1.
-    This matches plain tuple comparison on the letter sequences.
-    """
-    for x, y in zip(u, v):
-        if x != y:
-            return -1 if x < y else 1
-    if len(u) == len(v):
-        return 0
-    return -1 if len(u) < len(v) else 1
-
-
 def _check_word(w: Word, alphabet_size: int) -> None:
     for a in w:
         if not 0 <= a < alphabet_size:
@@ -88,8 +73,10 @@ def classify(s: SampleSet, w: Word) -> str:
 class OrderedSampleSet:
     """Sample entries sorted strictly ascending, smaller words first.
 
-    Each entry is a (word, label) pair with label '+' or '-'.  Strict
-    ascent rules out duplicates, so conflicting labels cannot occur.
+    Words compare as tuples: the first differing letter decides, and a
+    proper prefix comes before its extensions.  Each entry is a
+    (word, label) pair with label '+' or '-'.  Strict ascent rules out
+    duplicates, so conflicting labels cannot occur.
     """
 
     alphabet_size: int
@@ -105,7 +92,7 @@ class OrderedSampleSet:
             if label not in (POSITIVE, NEGATIVE):
                 raise SampleError(f"bad label {label!r} for word {w!r}")
             _check_word(w, self.alphabet_size)
-            if prev is not None and lex_compare(prev, w) >= 0:
+            if prev is not None and prev >= w:
                 raise SampleError("entries are not strictly ascending")
             prev = w
 
@@ -129,9 +116,11 @@ def parse_abbadingo(text: str) -> SampleSet:
 
     The header line carries the sample count and the alphabet size; each
     following line is "<label> <length> <letters...>" with label 1 for
-    positive and 0 for negative.
+    positive and 0 for negative.  Blank lines at the end are ignored.
     """
     lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
     if not lines:
         raise SampleError("empty sample file")
     header = lines[0].split()

@@ -1,9 +1,9 @@
 """Bridge to an external DIMACS SAT solver subprocess.
 
-The solver is a black box: it gets CNF text through stdin or a temporary
-file and must answer with SAT-competition output, an "s" status line plus
-"v" value lines, and exit status 10 for satisfiable or 20 for
-unsatisfiable.  Both channels are cross-checked, and satisfying models
+The solver is a black box: it gets the path of a temporary DIMACS CNF
+file as its last argument and must answer with SAT-competition output,
+an "s" status line plus "v" value lines, and exit status 10 for
+satisfiable or 20 for unsatisfiable.  Both channels are cross-checked, and satisfying models
 are validated against the formula before anyone gets to rely on them.
 """
 
@@ -23,11 +23,6 @@ from typing import Sequence
 from .encoding import CnfFormula, emit_dimacs
 
 DEFAULT_SOLVER_COMMAND = "cadical"
-
-# Formulas above this size go through a temporary file even when stdin
-# delivery was requested; huge pipe writes risk blocking against solvers
-# that do not drain their input promptly.
-STDIN_SIZE_LIMIT = 64 * 1024 * 1024
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[A-Za-z]|\x1b.|[\r\x07]")
 _STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\b")
@@ -96,14 +91,12 @@ def _kill_process_tree(proc: subprocess.Popen) -> None:
 
 
 def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOLVER_COMMAND,
-          timeout: float | None = None, use_stdin: bool = False,
-          stdin_size_limit: int = STDIN_SIZE_LIMIT) -> SolverVerdict:
+          timeout: float | None = None) -> SolverVerdict:
     """Run the solver on the formula and return its checked verdict.
 
-    The DIMACS file lands in a temporary file whose path is appended to
-    the command line; with use_stdin the text is piped instead, unless it
-    exceeds stdin_size_limit.  On timeout the whole solver process group
-    is killed and SolverTimeoutError is raised.
+    The DIMACS text lands in a temporary file whose path is appended to
+    the command line.  On timeout the whole solver process group is
+    killed and SolverTimeoutError is raised.
     """
     if isinstance(solver_command, str):
         command = shlex.split(solver_command)
@@ -111,22 +104,15 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
         command = list(solver_command)
     if not command:
         raise SolverError("empty solver command")
-    text = emit_dimacs(formula)
-    via_stdin = use_stdin and len(text) <= stdin_size_limit
-    temp_path: str | None = None
+    fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
-        if via_stdin:
-            argv = command
-        else:
-            fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            argv = command + [temp_path]
+        with os.fdopen(fd, "w") as handle:
+            handle.write(emit_dimacs(formula))
         started = time.monotonic()
         try:
             proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE if via_stdin else subprocess.DEVNULL,
+                command + [temp_path],
+                stdin=subprocess.DEVNULL,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -134,9 +120,11 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
             )
         except FileNotFoundError:
             raise SolverError(f"solver command not found: {command[0]}") from None
+        except OSError as err:
+            raise SolverError(
+                f"cannot run solver {command[0]}: {err.strerror or err}") from None
         try:
-            stdout, stderr = proc.communicate(
-                input=text if via_stdin else None, timeout=timeout)
+            stdout, stderr = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
             _kill_process_tree(proc)
             proc.communicate()
@@ -144,11 +132,10 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
                 f"solver exceeded {timeout} seconds") from None
         wall_time = time.monotonic() - started
     finally:
-        if temp_path is not None:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
 
     if proc.returncode == 10:
         outcome = "sat"

@@ -20,7 +20,7 @@ from sepdfa.automata import (
     isomorphic,
     minimize_acyclic,
 )
-from sepdfa.encoding import acceptor_facts, build_formula
+from sepdfa.encoding import build_formula
 from sepdfa.generators import (
     ParityConfig,
     gen_parity_samples,
@@ -219,8 +219,7 @@ def test_criterion_5_encoding_matches_brute_force(solver_cmd):
     for index in range(rounds):
         samples = small_prefix_sample_set(rng)
         smallest = brute_force_smallest(samples, 3)
-        facts = acceptor_facts(
-            build_min_3dfa_incremental(sort_and_validate(samples)))
+        facts = build_min_3dfa_incremental(sort_and_validate(samples))
         for n in (1, 2, 3):
             expected = smallest is not None and n >= smallest
             verdicts = {}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sepdfa.automata import (
     AutomatonFormatError,
-    DoubleDFA,
     LearnedDFA,
     ThreeValuedDFA,
     as_learned_dfa,
@@ -19,14 +18,12 @@ from sepdfa.automata import (
     minimize_acyclic,
     parse_automaton,
     run,
-    run_ddfa,
 )
 from sepdfa.samples import (
     DONT_CARE,
     NEGATIVE,
     POSITIVE,
     SampleSet,
-    classify,
     sort_and_validate,
 )
 
@@ -47,27 +44,40 @@ def all_words(alphabet_size, max_len):
 
 class TestThreeValuedDFA:
     def test_validation(self):
-        a = ThreeValuedDFA(2, 2, 0, {(0, 0): 1}, frozenset({1}), frozenset())
+        a = ThreeValuedDFA(2, 2, (0,), {(0, 0): 1}, frozenset({1}), frozenset())
         assert a.status(0) == DONT_CARE
         assert a.status(1) == POSITIVE
 
+    @pytest.mark.parametrize("initials", [(), (2,), (-1,), (0, 0)])
+    def test_bad_initials_rejected(self, initials):
+        with pytest.raises(ValueError):
+            ThreeValuedDFA(1, 2, initials, {}, frozenset(), frozenset())
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            ThreeValuedDFA(1, 1, 0, {}, frozenset({0}), frozenset({0}))
+            ThreeValuedDFA(1, 1, (0,), {}, frozenset({0}), frozenset({0}))
 
     def test_bad_transition_rejected(self):
         with pytest.raises(ValueError):
-            ThreeValuedDFA(1, 1, 0, {(0, 0): 1}, frozenset(), frozenset())
+            ThreeValuedDFA(1, 1, (0,), {(0, 0): 1}, frozenset(), frozenset())
         with pytest.raises(ValueError):
-            ThreeValuedDFA(1, 1, 0, {(0, 1): 0}, frozenset(), frozenset())
+            ThreeValuedDFA(1, 1, (0,), {(0, 1): 0}, frozenset(), frozenset())
 
     def test_run_partial(self):
-        a = ThreeValuedDFA(2, 2, 0, {(0, 0): 1}, frozenset({1}), frozenset())
+        a = ThreeValuedDFA(2, 2, (0,), {(0, 0): 1}, frozenset({1}), frozenset())
         assert run(a, ()) == DONT_CARE
         assert run(a, (0,)) == POSITIVE
         assert run(a, (1,)) is None
         with pytest.raises(ValueError):
             run(a, (5,))
+
+    def test_run_tries_each_initial(self):
+        # state 0 leads to don't-care on 0, state 2 to rejecting on 1
+        a = ThreeValuedDFA(2, 4, (0, 2), {(0, 0): 1, (2, 1): 3},
+                           frozenset(), frozenset({3}))
+        assert run(a, (1,)) == NEGATIVE
+        assert run(a, (0,)) == DONT_CARE
+        assert run(a, (0, 0)) is None
 
 
 class TestApta:
@@ -102,7 +112,7 @@ class TestApta:
 
 class TestMinimizeAcyclic:
     def test_rejects_cyclic(self):
-        a = ThreeValuedDFA(1, 1, 0, {(0, 0): 0}, frozenset({0}), frozenset())
+        a = ThreeValuedDFA(1, 1, (0,), {(0, 0): 0}, frozenset({0}), frozenset())
         with pytest.raises(ValueError):
             minimize_acyclic(a)
 
@@ -125,6 +135,20 @@ class TestMinimizeAcyclic:
         again = minimize_acyclic(m)
         assert isomorphic(m, again)
         assert again.state_count == m.state_count
+
+    @given(sample_sets)
+    def test_double_dfa_language_preserved(self, s):
+        dd = build_ddfa(s)
+        m = minimize_acyclic(dd)
+        assert m.state_count <= dd.state_count
+        for w in all_words(3, 4):
+            assert run(m, w) == run(dd, w)
+
+    def test_double_dfa_of_no_samples_keeps_one_initial(self):
+        # both parts are a lone don't-care state, so they merge
+        m = minimize_acyclic(build_ddfa(SampleSet(2, set(), set())))
+        assert m.initials == (0,)
+        assert m.state_count == 1
 
 
 class TestIncremental:
@@ -159,46 +183,92 @@ class TestDoubleDFA:
     def test_tiny(self):
         s = SampleSet(2, {(0,)}, {(1,)})
         dd = build_ddfa(s)
-        assert dd.state_count == dd.pos_part.state_count + \
-            dd.neg_part.state_count
-        assert run_ddfa(dd, (0,)) == POSITIVE
-        assert run_ddfa(dd, (1,)) == NEGATIVE
-        assert run_ddfa(dd, ()) == DONT_CARE
+        # each polarity: initial state plus one accepting leaf
+        assert dd.state_count == 4
+        assert dd.initials == (0, 2)
+        assert run(dd, (0,)) == POSITIVE
+        assert run(dd, (1,)) == NEGATIVE
+        assert run(dd, ()) == DONT_CARE
 
     @given(sample_sets)
     def test_classifies_the_samples(self, s):
         dd = build_ddfa(s)
         for w in s.positives:
-            assert run_ddfa(dd, w) == POSITIVE
+            assert run(dd, w) == POSITIVE
         for w in s.negatives:
-            assert run_ddfa(dd, w) == NEGATIVE
+            assert run(dd, w) == NEGATIVE
 
     @given(sample_sets)
     def test_parts_have_no_rejecting_states(self, s):
         dd = build_ddfa(s)
-        assert not dd.pos_part.rejecting
-        assert not dd.neg_part.rejecting
-        # global rejecting ids sit past the positive part
-        assert all(q >= dd.neg_offset for q in dd.rejecting)
+        split = dd.initials[1]
+        assert dd.initials == (0, split)
+        # the positive part owns exactly the states below the split
+        assert all(q < split for q in dd.accepting)
+        assert all(q >= split for q in dd.rejecting)
+        for (q, _), r in dd.transitions.items():
+            assert (q < split) == (r < split)
+
+    @given(sample_sets)
+    def test_positive_part_is_its_own_minimal_acceptor(self, s):
+        dd = build_ddfa(s)
+        pos = build_min_3dfa_incremental(
+            sort_and_validate(SampleSet(s.alphabet_size, s.positives, set())))
+        assert dd.initials[1] == pos.state_count
+        assert {k: r for k, r in dd.transitions.items()
+                if k[0] < pos.state_count} == pos.transitions
+
+
+def reachable_states(a):
+    seen = set(a.initials)
+    frontier = list(a.initials)
+    while frontier:
+        q = frontier.pop()
+        for letter in range(a.alphabet_size):
+            r = a.transitions.get((q, letter))
+            if r is not None and r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
+class TestReachability:
+    @given(sample_sets)
+    def test_every_state_reachable(self, s):
+        # The encoder gives every acceptor state a row of product
+        # variables; this keeps those rows free of unreachable junk.
+        ordered = sort_and_validate(s)
+        for a in (build_apta(ordered), build_min_3dfa_incremental(ordered),
+                  build_ddfa(s)):
+            assert reachable_states(a) == set(range(a.state_count))
 
 
 class TestCanonical:
     def test_isomorphic_after_renaming(self):
-        a = ThreeValuedDFA(2, 3, 0, {(0, 0): 1, (0, 1): 2, (1, 0): 2},
+        a = ThreeValuedDFA(2, 3, (0,), {(0, 0): 1, (0, 1): 2, (1, 0): 2},
                            frozenset({2}), frozenset({1}))
-        b = ThreeValuedDFA(2, 3, 0, {(0, 0): 2, (0, 1): 1, (2, 0): 1},
+        b = ThreeValuedDFA(2, 3, (0,), {(0, 0): 2, (0, 1): 1, (2, 0): 1},
                            frozenset({1}), frozenset({2}))
         assert isomorphic(a, b)
 
     def test_not_isomorphic_when_status_differs(self):
-        a = ThreeValuedDFA(1, 2, 0, {(0, 0): 1}, frozenset({1}), frozenset())
-        b = ThreeValuedDFA(1, 2, 0, {(0, 0): 1}, frozenset(), frozenset({1}))
+        a = ThreeValuedDFA(1, 2, (0,), {(0, 0): 1}, frozenset({1}), frozenset())
+        b = ThreeValuedDFA(1, 2, (0,), {(0, 0): 1}, frozenset(), frozenset({1}))
         assert not isomorphic(a, b)
 
     def test_unreachable_state_rejected(self):
-        a = ThreeValuedDFA(1, 2, 0, {}, frozenset({1}), frozenset())
+        a = ThreeValuedDFA(1, 2, (0,), {}, frozenset({1}), frozenset())
         with pytest.raises(ValueError):
             canonical_form(a)
+
+    @given(sample_sets)
+    def test_double_dfa_renumbered_from_both_initials(self, s):
+        dd = build_ddfa(s)
+        c = canonical_form(dd)
+        assert c.initials == (0, 1)
+        assert isomorphic(dd, c)
+        for w in all_words(3, 3):
+            assert run(c, w) == run(dd, w)
 
 
 class TestDumpParse:
@@ -207,6 +277,10 @@ class TestDumpParse:
         a = minimize_acyclic(build_apta(sort_and_validate(s)))
         again = parse_automaton(dump_automaton(a))
         assert again == a
+
+    def test_double_dfa_has_no_dump_form(self):
+        with pytest.raises(ValueError):
+            dump_automaton(build_ddfa(SampleSet(2, {(0,)}, {(1,)})))
 
     def test_dump_learned(self):
         d = LearnedDFA(1, 2, {(0, 0): 1, (1, 0): 1}, frozenset({1}))
@@ -243,10 +317,14 @@ class TestLearnedDFA:
             LearnedDFA(2, 1, {(0, 0): 0}, frozenset())
 
     def test_conversion_requires_total_two_valued(self):
-        partial = ThreeValuedDFA(1, 1, 0, {}, frozenset({0}), frozenset())
+        partial = ThreeValuedDFA(1, 1, (0,), {}, frozenset({0}), frozenset())
         with pytest.raises(ValueError):
             as_learned_dfa(partial)
         dontcare = ThreeValuedDFA(
-            1, 2, 0, {(0, 0): 1, (1, 0): 1}, frozenset({0}), frozenset())
+            1, 2, (0,), {(0, 0): 1, (1, 0): 1}, frozenset({0}), frozenset())
         with pytest.raises(ValueError):
             as_learned_dfa(dontcare)
+        double = ThreeValuedDFA(1, 2, (0, 1), {(0, 0): 0, (1, 0): 1},
+                                frozenset({0}), frozenset({1}))
+        with pytest.raises(ValueError):
+            as_learned_dfa(double)

@@ -67,6 +67,11 @@ class TestMine:
         assert main(["mine", samples, "--solver",
                      "no-such-solver-binary"]) == 3
 
+    def test_non_executable_solver(self, tmp_path, capsys):
+        samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
+        script = write(tmp_path / "solver.sh", "#!/bin/sh\nexit 10\n")
+        assert main(["mine", samples, "--solver", script]) == 3
+
     def test_timeout(self, tmp_path, fake_solver, capsys):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
         slow = fake_solver("sleep 60\n")
@@ -95,11 +100,6 @@ class TestMine:
 
 
 class TestGenParity:
-    def test_stats_flag(self, capsys):
-        assert main(["gen-parity", "--colours", "2", "--length", "3",
-                     "--stats"]) == 0
-        assert capsys.readouterr().out.strip() == "2\t3\t3\t5\t15\t8\t12"
-
     def test_writes_corpus(self, tmp_path, capsys):
         out = tmp_path / "corpus.txt"
         assert main(["gen-parity", "--colours", "2", "--length", "3",
@@ -110,15 +110,19 @@ class TestGenParity:
     def test_needs_out_or_stats(self, capsys):
         assert main(["gen-parity", "--colours", "2", "--length", "3"]) == 1
 
-    def test_bad_config(self, capsys):
+    def test_bad_config(self, tmp_path, capsys):
+        out = tmp_path / "corpus.txt"
         assert main(["gen-parity", "--colours", "1", "--length", "3",
-                     "--stats"]) == 1
+                     "--out", str(out)]) == 1
         assert main(["gen-parity", "--colours", "3", "--length", "3",
-                     "--stats"]) == 1
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
-    def test_budget_exceeded(self, capsys):
+    def test_budget_exceeded(self, tmp_path, capsys):
+        out = tmp_path / "corpus.txt"
         assert main(["gen-parity", "--colours", "2", "--length", "3",
-                     "--stats", "--budget", "7"]) == 1
+                     "--out", str(out), "--budget", "7"]) == 1
+        assert not out.exists()
 
 
 class TestGenRandomAndVerify:
@@ -183,5 +187,15 @@ class TestStats:
         assert main(["stats", "--colours", "3", "--length", "4"]) == 0
         assert capsys.readouterr().out.strip() == "3\t4\t51\t20\t111\t23\t28"
 
+    def test_smallest_corpus_line(self, capsys):
+        assert main(["stats", "--colours", "2", "--length", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "2\t3\t3\t5\t15\t8\t12"
+
     def test_bad_config(self, capsys):
         assert main(["stats", "--colours", "0", "--length", "4"]) == 1
+        assert main(["stats", "--colours", "1", "--length", "3"]) == 1
+        assert main(["stats", "--colours", "3", "--length", "3"]) == 1
+
+    def test_budget_exceeded(self, capsys):
+        assert main(["stats", "--colours", "2", "--length", "3",
+                     "--budget", "7"]) == 1

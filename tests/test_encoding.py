@@ -1,14 +1,14 @@
 """Variable layout, clause generation, and symmetry-breaking canonicity."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from sepdfa.automata import ThreeValuedDFA, build_apta, build_ddfa
+from sepdfa.automata import build_apta, build_ddfa, build_min_3dfa_incremental
 from sepdfa.encoding import (
     EncodingError,
     VarMap,
-    acceptor_facts,
     build_formula,
     decode_model,
     emit_dimacs,
@@ -17,6 +17,7 @@ from sepdfa.encoding import (
     encode_product,
     encode_symmetry_breaking,
 )
+from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.samples import SampleSet, sort_and_validate
 
 
@@ -34,7 +35,7 @@ class TestVarMap:
         (4, 3, 7, True), (2, 5, 2, True),
     ])
     def test_decode_is_inverse(self, n, k, m, sym):
-        vm = VarMap(n, k, range(m), sym)
+        vm = VarMap(n, k, m, sym)
         seen = set()
         for var in range(1, vm.variable_count + 1):
             tag = vm.decode(var)
@@ -61,7 +62,7 @@ class TestVarMap:
         assert vm.variable_count == expected
 
     def test_frozen_ids(self):
-        vm = VarMap(2, 2, (0, 1, 2), True)
+        vm = VarMap(2, 2, 3, True)
         assert vm.e(0, 0, 0) == 1
         assert vm.e(0, 0, 1) == 2
         assert vm.e(1, 1, 1) == 8
@@ -74,7 +75,7 @@ class TestVarMap:
         assert vm.variable_count == 20
 
     def test_range_checks(self):
-        vm = VarMap(2, 2, (0,), True)
+        vm = VarMap(2, 2, 1, True)
         with pytest.raises(EncodingError):
             vm.e(2, 0, 0)
         with pytest.raises(EncodingError):
@@ -85,36 +86,29 @@ class TestVarMap:
             vm.decode(vm.variable_count + 1)
 
     def test_symmetry_vars_gated(self):
-        vm = VarMap(2, 1, (0,), False)
+        vm = VarMap(2, 1, 1, False)
         with pytest.raises(EncodingError):
             vm.t(0, 1)
 
 
 class TestAcceptorFacts:
-    def test_unreachable_states_dropped(self):
-        a = ThreeValuedDFA(1, 3, 0, {(0, 0): 1, (2, 0): 1},
-                           frozenset({1}), frozenset({2}))
-        facts = acceptor_facts(a)
-        assert facts.states == (0, 1)
-        assert facts.rejecting == frozenset()
-        assert facts.transitions == ((0, 0, 1),)
+    """What the encoder reads off an acceptor: initials, statuses, moves."""
 
     def test_double_dfa_offsets(self):
         dd = build_ddfa(SampleSet(2, {(0,)}, {(1,)}))
-        facts = acceptor_facts(dd)
-        assert len(facts.initials) == 2
-        assert facts.initials[1] == dd.neg_offset + dd.neg_part.initial
-        assert facts.accepting and facts.rejecting
-        assert all(q >= dd.neg_offset for q in facts.rejecting)
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            acceptor_facts("not an automaton")
+        vm = VarMap(2, 2, dd.state_count, False)
+        clauses = encode_product(vm, dd)
+        # both initial states are seeded, the negative one past the split
+        split = dd.initials[1]
+        assert dd.initials == (0, split)
+        assert clauses[:2] == [(vm.d(0, 0),), (vm.d(split, 0),)]
+        assert dd.accepting and dd.rejecting
+        assert all(q >= split for q in dd.rejecting)
 
 
 class TestShapeClauses:
     def test_counts_n3_k2(self):
-        vm = VarMap(3, 2, (0,), False)
+        vm = VarMap(3, 2, 1, False)
         clauses = encode_dfa_shape(vm)
         at_most = [c for c in clauses if len(c) == 2 and c[0] < 0]
         at_least = [c for c in clauses if c[0] > 0]
@@ -125,7 +119,7 @@ class TestShapeClauses:
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
     def test_truth_table_is_total_functions(self, n, k):
         # shape clauses hold exactly when e describes a total function
-        vm = VarMap(n, k, (0,), False)
+        vm = VarMap(n, k, 1, False)
         clauses = encode_dfa_shape(vm)
         evars = [(i, a, j) for i in range(n) for a in range(k)
                  for j in range(n)]
@@ -167,11 +161,12 @@ def separating_projection_by_enumeration(samples, n):
 def separating_projection_by_formula(samples, n):
     """Same set read off the clauses, using exhaustive d extensions."""
     k = samples.alphabet_size
-    facts = acceptor_facts(build_apta(sort_and_validate(samples)))
-    vm = VarMap(n, k, facts.states, False)
-    clauses = encode_dfa_shape(vm) + encode_product(vm, facts)
+    acceptor = build_apta(sort_and_validate(samples))
+    vm = VarMap(n, k, acceptor.state_count, False)
+    clauses = encode_dfa_shape(vm) + encode_product(vm, acceptor)
     keys = [(i, a) for i in range(n) for a in range(k)]
-    dvars = [vm.d(p, i) for p in facts.states for i in range(n)]
+    dvars = [vm.d(p, i) for p in range(acceptor.state_count)
+             for i in range(n)]
     good = set()
     for targets in itertools.product(range(n), repeat=len(keys)):
         table = dict(zip(keys, targets))
@@ -206,11 +201,10 @@ class TestProductClauses:
                 == separating_projection_by_enumeration(samples, n))
 
     def test_vm_acceptor_mismatch_rejected(self):
-        facts = acceptor_facts(build_apta(sort_and_validate(
-            SampleSet(1, {(0,)}, set()))))
-        vm = VarMap(2, 1, (0, 5), False)
+        acceptor = build_apta(sort_and_validate(SampleSet(1, {(0,)}, set())))
+        vm = VarMap(2, 1, 3, False)
         with pytest.raises(EncodingError):
-            encode_product(vm, facts)
+            encode_product(vm, acceptor)
 
 
 def derived_symmetry_assignment(vm, table):
@@ -260,7 +254,7 @@ class TestSymmetryBreaking:
         # always rejected.  This pins the clause set as a canonical-form
         # filter, so adding it never changes satisfiability.
         n, k = 3, 2
-        vm = VarMap(n, k, (0,), True)
+        vm = VarMap(n, k, 1, True)
         clauses = encode_symmetry_breaking(vm)
         keys = [(i, a) for i in range(n) for a in range(k)]
         accepted = set()
@@ -284,12 +278,12 @@ class TestSymmetryBreaking:
         assert len(accepted) == len(reachable_tables) // 2
 
     def test_requires_symmetry_vars(self):
-        vm = VarMap(2, 1, (0,), False)
+        vm = VarMap(2, 1, 1, False)
         with pytest.raises(EncodingError):
             encode_symmetry_breaking(vm)
 
     def test_safety_filter_drops_sink_clauses(self):
-        vm = VarMap(3, 2, (0, 1), True)
+        vm = VarMap(3, 2, 2, True)
         full = encode_symmetry_breaking(vm)
         safe = encode_symmetry_breaking(vm, safety_mode=True)
         assert set(safe) < set(full)
@@ -311,7 +305,7 @@ class TestSymmetryBreaking:
 class TestParityConstraints:
     def test_two_colours_n2(self):
         # highest colour 1 is odd: co-safety, initial state rejects
-        vm = VarMap(2, 2, (0,), True)
+        vm = VarMap(2, 2, 1, True)
         clauses = encode_parity_constraints(vm, 2)
         assert (vm.e(0, 1, 0),) in clauses          # odd colour loops on 0
         assert (-vm.e(0, 0, 0),) in clauses         # even colour must leave
@@ -323,7 +317,7 @@ class TestParityConstraints:
 
     def test_three_colours_middle_disjunction(self):
         # highest colour 2 is even: safety, non-sink states accept
-        vm = VarMap(4, 3, (0,), True)
+        vm = VarMap(4, 3, 1, True)
         clauses = encode_parity_constraints(vm, 3)
         assert (vm.e(0, 0, 0),) in clauses
         assert (vm.e(0, 2, 0),) in clauses
@@ -335,55 +329,102 @@ class TestParityConstraints:
         assert (-vm.f(3),) in clauses
 
     def test_errors(self):
-        vm = VarMap(3, 2, (0,), True)
+        vm = VarMap(3, 2, 1, True)
         with pytest.raises(EncodingError):
             encode_parity_constraints(vm, 3)
         with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(3, 1, (0,), True), 1)
+            encode_parity_constraints(VarMap(3, 1, 1, True), 1)
         with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(1, 2, (0,), True), 2)
+            encode_parity_constraints(VarMap(1, 2, 1, True), 2)
 
 
-def parity_corpus_facts(parity_corpus, colours, length):
-    from sepdfa.automata import build_min_3dfa_incremental
+def parity_corpus_acceptor(parity_corpus, colours, length):
     samples = parity_corpus(colours, length)
-    return acceptor_facts(
-        build_min_3dfa_incremental(sort_and_validate(samples)))
+    return build_min_3dfa_incremental(sort_and_validate(samples))
 
 
 class TestBuildFormula:
     def test_frozen_sizes_for_smallest_corpus(self, parity_corpus):
-        facts = parity_corpus_facts(parity_corpus, 2, 3)
-        vm, formula = build_formula(3, facts)
+        acceptor = parity_corpus_acceptor(parity_corpus, 2, 3)
+        vm, formula = build_formula(3, acceptor)
         assert formula.variable_count == 57
         assert formula.clause_count == 173
-        vm2, f2 = build_formula(2, facts)
+        vm2, f2 = build_formula(2, acceptor)
         assert (f2.variable_count, f2.clause_count) == (30, 72)
-        _, f_safe = build_formula(3, facts, safety=True)
+        _, f_safe = build_formula(3, acceptor, safety=True)
         assert f_safe.clause_count == 163
-        _, f2_safe = build_formula(2, facts, safety=True)
+        _, f2_safe = build_formula(2, acceptor, safety=True)
         assert f2_safe.clause_count == 71
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_clause_count_bounds(self, parity_corpus, n):
-        facts = parity_corpus_facts(parity_corpus, 3, 4)
-        k = facts.alphabet_size
-        m = len(facts.states)
-        _, core = build_formula(n, facts, symmetry=False)
+        acceptor = parity_corpus_acceptor(parity_corpus, 3, 4)
+        k = acceptor.alphabet_size
+        m = acceptor.state_count
+        _, core = build_formula(n, acceptor, symmetry=False)
         assert core.clause_count <= 2 * (n ** 3 * k + n ** 2 * m * k)
-        _, full = build_formula(n, facts, symmetry=True)
+        _, full = build_formula(n, acceptor, symmetry=True)
         sym_count = full.clause_count - core.clause_count
         assert sym_count <= 2 * (n ** 3 + n ** 2 * k ** 2)
 
     def test_dimacs_shape(self, parity_corpus):
-        facts = parity_corpus_facts(parity_corpus, 2, 3)
-        _, formula = build_formula(2, facts, symmetry=False)
+        acceptor = parity_corpus_acceptor(parity_corpus, 2, 3)
+        _, formula = build_formula(2, acceptor, symmetry=False)
         text = emit_dimacs(formula)
         lines = text.splitlines()
         assert lines[0] == (
             f"p cnf {formula.variable_count} {formula.clause_count}")
         assert len(lines) == 1 + formula.clause_count
         assert all(ln.endswith(" 0") for ln in lines[1:])
+
+
+# sha256 of the DIMACS text per (corpus, mode, n, symmetry breaking).  The
+# parity corpus is (3, 5) with the safety shape; the random one holds 200
+# words up to length 11 labelled by gen_random_dfa(4, 2, 101).  Any change
+# to variable numbering or clause order shows up here.
+GOLDEN_DIMACS = {
+    ("parity", "apta", 2, True): "d99582ea2d4529e268109cbd9660e7e6c2432d6e6f32b48af82d4147082c4701",
+    ("parity", "apta", 3, True): "fba9b57cfb9be0ae2630076811bee4f109e842607994b16321133501c60c6125",
+    ("random", "apta", 3, True): "1ca57f0114f80fe99e65b075c63df6e970c5fb0ffab0c3aa9c908aa94fe4a49f",
+    ("random", "apta", 3, False): "5fa81eb28d7493b1ecf0a7a121b40826b75134da74f67eb8ae187abcee654f99",
+    ("random", "apta", 4, True): "d12ed6fb14f23dfb27e737c009a4df8b7b93683c61ede9f4d19061d1a7e6e3f8",
+    ("random", "apta", 4, False): "75f59b7f41461c86ee35df276cd141aa7c69546bd4ea8013964b43a6ca0ad1b8",
+    ("parity", "min3dfa", 2, True): "0af797711884ebf57d517ae75f6e4068145f45031635e721d590a9297cbe4711",
+    ("parity", "min3dfa", 3, True): "847c49a68150f035cc332ee95d87b1cfe71f0b647ffad334be69649707be629c",
+    ("random", "min3dfa", 3, True): "b027ed6ae5879f0e3c67bb2b8e343743ee4a0031fa3f18c74ffe4f8f734fd785",
+    ("random", "min3dfa", 3, False): "ae082806a5b5c20a7226a1628f6eebd2abc5ffef1ed4e65ca4835a13e2b40ea6",
+    ("random", "min3dfa", 4, True): "4f1d76ccc5cc0d252971363cb67d2c80e9d4081396e42b5ec1779021421928ae",
+    ("random", "min3dfa", 4, False): "bf7c1493e001fea1571fb3155fe01d5230fac40c3fc54383210ac7636be08e8d",
+    ("parity", "ddfa", 2, True): "bab47d565b4245bcbfa1fd49881fa711448acb378ab1bee111e31c095b09f22f",
+    ("parity", "ddfa", 3, True): "4323d79ccc62fecb3d726177f8f33280581f9bd6f056f78c2f1f21751f7a1589",
+    ("random", "ddfa", 3, True): "1f88e0b70ab963577b10db1db60f484948abb1ebdbee2b7a8017efc4e66d0f5e",
+    ("random", "ddfa", 3, False): "1f7859aa137194a8566f7e4f3fe9b27225a78c352514adcb5141bd713f363bc4",
+    ("random", "ddfa", 4, True): "8cb66bbfb62402d363f1493c11360f9c50716a7b6de962673bc3e2b1d114241c",
+    ("random", "ddfa", 4, False): "0409ddaa41c11feae4254aed3ea69bccd3acf68734350169b0d6f32f09365d7c",
+}
+
+
+def acceptor_for(samples, mode):
+    if mode == "apta":
+        return build_apta(sort_and_validate(samples))
+    if mode == "min3dfa":
+        return build_min_3dfa_incremental(sort_and_validate(samples))
+    return build_ddfa(samples)
+
+
+class TestGoldenDimacs:
+    @pytest.mark.parametrize("corpus,mode,n,symmetry", sorted(GOLDEN_DIMACS))
+    def test_bytes_unchanged(self, parity_corpus, corpus, mode, n, symmetry):
+        if corpus == "parity":
+            samples = parity_corpus(3, 5)
+        else:
+            samples = gen_samples_from_dfa(gen_random_dfa(4, 2, 101), 200,
+                                           11, seed=101)
+        _, formula = build_formula(n, acceptor_for(samples, mode),
+                                   symmetry=symmetry,
+                                   safety=corpus == "parity")
+        digest = hashlib.sha256(emit_dimacs(formula).encode()).hexdigest()
+        assert digest == GOLDEN_DIMACS[(corpus, mode, n, symmetry)]
 
 
 class TestDecodeModel:
@@ -396,21 +437,21 @@ class TestDecodeModel:
         return model
 
     def test_round_trip(self):
-        vm = VarMap(2, 2, (0,), False)
+        vm = VarMap(2, 2, 1, False)
         table = {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}
         dfa = decode_model(self.make_model(vm, table, {1}), vm)
         assert dfa.transitions == table
         assert dfa.accepting == frozenset({1})
 
     def test_multiple_targets_rejected(self):
-        vm = VarMap(2, 1, (0,), False)
+        vm = VarMap(2, 1, 1, False)
         model = self.make_model(vm, {(0, 0): 0, (1, 0): 0}, set())
         model[vm.e(0, 0, 1)] = True
         with pytest.raises(EncodingError):
             decode_model(model, vm)
 
     def test_missing_variable_rejected(self):
-        vm = VarMap(2, 1, (0,), False)
+        vm = VarMap(2, 1, 1, False)
         model = self.make_model(vm, {(0, 0): 0, (1, 0): 0}, set())
         del model[vm.e(1, 0, 0)]
         with pytest.raises(EncodingError):

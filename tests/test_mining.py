@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdfa.automata import LearnedDFA, build_apta, build_ddfa
+from sepdfa.automata import (
+    LearnedDFA,
+    build_apta,
+    build_ddfa,
+    build_min_3dfa_incremental,
+)
 from sepdfa.mining import (
     MODES,
     MiningError,
@@ -60,10 +65,6 @@ class TestVerify:
 
 
 class TestUpperBound:
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            upper_bound(42)
-
     @given(small_sets)
     @settings(max_examples=30)
     def test_completion_construction_witnesses_bound(self, samples):
@@ -85,8 +86,9 @@ class TestUpperBound:
     @given(small_sets)
     @settings(max_examples=30)
     def test_ddfa_bound_uses_positive_part(self, samples):
-        dd = build_ddfa(samples)
-        assert upper_bound(dd) == dd.pos_part.state_count + 1
+        positives = SampleSet(samples.alphabet_size, samples.positives, set())
+        pos = build_min_3dfa_incremental(sort_and_validate(positives))
+        assert upper_bound(build_ddfa(samples)) == pos.state_count + 1
 
 
 class TestMining:
@@ -205,13 +207,10 @@ class TestSafetyMining:
 
 
 class TestReportText:
-    def test_to_text_and_kv(self, solver_cmd):
+    def test_to_text(self, solver_cmd):
         samples = SampleSet(2, {(0,)}, {(1,)})
         report = mine_min_dfa(samples, solver_command=solver_cmd)
         text = report.to_text()
         assert "mode min3dfa" in text
         assert "minimal size 2" in text
         assert "verified yes" in text
-        kv = report.to_kv()
-        assert "minimal_size=2" in kv
-        assert "attempt1.outcome=unsat" in kv

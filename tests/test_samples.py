@@ -13,7 +13,6 @@ from sepdfa.samples import (
     SampleError,
     SampleSet,
     classify,
-    lex_compare,
     parse_abbadingo,
     sort_and_validate,
     write_abbadingo,
@@ -49,24 +48,31 @@ class TestSampleSet:
         assert classify(s, ()) == POSITIVE
 
 
+def ascending(*ws):
+    """Whether OrderedSampleSet accepts the words in this order."""
+    try:
+        OrderedSampleSet(3, tuple((w, POSITIVE) for w in ws))
+    except SampleError:
+        return False
+    return True
+
+
 class TestLexCompare:
     def test_prefix_comes_first(self):
-        assert lex_compare((0,), (0, 0)) < 0
-        assert lex_compare((0, 0), (0,)) > 0
+        assert ascending((0,), (0, 0))
+        assert not ascending((0, 0), (0,))
 
     def test_first_difference(self):
-        assert lex_compare((0, 1), (1,)) < 0
-        assert lex_compare((1,), (0, 1, 1)) > 0
+        assert ascending((0, 1), (1,))
+        assert not ascending((1,), (0, 1, 1))
 
     def test_equal(self):
-        assert lex_compare((), ()) == 0
-        assert lex_compare((2, 1), (2, 1)) == 0
+        assert not ascending((), ())
+        assert not ascending((2, 1), (2, 1))
 
     @given(words, words)
     def test_matches_tuple_order(self, u, v):
-        # shortlex-free: plain tuple comparison has the same prefix rule
-        expect = (u > v) - (u < v)
-        assert lex_compare(u, v) == expect
+        assert ascending(u, v) == (u < v)
 
 
 class TestOrdering:
@@ -142,5 +148,20 @@ class TestAbbadingo:
         "1 2\n1 x\n",
     ])
     def test_malformed_rejected(self, text):
+        with pytest.raises(SampleError):
+            parse_abbadingo(text)
+
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "  \n\t\n", " "])
+    def test_trailing_blank_lines_ignored(self, tail):
+        s = parse_abbadingo("2 2\n1 1 0\n0 1 1\n" + tail)
+        assert s == SampleSet(2, {(0,)}, {(1,)})
+
+    @pytest.mark.parametrize("text", [
+        "2 2\n1 1 0\n\n0 1 1\n",    # blank line between samples
+        "3 2\n1 1 0\n\n0 1 1\n",    # ... even when the count allows it
+        "3 2\n1 1 0\n0 1 1\n\n",    # trailing blank is not a sample
+        "\n\n",
+    ])
+    def test_blank_lines_still_rejected(self, text):
         with pytest.raises(SampleError):
             parse_abbadingo(text)

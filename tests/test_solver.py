@@ -82,6 +82,12 @@ class TestSolveWithRealSolver:
         with pytest.raises(SolverError, match="empty"):
             solve(SAT_2VAR, [])
 
+    def test_non_executable_file(self, tmp_path):
+        script = tmp_path / "solver.sh"
+        script.write_text("#!/bin/sh\nexit 10\n")
+        with pytest.raises(SolverError, match="cannot run"):
+            solve(SAT_2VAR, [str(script)])
+
 
 class TestSolveWithFakeSolver:
     def test_exit_code_without_status_line(self, fake_solver):
@@ -134,30 +140,17 @@ class TestSolveWithFakeSolver:
             'echo "s SATISFIABLE"\necho "v 1 2 0"\nexit 10\n')
         assert solve(SAT_2VAR, [script]).outcome == "sat"
 
-    def test_stdin_mode(self, fake_solver):
-        script = fake_solver(
-            '[ $# -eq 0 ] || exit 3\n'
-            'grep -q "p cnf 2 2" || exit 4\n'
-            'echo "s SATISFIABLE"\necho "v 1 2 0"\nexit 10\n')
-        assert solve(SAT_2VAR, [script], use_stdin=True).outcome == "sat"
-
-    def test_stdin_size_limit_falls_back_to_file(self, fake_solver):
-        script = fake_solver(
-            'test -f "$1" || exit 3\n'
-            'echo "s SATISFIABLE"\necho "v 1 2 0"\nexit 10\n')
-        verdict = solve(SAT_2VAR, [script], use_stdin=True,
-                        stdin_size_limit=4)
-        assert verdict.outcome == "sat"
-
 
 class TestFindSolver:
     def test_finds_something_here(self, solver_cmd):
         assert find_solver() is not None
 
-    def test_no_candidates(self):
+    def test_no_candidates(self, monkeypatch):
+        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
         assert find_solver(candidates=[["no-such-solver-abc"]]) is None
 
-    def test_rejects_wrong_probe_answer(self, fake_solver):
+    def test_rejects_wrong_probe_answer(self, fake_solver, monkeypatch):
+        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
         liar = fake_solver('echo "s UNSATISFIABLE"\nexit 20\n')
         assert find_solver(candidates=[[liar]]) is None
 
