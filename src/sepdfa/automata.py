@@ -125,11 +125,12 @@ def run(a: ThreeValuedDFA, w: Word) -> str | None:
     Otherwise the result is don't-care when some run ends in a state, and
     None when every run becomes undefined.
     """
+    for letter in w:
+        if not 0 <= letter < a.alphabet_size:
+            raise ValueError(f"letter {letter} outside alphabet")
     outcome = None
     for q in a.initials:
         for letter in w:
-            if not 0 <= letter < a.alphabet_size:
-                raise ValueError(f"letter {letter} outside alphabet")
             q = a.transitions.get((q, letter))
             if q is None:
                 break

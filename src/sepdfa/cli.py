@@ -27,7 +27,13 @@ from .generators import (
     gen_samples_from_dfa,
     parity_stats,
 )
-from .mining import MODES, MiningError, mine_min_dfa, verify_separating
+from .mining import (
+    MODES,
+    MiningError,
+    SizeRangeError,
+    mine_min_dfa,
+    verify_separating,
+)
 from .samples import POSITIVE, SampleError, parse_abbadingo, write_abbadingo
 from .solver import DEFAULT_SOLVER_COMMAND, SolverError, SolverTimeoutError
 
@@ -211,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except BudgetExceededError as err:
+    except (BudgetExceededError, SizeRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SampleError, AutomatonFormatError) as err:

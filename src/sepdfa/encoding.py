@@ -7,16 +7,22 @@ acceptor state.  Two optional groups are layered on top:
 breadth-first-tree symmetry breaking over auxiliary variables t(i, j),
 p(child, parent) and m(i, a, j), and shape constraints that force the
 candidate into safety or co-safety form for parity corpora.
+
+Each encoder returns a flat array('i') of literals, each clause closed by
+a 0 as in DIMACS; emit_dimacs streams their concatenation in chunks.
 """
 
 from __future__ import annotations
 
+import re
+from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, TextIO
 
 from .automata import LearnedDFA, ThreeValuedDFA
 
-Clause = tuple[int, ...]
+_CHUNK = 1 << 16  # literals per DIMACS chunk, rounded up to a clause end
 
 
 class EncodingError(RuntimeError):
@@ -28,26 +34,34 @@ class CnfFormula:
     """Propositional formula in conjunctive normal form.
 
     Variables are the 1-based integers up to variable_count; a literal is
-    a variable or its negation.  Clauses are non-empty.
+    a variable or its negation.  literals holds the clauses in order, each
+    closed by a 0, and no clause is empty.
     """
 
     variable_count: int
-    clauses: tuple[Clause, ...]
+    literals: array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
+        lits = self.literals
         if self.variable_count < 0:
             raise EncodingError("negative variable count")
-        for clause in self.clauses:
-            if not clause:
-                raise EncodingError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
-                    raise EncodingError(f"literal {lit} out of range")
+        if lits and lits[-1] != 0:
+            raise EncodingError("last clause is not closed by 0")
+        for lit in (min(lits, default=0), max(lits, default=0)):
+            if abs(lit) > self.variable_count:
+                raise EncodingError(f"literal {lit} out of range")
+        # A clause is empty where a 0 opens the buffer or follows a 0; two
+        # zero literals in a row are zero bytes from a literal boundary on.
+        width = lits.itemsize
+        pair = re.compile(bytes(2 * width)).search(lits)
+        while pair and pair.start() % width:
+            pair = pair.re.search(lits, pair.start() + 1)
+        if pair or (lits and lits[0] == 0):
+            raise EncodingError("empty clause")
 
-    @property
+    @cached_property
     def clause_count(self) -> int:
-        return len(self.clauses)
+        return self.literals.count(0)
 
 
 class VarMap:
@@ -68,27 +82,22 @@ class VarMap:
         self.alphabet_size = alphabet_size
         self.acceptor_state_count = acceptor_state_count
         self.symmetry = symmetry
-        k = alphabet_size
-        self._base_e = 0
-        self._base_f = n * k * n
+        self._base_f = n * alphabet_size * n
         self._base_d = self._base_f + n
-        total = self._base_d + acceptor_state_count * n
+        self._base_t = self._base_d + acceptor_state_count * n
         # Upper-triangular pairs (i, j) with i < j, row-major in j.
         self._pairs = [(i, j) for j in range(n) for i in range(j)]
-        self._pair_index = {pair: idx for idx, pair in enumerate(self._pairs)}
-        if symmetry:
-            self._base_t = total
-            self._base_p = self._base_t + len(self._pairs)
-            self._base_m = self._base_p + len(self._pairs)
-            total = self._base_m + len(self._pairs) * k
-        self.variable_count = total
+        self._base_p = self._base_t + len(self._pairs)
+        self._base_m = self._base_p + len(self._pairs)
+        self.variable_count = (self._base_m + len(self._pairs) * alphabet_size
+                               if symmetry else self._base_t)
 
     def e(self, i: int, a: int, j: int) -> int:
         """Candidate moves from state i to state j on letter a."""
         if not (0 <= i < self.n and 0 <= j < self.n
                 and 0 <= a < self.alphabet_size):
             raise EncodingError(f"e({i}, {a}, {j}) out of range")
-        return 1 + self._base_e + (i * self.alphabet_size + a) * self.n + j
+        return 1 + (i * self.alphabet_size + a) * self.n + j
 
     def f(self, i: int) -> int:
         """Candidate state i is accepting."""
@@ -102,33 +111,27 @@ class VarMap:
             raise EncodingError(f"d({p}, {i}) out of range")
         return 1 + self._base_d + p * self.n + i
 
-    def _pair(self, base: int, i: int, j: int) -> int:
+    def _pair(self, i: int, j: int) -> int:
+        """Index of the node pair (i, j), i < j, among the symmetry pairs."""
+        if not self.symmetry:
+            raise EncodingError("symmetry variables are disabled")
         if not 0 <= i < j < self.n:
             raise EncodingError(f"node pair ({i}, {j}) out of range")
-        return 1 + base + self._pair_index[(i, j)]
+        return j * (j - 1) // 2 + i
 
     def t(self, i: int, j: int) -> int:
         """Some letter moves the candidate from state i to state j (i < j)."""
-        if not self.symmetry:
-            raise EncodingError("symmetry variables are disabled")
-        return self._pair(self._base_t, i, j)
+        return 1 + self._base_t + self._pair(i, j)
 
     def p(self, child: int, parent: int) -> int:
         """Candidate state child has tree parent `parent` (parent < child)."""
-        if not self.symmetry:
-            raise EncodingError("symmetry variables are disabled")
-        return self._pair(self._base_p, parent, child)
+        return 1 + self._base_p + self._pair(parent, child)
 
     def m(self, i: int, a: int, j: int) -> int:
         """Letter a is the smallest letter moving state i to state j (i < j)."""
-        if not self.symmetry:
-            raise EncodingError("symmetry variables are disabled")
         if not 0 <= a < self.alphabet_size:
             raise EncodingError(f"m({i}, {a}, {j}) letter out of range")
-        if not 0 <= i < j < self.n:
-            raise EncodingError(f"m({i}, {a}, {j}) node pair out of range")
-        return (1 + self._base_m
-                + self._pair_index[(i, j)] * self.alphabet_size + a)
+        return 1 + self._base_m + self._pair(i, j) * self.alphabet_size + a
 
     def decode(self, var: int) -> tuple:
         """Inverse of the id mapping: ('e', i, a, j), ('f', i), and so on."""
@@ -142,7 +145,7 @@ class VarMap:
             return ("e", i, a, j)
         if idx < self._base_d:
             return ("f", idx - self._base_f)
-        if idx < self._base_d + self.acceptor_state_count * n:
+        if idx < self._base_t:
             p, i = divmod(idx - self._base_d, n)
             return ("d", p, i)
         if idx < self._base_p:
@@ -156,20 +159,20 @@ class VarMap:
         return ("m", i, a, j)
 
 
-def encode_dfa_shape(vm: VarMap) -> list[Clause]:
+def encode_dfa_shape(vm: VarMap) -> array:
     """Determinism and completeness of the candidate transition function."""
-    clauses: list[Clause] = []
+    out = array("i")
     n = vm.n
     for i in range(n):
         for a in range(vm.alphabet_size):
             for j in range(n):
                 for jj in range(j + 1, n):
-                    clauses.append((-vm.e(i, a, j), -vm.e(i, a, jj)))
-            clauses.append(tuple(vm.e(i, a, j) for j in range(n)))
-    return clauses
+                    out.extend((-vm.e(i, a, j), -vm.e(i, a, jj), 0))
+            out.extend([vm.e(i, a, j) for j in range(n)] + [0])
+    return out
 
 
-def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> list[Clause]:
+def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> array:
     """Tie the candidate to the acceptor.
 
     Product pairs seed at the initial states and follow the acceptor's
@@ -181,24 +184,25 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> list[Clause]:
         raise EncodingError("variable map was built for a different acceptor")
     if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
-    clauses: list[Clause] = []
+    out = array("i")
     n = vm.n
     for q0 in acceptor.initials:
-        clauses.append((vm.d(q0, 0),))
-    for p in sorted(acceptor.accepting):
-        for i in range(n):
-            clauses.append((-vm.d(p, i), vm.f(i)))
-    for p in sorted(acceptor.rejecting):
-        for i in range(n):
-            clauses.append((-vm.d(p, i), -vm.f(i)))
+        out.extend((vm.d(q0, 0), 0))
+    for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
+        for p in sorted(states):
+            for i in range(n):
+                out.extend((-vm.d(p, i), sign * vm.f(i), 0))
     for (p, a), r in acceptor.transitions.items():
+        batch = []
         for i in range(n):
+            not_pi = -vm.d(p, i)
             for j in range(n):
-                clauses.append((-vm.d(p, i), -vm.e(i, a, j), vm.d(r, j)))
-    return clauses
+                batch += (not_pi, -vm.e(i, a, j), vm.d(r, j), 0)
+        out.fromlist(batch)
+    return out
 
 
-def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> list[Clause]:
+def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> array:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
@@ -212,51 +216,47 @@ def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> list[Clau
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
-    n, k = vm.n, vm.alphabet_size
-    emitted: list[tuple[tuple[int, ...], Clause]] = []
+    k = vm.alphabet_size
+    nodes = vm.n - 1 if safety_mode else vm.n
+    out = array("i")
 
-    def emit(nodes: tuple[int, ...], *lits: int) -> None:
-        emitted.append((nodes, lits))
+    def emit(*lits: int) -> None:
+        out.extend(lits + (0,))
 
-    for j in range(n):
+    for j in range(nodes):
         for i in range(j):
             # p(j, i) holds iff i is the smallest node with an edge into j.
-            emit((i, j), -vm.p(j, i), vm.t(i, j))
+            emit(-vm.p(j, i), vm.t(i, j))
             for kk in range(i):
-                emit((i, j, kk), -vm.p(j, i), -vm.t(kk, j))
-            emit((i, j), vm.p(j, i), -vm.t(i, j),
-                 *[vm.t(kk, j) for kk in range(i)])
+                emit(-vm.p(j, i), -vm.t(kk, j))
+            emit(vm.p(j, i), -vm.t(i, j), *[vm.t(kk, j) for kk in range(i)])
             # t(i, j) holds iff some letter joins i to j.
-            emit((i, j), -vm.t(i, j), *[vm.e(i, a, j) for a in range(k)])
+            emit(-vm.t(i, j), *[vm.e(i, a, j) for a in range(k)])
             for a in range(k):
-                emit((i, j), vm.t(i, j), -vm.e(i, a, j))
+                emit(vm.t(i, j), -vm.e(i, a, j))
             # m(i, a, j) holds iff a is the smallest letter joining i to j.
             for a in range(k):
-                emit((i, j), -vm.m(i, a, j), vm.e(i, a, j))
+                emit(-vm.m(i, a, j), vm.e(i, a, j))
                 for b in range(a):
-                    emit((i, j), -vm.m(i, a, j), -vm.e(i, b, j))
-                emit((i, j), vm.m(i, a, j), -vm.e(i, a, j),
+                    emit(-vm.m(i, a, j), -vm.e(i, b, j))
+                emit(vm.m(i, a, j), -vm.e(i, a, j),
                      *[vm.e(i, b, j) for b in range(a)])
-            if j + 1 < n:
+            if j + 1 < nodes:
                 # Children of one parent appear in ascending letter order.
                 for b in range(k):
                     for a in range(b):
-                        emit((i, j, j + 1), -vm.p(j, i), -vm.p(j + 1, i),
+                        emit(-vm.p(j, i), -vm.p(j + 1, i),
                              -vm.m(i, b, j), -vm.m(i, a, j + 1))
                 # Parents are assigned in ascending node order.
                 for kk in range(i):
-                    emit((i, j, j + 1, kk), -vm.p(j, i), -vm.p(j + 1, kk))
+                    emit(-vm.p(j, i), -vm.p(j + 1, kk))
     # Every node except the root has a parent.
-    for child in range(1, n):
-        emit(tuple(range(child + 1)),
-             *[vm.p(child, parent) for parent in range(child)])
-
-    sink = n - 1
-    return [clause for nodes, clause in emitted
-            if not (safety_mode and sink in nodes)]
+    for child in range(1, nodes):
+        emit(*[vm.p(child, parent) for parent in range(child)])
+    return out
 
 
-def encode_parity_constraints(vm: VarMap, colours: int) -> list[Clause]:
+def encode_parity_constraints(vm: VarMap, colours: int) -> array:
     """Pin the candidate into safety (or co-safety) automaton shape.
 
     Letters are parity-game colours.  Colours sharing the parity of the
@@ -278,56 +278,56 @@ def encode_parity_constraints(vm: VarMap, colours: int) -> list[Clause]:
     highest = colours - 1
     same = [a for a in range(colours) if a % 2 == highest % 2]
     opponent = [a for a in range(colours) if a % 2 != highest % 2]
-    clauses: list[Clause] = []
+    out = array("i")
     for a in same:
-        clauses.append((vm.e(0, a, 0),))
+        out.extend((vm.e(0, a, 0), 0))
     for a in opponent:
         middles = [vm.e(0, a, i) for i in range(1, sink)]
         if middles:
-            clauses.append(tuple(middles))
+            out.extend(middles + [0])
         else:
             # No middle states exist at n = 2; with determinism and
             # completeness this pair is the same prohibition.
-            clauses.append((-vm.e(0, a, 0),))
-            clauses.append((-vm.e(0, a, sink),))
+            out.extend((-vm.e(0, a, 0), 0, -vm.e(0, a, sink), 0))
     for i in range(sink):
         for a in same:
-            clauses.append((-vm.e(i, a, sink),))
-        clauses.append((vm.e(i, highest, 0),))
+            out.extend((-vm.e(i, a, sink), 0))
+        out.extend((vm.e(i, highest, 0), 0))
         for a in opponent:
-            clauses.append((-vm.e(i, a, i),))
+            out.extend((-vm.e(i, a, i), 0))
     for a in range(colours):
-        clauses.append((vm.e(sink, a, sink),))
-    if highest % 2 == 0:
-        for i in range(sink):
-            clauses.append((vm.f(i),))
-        clauses.append((-vm.f(sink),))
-    else:
-        for i in range(sink):
-            clauses.append((-vm.f(i),))
-        clauses.append((vm.f(sink),))
-    return clauses
+        out.extend((vm.e(sink, a, sink), 0))
+    accept = 1 if highest % 2 == 0 else -1
+    for i in range(sink):
+        out.extend((accept * vm.f(i), 0))
+    out.extend((-accept * vm.f(sink), 0))
+    return out
 
 
 def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                   safety: bool = False) -> tuple[VarMap, CnfFormula]:
     """Assemble the full formula for one candidate size."""
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
-    clauses = encode_dfa_shape(vm)
-    clauses += encode_product(vm, acceptor)
+    literals = encode_dfa_shape(vm)
+    literals += encode_product(vm, acceptor)
     if symmetry:
-        clauses += encode_symmetry_breaking(vm, safety_mode=safety)
+        literals += encode_symmetry_breaking(vm, safety_mode=safety)
     if safety:
-        clauses += encode_parity_constraints(vm, acceptor.alphabet_size)
-    return vm, CnfFormula(vm.variable_count, tuple(clauses))
+        literals += encode_parity_constraints(vm, acceptor.alphabet_size)
+    return vm, CnfFormula(vm.variable_count, literals)
 
 
-def emit_dimacs(formula: CnfFormula) -> str:
-    """Serialise to DIMACS CNF text."""
-    lines = [f"p cnf {formula.variable_count} {formula.clause_count}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+def emit_dimacs(formula: CnfFormula, handle: TextIO) -> None:
+    """Write DIMACS CNF text into handle in chunks ending on clause ends."""
+    lits = formula.literals
+    handle.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
+    start = 0
+    while start < len(lits):
+        end = lits.index(0, min(start + _CHUNK, len(lits) - 1)) + 1
+        text = ("%d " * (end - start)) % tuple(lits[start:end])
+        # Only a clause-closing 0 prints as a whole " 0 " token.
+        handle.write(text.replace(" 0 ", " 0\n"))
+        start = end
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> LearnedDFA:

@@ -25,6 +25,10 @@ from .solver import DEFAULT_SOLVER_COMMAND, SolverError, solve
 MODES = ("apta", "min3dfa", "ddfa")
 
 
+class SizeRangeError(ValueError):
+    """The requested candidate sizes are invalid or empty."""
+
+
 class MiningError(RuntimeError):
     """Mining could not complete; .report holds the attempts so far."""
 
@@ -131,11 +135,19 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     Candidate sizes grow one by one from n_start (1 by default, 2 in
     safety mode, where the sink must differ from the initial state); the
     first satisfiable size yields the answer.  Every returned DFA has
-    been re-checked against the samples.  Solver failures propagate with
-    the partial report attached as .partial_report; exhausting n_max
-    (default: the acceptor's size bound) raises MiningError, since the
-    bound guarantees a solution exists.
+    been re-checked against the samples.  Sizes that cannot be searched
+    raise SizeRangeError before any work.  Solver failures propagate with
+    the partial report attached as .report; exhausting n_max (default:
+    the acceptor's size bound) raises MiningError with the same .report.
     """
+    if n_start is None:
+        n_start = 2 if safety else 1
+    elif safety and n_start < 2:
+        raise SizeRangeError("safety mode needs n_start >= 2")
+    if n_start < 1:
+        raise SizeRangeError("n_start must be at least 1")
+    if n_max is not None and n_max < n_start:
+        raise SizeRangeError(f"n_max must be at least n_start ({n_start})")
     acceptor = _build_acceptor(samples, mode)
     report = MiningReport(
         mode=mode,
@@ -143,12 +155,6 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         symmetry_breaking=symmetry_breaking,
         acceptor_size=acceptor.state_count,
     )
-    if n_start is None:
-        n_start = 2 if safety else 1
-    elif safety and n_start < 2:
-        raise ValueError("safety mode needs n_start >= 2")
-    if n_start < 1:
-        raise ValueError("n_start must be at least 1")
     bound = upper_bound(acceptor) if n_max is None else n_max
     n = n_start
     while n <= bound:
@@ -157,7 +163,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         try:
             verdict = solve(formula, solver_command, timeout=timeout)
         except SolverError as err:
-            err.partial_report = report
+            err.report = report
             raise
         report.attempts.append(SizeAttempt(
             n=n,
@@ -177,7 +183,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             report.verified = True
             return report
         n += 1
-    if safety and n_max is None:
+    if n_max is not None:
+        raise MiningError(
+            f"no separating DFA up to the requested size {bound}", report)
+    if safety:
         # The completion bound only promises an unconstrained separator.
         raise MiningError(
             f"no safety-shaped separating DFA up to size {bound}; the "

@@ -1,14 +1,16 @@
 """Bridge to an external DIMACS SAT solver subprocess.
 
 The solver is a black box: it gets the path of a temporary DIMACS CNF
-file as its last argument and must answer with SAT-competition output,
-an "s" status line plus "v" value lines, and exit status 10 for
-satisfiable or 20 for unsatisfiable.  Both channels are cross-checked, and satisfying models
-are validated against the formula before anyone gets to rely on them.
+file, streamed from the formula's literal buffer, as its last argument
+and must answer with SAT-competition output, an "s" status line plus "v"
+value lines, and exit status 10 for satisfiable or 20 for unsatisfiable.
+Both channels are cross-checked, and satisfying models are checked
+against the literal buffer before anyone gets to rely on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import shlex
@@ -17,6 +19,7 @@ import signal
 import subprocess
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +29,8 @@ DEFAULT_SOLVER_COMMAND = "cadical"
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[A-Za-z]|\x1b.|[\r\x07]")
 _STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\b")
+# A clause, marked "|"-terminated, whose literals are all false ("0").
+_FALSE_CLAUSE_RE = re.compile(rb"(?:^|\|)0*\|")
 
 
 class SolverError(RuntimeError):
@@ -94,20 +99,18 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
           timeout: float | None = None) -> SolverVerdict:
     """Run the solver on the formula and return its checked verdict.
 
-    The DIMACS text lands in a temporary file whose path is appended to
-    the command line.  On timeout the whole solver process group is
-    killed and SolverTimeoutError is raised.
+    The DIMACS text is streamed into a temporary file whose path is
+    appended to the command line.  On timeout the whole solver process
+    group is killed and SolverTimeoutError is raised.
     """
-    if isinstance(solver_command, str):
-        command = shlex.split(solver_command)
-    else:
-        command = list(solver_command)
+    command = (shlex.split(solver_command) if isinstance(solver_command, str)
+               else list(solver_command))
     if not command:
         raise SolverError("empty solver command")
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(emit_dimacs(formula))
+            emit_dimacs(formula, handle)
         started = time.monotonic()
         try:
             proc = subprocess.Popen(
@@ -132,16 +135,11 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
                 f"solver exceeded {timeout} seconds") from None
         wall_time = time.monotonic() - started
     finally:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(temp_path)
-        except OSError:
-            pass
 
-    if proc.returncode == 10:
-        outcome = "sat"
-    elif proc.returncode == 20:
-        outcome = "unsat"
-    else:
+    outcome = {10: "sat", 20: "unsat"}.get(proc.returncode)
+    if outcome is None:
         detail = (stderr or stdout or "").strip().splitlines()
         tail = detail[-1] if detail else "no output"
         raise SolverError(
@@ -158,9 +156,12 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     for var in assignment:
         if var > formula.variable_count:
             raise SolverError(f"model assigns unknown variable {var}")
-    for clause in formula.clauses:
-        if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
-            raise SolverError("model does not satisfy the formula")
+    # "1"/"0" per literal by value (negatives index from the end), "|" per 0.
+    values = [assignment[var] for var in range(1, formula.variable_count + 1)]
+    truth = (b"|" + bytes(b"01"[v] for v in values)
+             + bytes(b"10"[v] for v in reversed(values)))
+    if _FALSE_CLAUSE_RE.search(bytes(map(truth.__getitem__, formula.literals))):
+        raise SolverError("model does not satisfy the formula")
     return SolverVerdict("sat", assignment, wall_time)
 
 
@@ -183,11 +184,9 @@ def find_solver(candidates: Sequence[Sequence[str]] | None = None) -> list[str] 
     env = os.environ.get("SEPDFA_SOLVER")
     if env:
         probes.append(shlex.split(env))
-    if candidates is None:
-        probes.extend(list(c) for c in _PROBE_CANDIDATES)
-    else:
-        probes.extend(list(c) for c in candidates)
-    probe_formula = CnfFormula(1, ((1,),))
+    probes.extend(list(c) for c in (
+        _PROBE_CANDIDATES if candidates is None else candidates))
+    probe_formula = CnfFormula(1, array("i", (1, 0)))
     for command in probes:
         if not command or shutil.which(command[0]) is None:
             continue

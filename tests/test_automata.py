@@ -71,6 +71,11 @@ class TestThreeValuedDFA:
         with pytest.raises(ValueError):
             run(a, (5,))
 
+    def test_run_checks_letters_after_undefined_move(self):
+        a = ThreeValuedDFA(2, 1, (0,), {}, set(), set())
+        with pytest.raises(ValueError):
+            run(a, (1, 5))
+
     def test_run_tries_each_initial(self):
         # state 0 leads to don't-care on 0, state 2 to rejecting on 1
         a = ThreeValuedDFA(2, 4, (0, 2), {(0, 0): 1, (2, 1): 3},

@@ -32,6 +32,16 @@ class TestUsageErrors:
         samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
         assert main(["mine", samples, "--mode", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n-start", "0"], "n_start must be at least 1"),
+        (["--safety", "--n-start", "1"], "safety mode needs n_start >= 2"),
+        (["--n-max", "0"], "n_max must be at least n_start (1)"),
+    ])
+    def test_bad_size_range(self, tmp_path, capsys, flags, message):
+        samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
+        assert main(["mine", samples, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["mine", "--help"]) == 0

@@ -1,12 +1,16 @@
 """Variable layout, clause generation, and symmetry-breaking canonicity."""
 
 import hashlib
+import io
 import itertools
+from array import array
 
 import pytest
 
+from sepdfa import encoding
 from sepdfa.automata import build_apta, build_ddfa, build_min_3dfa_incremental
 from sepdfa.encoding import (
+    CnfFormula,
     EncodingError,
     VarMap,
     build_formula,
@@ -19,6 +23,26 @@ from sepdfa.encoding import (
 )
 from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.samples import SampleSet, sort_and_validate
+from sepdfa.solver import solve
+
+
+def clauses_of(literals):
+    """Split a zero-terminated literal buffer into clause tuples."""
+    clauses, clause = [], []
+    for lit in literals:
+        if lit:
+            clause.append(lit)
+        else:
+            clauses.append(tuple(clause))
+            clause = []
+    assert clause == [], "last clause is not closed by 0"
+    return clauses
+
+
+def dimacs_text(formula):
+    handle = io.StringIO()
+    emit_dimacs(formula, handle)
+    return handle.getvalue()
 
 
 def clause_satisfied(clause, assignment):
@@ -97,7 +121,7 @@ class TestAcceptorFacts:
     def test_double_dfa_offsets(self):
         dd = build_ddfa(SampleSet(2, {(0,)}, {(1,)}))
         vm = VarMap(2, 2, dd.state_count, False)
-        clauses = encode_product(vm, dd)
+        clauses = clauses_of(encode_product(vm, dd))
         # both initial states are seeded, the negative one past the split
         split = dd.initials[1]
         assert dd.initials == (0, split)
@@ -109,7 +133,7 @@ class TestAcceptorFacts:
 class TestShapeClauses:
     def test_counts_n3_k2(self):
         vm = VarMap(3, 2, 1, False)
-        clauses = encode_dfa_shape(vm)
+        clauses = clauses_of(encode_dfa_shape(vm))
         at_most = [c for c in clauses if len(c) == 2 and c[0] < 0]
         at_least = [c for c in clauses if c[0] > 0]
         assert len(at_most) == 3 * 2 * 3  # n*k * C(n,2)
@@ -120,7 +144,7 @@ class TestShapeClauses:
     def test_truth_table_is_total_functions(self, n, k):
         # shape clauses hold exactly when e describes a total function
         vm = VarMap(n, k, 1, False)
-        clauses = encode_dfa_shape(vm)
+        clauses = clauses_of(encode_dfa_shape(vm))
         evars = [(i, a, j) for i in range(n) for a in range(k)
                  for j in range(n)]
         sat_count = 0
@@ -163,7 +187,7 @@ def separating_projection_by_formula(samples, n):
     k = samples.alphabet_size
     acceptor = build_apta(sort_and_validate(samples))
     vm = VarMap(n, k, acceptor.state_count, False)
-    clauses = encode_dfa_shape(vm) + encode_product(vm, acceptor)
+    clauses = clauses_of(encode_dfa_shape(vm) + encode_product(vm, acceptor))
     keys = [(i, a) for i in range(n) for a in range(k)]
     dvars = [vm.d(p, i) for p in range(acceptor.state_count)
              for i in range(n)]
@@ -255,7 +279,7 @@ class TestSymmetryBreaking:
         # filter, so adding it never changes satisfiability.
         n, k = 3, 2
         vm = VarMap(n, k, 1, True)
-        clauses = encode_symmetry_breaking(vm)
+        clauses = clauses_of(encode_symmetry_breaking(vm))
         keys = [(i, a) for i in range(n) for a in range(k)]
         accepted = set()
         reachable_tables = []
@@ -284,8 +308,8 @@ class TestSymmetryBreaking:
 
     def test_safety_filter_drops_sink_clauses(self):
         vm = VarMap(3, 2, 2, True)
-        full = encode_symmetry_breaking(vm)
-        safe = encode_symmetry_breaking(vm, safety_mode=True)
+        full = clauses_of(encode_symmetry_breaking(vm))
+        safe = clauses_of(encode_symmetry_breaking(vm, safety_mode=True))
         assert set(safe) < set(full)
 
         def touches_sink(clause):
@@ -306,7 +330,7 @@ class TestParityConstraints:
     def test_two_colours_n2(self):
         # highest colour 1 is odd: co-safety, initial state rejects
         vm = VarMap(2, 2, 1, True)
-        clauses = encode_parity_constraints(vm, 2)
+        clauses = clauses_of(encode_parity_constraints(vm, 2))
         assert (vm.e(0, 1, 0),) in clauses          # odd colour loops on 0
         assert (-vm.e(0, 0, 0),) in clauses         # even colour must leave
         assert (-vm.e(0, 0, 1),) in clauses         # but no middle exists
@@ -318,7 +342,7 @@ class TestParityConstraints:
     def test_three_colours_middle_disjunction(self):
         # highest colour 2 is even: safety, non-sink states accept
         vm = VarMap(4, 3, 1, True)
-        clauses = encode_parity_constraints(vm, 3)
+        clauses = clauses_of(encode_parity_constraints(vm, 3))
         assert (vm.e(0, 0, 0),) in clauses
         assert (vm.e(0, 2, 0),) in clauses
         assert (vm.e(0, 1, 1), vm.e(0, 1, 2)) in clauses
@@ -370,7 +394,7 @@ class TestBuildFormula:
     def test_dimacs_shape(self, parity_corpus):
         acceptor = parity_corpus_acceptor(parity_corpus, 2, 3)
         _, formula = build_formula(2, acceptor, symmetry=False)
-        text = emit_dimacs(formula)
+        text = dimacs_text(formula)
         lines = text.splitlines()
         assert lines[0] == (
             f"p cnf {formula.variable_count} {formula.clause_count}")
@@ -412,19 +436,62 @@ def acceptor_for(samples, mode):
     return build_ddfa(samples)
 
 
+def golden_formula(parity_corpus, corpus, mode, n, symmetry):
+    if corpus == "parity":
+        samples = parity_corpus(3, 5)
+    else:
+        samples = gen_samples_from_dfa(gen_random_dfa(4, 2, 101), 200,
+                                       11, seed=101)
+    _, formula = build_formula(n, acceptor_for(samples, mode),
+                               symmetry=symmetry, safety=corpus == "parity")
+    return formula
+
+
 class TestGoldenDimacs:
     @pytest.mark.parametrize("corpus,mode,n,symmetry", sorted(GOLDEN_DIMACS))
     def test_bytes_unchanged(self, parity_corpus, corpus, mode, n, symmetry):
-        if corpus == "parity":
-            samples = parity_corpus(3, 5)
-        else:
-            samples = gen_samples_from_dfa(gen_random_dfa(4, 2, 101), 200,
-                                           11, seed=101)
-        _, formula = build_formula(n, acceptor_for(samples, mode),
-                                   symmetry=symmetry,
-                                   safety=corpus == "parity")
-        digest = hashlib.sha256(emit_dimacs(formula).encode()).hexdigest()
+        formula = golden_formula(parity_corpus, corpus, mode, n, symmetry)
+        digest = hashlib.sha256(dimacs_text(formula).encode()).hexdigest()
         assert digest == GOLDEN_DIMACS[(corpus, mode, n, symmetry)]
+
+    def test_solver_file_matches(self, parity_corpus, fake_solver, tmp_path,
+                                 monkeypatch):
+        # the temp file a solver reads holds the golden bytes; small chunks
+        # put hundreds of chunk seams into it
+        monkeypatch.setattr(encoding, "_CHUNK", 100)
+        key = ("random", "apta", 4, True)
+        formula = golden_formula(parity_corpus, *key)
+        copy = tmp_path / "seen.cnf"
+        script = fake_solver(
+            f'cp "$1" "{copy}"\necho "s UNSATISFIABLE"\nexit 20\n')
+        assert solve(formula, [script]).outcome == "unsat"
+        seen = copy.read_bytes()
+        assert seen == dimacs_text(formula).encode()
+        assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
+
+
+class TestCnfFormula:
+    def test_valid(self):
+        formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)))
+        assert formula.clause_count == 2
+        assert CnfFormula(0, array("i")).clause_count == 0
+        # 5, 0, 65536 hold eight zero bytes in a row, off a literal boundary
+        assert CnfFormula(65536, array("i", (5, 0, 65536, 0))).clause_count == 2
+
+    @pytest.mark.parametrize("count,literals", [
+        (-1, ()),                  # negative variable count
+        (2, (0, 1, 0)),            # leading empty clause
+        (2, (1, 0, 0, 2, 0)),      # empty clause between two others
+        (2, (1, 3, 0)),            # literal beyond +variable_count
+        (2, (-3, 1, 0)),           # literal beyond -variable_count
+        (2, (1, 0, 2)),            # last clause not closed
+    ])
+    def test_rejected(self, count, literals):
+        with pytest.raises(EncodingError):
+            CnfFormula(count, array("i", literals))
+
+    def test_dimacs_of_empty_formula(self):
+        assert dimacs_text(CnfFormula(3, array("i"))) == "p cnf 3 0\n"
 
 
 class TestDecodeModel:

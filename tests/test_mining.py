@@ -15,6 +15,7 @@ from sepdfa.automata import (
 from sepdfa.mining import (
     MODES,
     MiningError,
+    SizeRangeError,
     mine_min_dfa,
     upper_bound,
     verify_separating,
@@ -148,10 +149,19 @@ class TestMining:
             mine_min_dfa(SampleSet(1, {()}, set()), safety=True, n_start=1,
                          solver_command=solver_cmd)
 
+    def test_empty_size_range(self):
+        # rejected before any solver call, so no solver is needed
+        for n_max, safety in ((0, False), (1, True)):
+            with pytest.raises(SizeRangeError, match="n_max"):
+                mine_min_dfa(SampleSet(1, {()}, set()), n_max=n_max,
+                             safety=safety, solver_command=["no-solver"])
+
     def test_n_max_exhaustion(self, solver_cmd):
         samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
         with pytest.raises(MiningError) as exc:
             mine_min_dfa(samples, solver_command=solver_cmd, n_max=2)
+        assert str(exc.value) == (
+            "no separating DFA up to the requested size 2")
         report = exc.value.report
         assert [a.outcome for a in report.attempts] == ["unsat", "unsat"]
         assert report.dfa is None
@@ -160,7 +170,7 @@ class TestMining:
         bad = fake_solver('exit 3\n')
         with pytest.raises(SolverError) as exc:
             mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}), solver_command=[bad])
-        assert exc.value.partial_report.attempts == []
+        assert exc.value.report.attempts == []
 
     def test_timeout_propagates(self, fake_solver):
         slow = fake_solver("sleep 60\n")

@@ -1,5 +1,7 @@
 """External solver subprocess handling and output parsing."""
 
+from array import array
+
 import pytest
 
 from sepdfa.encoding import CnfFormula
@@ -11,8 +13,8 @@ from sepdfa.solver import (
     solve,
 )
 
-SAT_2VAR = CnfFormula(2, ((1, 2), (-1, 2)))        # forces 2 true
-UNSAT_1VAR = CnfFormula(1, ((1,), (-1,)))
+SAT_2VAR = CnfFormula(2, array("i", (1, 2, 0, -1, 2, 0)))  # forces 2 true
+UNSAT_1VAR = CnfFormula(1, array("i", (1, 0, -1, 0)))
 
 
 class TestParseOutput:
@@ -122,6 +124,18 @@ class TestSolveWithFakeSolver:
             'echo "s SATISFIABLE"\necho "v 1 -2 0"\nexit 10\n')
         with pytest.raises(SolverError, match="not satisfy"):
             solve(SAT_2VAR, [script])
+
+    def test_model_check_reads_negative_literals(self, fake_solver):
+        formula = CnfFormula(3, array("i", (1, -2, 0, -1, 3, 0,
+                                            -3, 2, -1, 0)))
+        good = fake_solver(
+            'echo "s SATISFIABLE"\necho "v -1 -2 3 0"\nexit 10\n')
+        assert solve(formula, [good]).model == {1: False, 2: False, 3: True}
+        # breaks only the last clause
+        bad = fake_solver(
+            'echo "s SATISFIABLE"\necho "v 1 -2 3 0"\nexit 10\n', name="bad")
+        with pytest.raises(SolverError, match="not satisfy"):
+            solve(formula, [bad])
 
     def test_lying_unsat_is_trusted(self, fake_solver):
         # an unsat verdict carries no certificate we could check
