@@ -4,7 +4,8 @@ Provides the prefix-tree acceptor, backward minimisation of acyclic
 automata, an incremental construction that keeps the working automaton
 minimal while samples stream in ascending order, and the double automaton
 that places one minimal acceptor per polarity side by side, each with its
-own initial state.  All three are ThreeValuedDFA values.
+own initial state.  The three builders take a SampleSet, read its
+entries() in ascending order, and return a ThreeValuedDFA.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .samples import (
-    DONT_CARE,
-    NEGATIVE,
-    POSITIVE,
-    OrderedSampleSet,
-    SampleSet,
-    Word,
-    sort_and_validate,
-)
+from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
 
 _STATUS_CODES = {POSITIVE: "A", NEGATIVE: "R", DONT_CARE: "D"}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
@@ -141,11 +134,23 @@ def run(a: ThreeValuedDFA, w: Word) -> str | None:
     return outcome
 
 
-def build_apta(samples: OrderedSampleSet) -> ThreeValuedDFA:
+def _assemble(alphabet_size: int, children: list[dict[int, int]],
+              status: list[str],
+              initials: tuple[int, ...] = (0,)) -> ThreeValuedDFA:
+    """Acceptor from per-state successor maps and statuses, in that order."""
+    transitions = {(q, a): r for q, kids in enumerate(children)
+                   for a, r in kids.items()}
+    accepting = [q for q, label in enumerate(status) if label == POSITIVE]
+    rejecting = [q for q, label in enumerate(status) if label == NEGATIVE]
+    return ThreeValuedDFA(alphabet_size, len(children), initials, transitions,
+                          frozenset(accepting), frozenset(rejecting))
+
+
+def build_apta(samples: SampleSet) -> ThreeValuedDFA:
     """Prefix-tree acceptor: one state per distinct prefix of the samples."""
     children: list[dict[int, int]] = [{}]
     status: list[str] = [DONT_CARE]
-    for w, label in samples.entries:
+    for w, label in samples.entries():
         cur = 0
         for a in w:
             nxt = children[cur].get(a)
@@ -156,19 +161,7 @@ def build_apta(samples: OrderedSampleSet) -> ThreeValuedDFA:
                 status.append(DONT_CARE)
             cur = nxt
         status[cur] = label
-    transitions: dict[tuple[int, int], int] = {}
-    accepting: set[int] = set()
-    rejecting: set[int] = set()
-    for q, kids in enumerate(children):
-        for a, r in kids.items():
-            transitions[(q, a)] = r
-        if status[q] == POSITIVE:
-            accepting.add(q)
-        elif status[q] == NEGATIVE:
-            rejecting.add(q)
-    return ThreeValuedDFA(samples.alphabet_size, len(children), (0,),
-                          transitions, frozenset(accepting),
-                          frozenset(rejecting))
+    return _assemble(samples.alphabet_size, children, status)
 
 
 def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
@@ -255,13 +248,13 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
 
     register: dict[tuple, int] = {}
     rep: dict[int, int] = {}
-    rep_children: list[tuple[tuple[int, int], ...]] = []
+    rep_children: list[dict[int, int]] = []
     rep_status: list[str] = []
     for q in post:
-        kids = tuple((letter, rep[a.transitions[(q, letter)]])
-                     for letter in range(a.alphabet_size)
-                     if (q, letter) in a.transitions)
-        sig = (a.status(q), kids)
+        kids = {letter: rep[a.transitions[(q, letter)]]
+                for letter in range(a.alphabet_size)
+                if (q, letter) in a.transitions}
+        sig = (a.status(q), tuple(kids.items()))
         known = register.get(sig)
         if known is None:
             known = len(rep_children)
@@ -269,22 +262,9 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
             rep_children.append(kids)
             rep_status.append(a.status(q))
         rep[q] = known
-
-    transitions = {}
-    accepting = set()
-    rejecting = set()
-    for new_id, kids in enumerate(rep_children):
-        for letter, target in kids:
-            transitions[(new_id, letter)] = target
-        if rep_status[new_id] == POSITIVE:
-            accepting.add(new_id)
-        elif rep_status[new_id] == NEGATIVE:
-            rejecting.add(new_id)
     initials = tuple(dict.fromkeys(rep[q] for q in a.initials))
-    merged = ThreeValuedDFA(a.alphabet_size, len(rep_children), initials,
-                            transitions, frozenset(accepting),
-                            frozenset(rejecting))
-    return canonical_form(merged)
+    return canonical_form(
+        _assemble(a.alphabet_size, rep_children, rep_status, initials))
 
 
 class _IncrementalBuilder:
@@ -296,8 +276,7 @@ class _IncrementalBuilder:
     high-water mark of simultaneously existing states.
     """
 
-    def __init__(self, alphabet_size: int):
-        self.alphabet_size = alphabet_size
+    def __init__(self):
         self.children: list[dict[int, int] | None] = [{}]
         self.status: list[str] = [DONT_CARE]
         self.register: dict[tuple, int] = {}
@@ -354,75 +333,62 @@ class _IncrementalBuilder:
                 self.peak_live = self.live
         self.status[cur] = label
 
-    def finish(self) -> ThreeValuedDFA:
+    def finish(self) -> tuple[list[dict[int, int]], list[str]]:
+        """Fold the last word in; successor maps and statuses per state.
+
+        States are renumbered in breadth-first order, letters ascending,
+        from state 0.
+        """
         if self.children[0]:
             self._replace_or_register(0)
         order = {0: 0}
-        queue = deque([0])
         seq = [0]
-        while queue:
-            q = queue.popleft()
+        for q in seq:  # grows while it is walked: a breadth-first queue
             kids = self.children[q]
             for a in sorted(kids):
                 r = kids[a]
                 if r not in order:
-                    order[r] = len(order)
-                    queue.append(r)
+                    order[r] = len(seq)
                     seq.append(r)
-        if len(order) != self.live:
+        if len(seq) != self.live:
             raise RuntimeError(
                 "internal error: live state count does not match reachability")
-        transitions = {}
-        accepting = set()
-        rejecting = set()
-        for q in seq:
-            nq = order[q]
-            for a, r in self.children[q].items():
-                transitions[(nq, a)] = order[r]
-            if self.status[q] == POSITIVE:
-                accepting.add(nq)
-            elif self.status[q] == NEGATIVE:
-                rejecting.add(nq)
-        return ThreeValuedDFA(self.alphabet_size, len(order), (0,),
-                              transitions, frozenset(accepting),
-                              frozenset(rejecting))
+        children = [{a: order[r] for a, r in self.children[q].items()}
+                    for q in seq]
+        return children, [self.status[q] for q in seq]
 
 
-def build_min_3dfa_incremental(samples: OrderedSampleSet, track_peak=False):
+def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal three-valued automaton for the samples, built incrementally.
 
     Equivalent to minimising the prefix-tree acceptor, but the working
     automaton never grows beyond the number of distinct sample prefixes.
-    With track_peak, returns (automaton, peak live state count) instead.
     """
-    builder = _IncrementalBuilder(samples.alphabet_size)
-    for w, label in samples.entries:
+    builder = _IncrementalBuilder()
+    for w, label in samples.entries():
         builder.add(w, label)
-    result = builder.finish()
-    if track_peak:
-        return result, builder.peak_live
-    return result
+    return _assemble(samples.alphabet_size, *builder.finish())
 
 
-def build_ddfa(s: SampleSet) -> ThreeValuedDFA:
+def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal per-polarity acceptors side by side, one initial state each.
 
     States 0 .. P - 1 are the minimal acceptor of the positive words with
     initial state 0.  The minimal acceptor of the negative words follows,
-    shifted by P, with initial state P and its accepting states relabelled
-    as rejecting.
+    shifted by P, with initial state P; its accepting states are the
+    rejecting ones.  One pass over the entries feeds both builders.
     """
-    pos_only = SampleSet(s.alphabet_size, s.positives, frozenset())
-    neg_only = SampleSet(s.alphabet_size, s.negatives, frozenset())
-    pos = build_min_3dfa_incremental(sort_and_validate(pos_only))
-    neg = build_min_3dfa_incremental(sort_and_validate(neg_only))
-    off = pos.state_count
-    transitions = dict(pos.transitions)
-    for (q, a), r in neg.transitions.items():
-        transitions[(q + off, a)] = r + off
-    return ThreeValuedDFA(s.alphabet_size, off + neg.state_count, (0, off),
-                          transitions, pos.accepting,
-                          frozenset(q + off for q in neg.accepting))
+    builders = {POSITIVE: _IncrementalBuilder(),
+                NEGATIVE: _IncrementalBuilder()}
+    for w, label in samples.entries():
+        builders[label].add(w, label)
+    children, status = builders[POSITIVE].finish()
+    neg_children, neg_status = builders[NEGATIVE].finish()
+    off = len(children)
+    children += [{a: r + off for a, r in kids.items()}
+                 for kids in neg_children]
+    return _assemble(samples.alphabet_size, children, status + neg_status,
+                     (0, off))
 
 
 def dump_automaton(a: ThreeValuedDFA | LearnedDFA) -> str:
@@ -473,7 +439,8 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
         except ValueError:
             pass
         raise AutomatonFormatError(f"bad line: {ln!r}")
-    if sorted(statuses) != list(range(state_count)):
+    if (len(statuses) != state_count
+            or sorted(statuses) != list(range(state_count))):
         raise AutomatonFormatError("state lines do not cover every state once")
     accepting = set()
     rejecting = set()

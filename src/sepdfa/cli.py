@@ -2,7 +2,9 @@
 
 Subcommands: mine, gen-parity, gen-random, verify, stats.  Exit codes: 0
 success, 1 usage error, 2 input parse error, 3 solver failure, 4 solver
-timeout, 5 verification failure, 6 internal error.
+timeout, 5 verification failure, 6 internal error, 7 no separating DFA of
+the permitted sizes (an exhausted --n-max, or none of safety shape).  A
+failed mine prints the attempts made so far before the error line.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .generators import (
 from .mining import (
     MODES,
     MiningError,
+    NoSeparatorError,
     SizeRangeError,
     mine_min_dfa,
     verify_separating,
@@ -44,6 +47,7 @@ EXIT_SOLVER = 3
 EXIT_TIMEOUT = 4
 EXIT_VERIFICATION = 5
 EXIT_INTERNAL = 6
+EXIT_NO_SEPARATOR = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,17 +101,18 @@ def cmd_gen_parity(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
-    if args.dfa_size < 1:
-        print("gen-random: --dfa-size must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     count = args.sample_count
     if count is None:
         count = 50 * args.dfa_size
     max_len = args.max_len
     if max_len is None:
         max_len = 2 * args.dfa_size + 3
-    dfa = gen_random_dfa(args.dfa_size, 2, args.seed)
-    samples = gen_samples_from_dfa(dfa, count, max_len, seed=args.seed)
+    try:
+        dfa = gen_random_dfa(args.dfa_size, 2, args.seed)
+        samples = gen_samples_from_dfa(dfa, count, max_len, seed=args.seed)
+    except ValueError as err:
+        print(f"gen-random: {err}", file=sys.stderr)
+        return EXIT_USAGE
     _write_text(args.out, write_abbadingo(samples))
     dfa_path = args.dfa_out if args.dfa_out else args.out + ".dfa"
     _write_text(dfa_path, dump_automaton(dfa))
@@ -206,6 +211,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(err: Exception, code: int) -> int:
+    """Print the attempts an error carries, then the error; return code."""
+    report = getattr(err, "report", None)
+    if report is not None:
+        sys.stdout.write(report.to_text())
+    print(f"error: {err}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -218,26 +232,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BudgetExceededError, SizeRangeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SampleError, AutomatonFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(err, EXIT_USAGE)
+    except (SampleError, AutomatonFormatError, OSError) as err:
+        return _fail(err, EXIT_PARSE)
     except SolverTimeoutError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TIMEOUT
+        return _fail(err, EXIT_TIMEOUT)
     except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(err, EXIT_SOLVER)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(err, EXIT_PARSE)
+    except NoSeparatorError as err:
+        return _fail(err, EXIT_NO_SEPARATOR)
     except (MiningError, EncodingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(err, EXIT_INTERNAL)
     except Exception:  # pragma: no cover - last resort
         traceback.print_exc()
         return EXIT_INTERNAL

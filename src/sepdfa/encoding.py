@@ -8,8 +8,8 @@ breadth-first-tree symmetry breaking over auxiliary variables t(i, j),
 p(child, parent) and m(i, a, j), and shape constraints that force the
 candidate into safety or co-safety form for parity corpora.
 
-Each encoder returns a flat array('i') of literals, each clause closed by
-a 0 as in DIMACS; emit_dimacs streams their concatenation in chunks.
+Each encoder appends its clauses to one flat array('i') of literals, each
+clause closed by a 0 as in DIMACS; emit_dimacs streams it in chunks.
 """
 
 from __future__ import annotations
@@ -159,9 +159,8 @@ class VarMap:
         return ("m", i, a, j)
 
 
-def encode_dfa_shape(vm: VarMap) -> array:
+def encode_dfa_shape(vm: VarMap, out: array) -> None:
     """Determinism and completeness of the candidate transition function."""
-    out = array("i")
     n = vm.n
     for i in range(n):
         for a in range(vm.alphabet_size):
@@ -169,10 +168,9 @@ def encode_dfa_shape(vm: VarMap) -> array:
                 for jj in range(j + 1, n):
                     out.extend((-vm.e(i, a, j), -vm.e(i, a, jj), 0))
             out.extend([vm.e(i, a, j) for j in range(n)] + [0])
-    return out
 
 
-def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> array:
+def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array) -> None:
     """Tie the candidate to the acceptor.
 
     Product pairs seed at the initial states and follow the acceptor's
@@ -184,7 +182,6 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> array:
         raise EncodingError("variable map was built for a different acceptor")
     if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
-    out = array("i")
     n = vm.n
     for q0 in acceptor.initials:
         out.extend((vm.d(q0, 0), 0))
@@ -199,10 +196,10 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA) -> array:
             for j in range(n):
                 batch += (not_pi, -vm.e(i, a, j), vm.d(r, j), 0)
         out.fromlist(batch)
-    return out
 
 
-def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> array:
+def encode_symmetry_breaking(vm: VarMap, out: array,
+                             safety_mode: bool = False) -> None:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
@@ -218,7 +215,6 @@ def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> array:
         raise EncodingError("variable map was built without symmetry variables")
     k = vm.alphabet_size
     nodes = vm.n - 1 if safety_mode else vm.n
-    out = array("i")
 
     def emit(*lits: int) -> None:
         out.extend(lits + (0,))
@@ -253,10 +249,9 @@ def encode_symmetry_breaking(vm: VarMap, safety_mode: bool = False) -> array:
     # Every node except the root has a parent.
     for child in range(1, nodes):
         emit(*[vm.p(child, parent) for parent in range(child)])
-    return out
 
 
-def encode_parity_constraints(vm: VarMap, colours: int) -> array:
+def encode_parity_constraints(vm: VarMap, colours: int, out: array) -> None:
     """Pin the candidate into safety (or co-safety) automaton shape.
 
     Letters are parity-game colours.  Colours sharing the parity of the
@@ -278,7 +273,6 @@ def encode_parity_constraints(vm: VarMap, colours: int) -> array:
     highest = colours - 1
     same = [a for a in range(colours) if a % 2 == highest % 2]
     opponent = [a for a in range(colours) if a % 2 != highest % 2]
-    out = array("i")
     for a in same:
         out.extend((vm.e(0, a, 0), 0))
     for a in opponent:
@@ -301,19 +295,19 @@ def encode_parity_constraints(vm: VarMap, colours: int) -> array:
     for i in range(sink):
         out.extend((accept * vm.f(i), 0))
     out.extend((-accept * vm.f(sink), 0))
-    return out
 
 
 def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                   safety: bool = False) -> tuple[VarMap, CnfFormula]:
     """Assemble the full formula for one candidate size."""
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
-    literals = encode_dfa_shape(vm)
-    literals += encode_product(vm, acceptor)
+    literals = array("i")
+    encode_dfa_shape(vm, literals)
+    encode_product(vm, acceptor, literals)
     if symmetry:
-        literals += encode_symmetry_breaking(vm, safety_mode=safety)
+        encode_symmetry_breaking(vm, literals, safety_mode=safety)
     if safety:
-        literals += encode_parity_constraints(vm, acceptor.alphabet_size)
+        encode_parity_constraints(vm, acceptor.alphabet_size, literals)
     return vm, CnfFormula(vm.variable_count, literals)
 
 

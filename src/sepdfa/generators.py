@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .automata import LearnedDFA, build_apta, build_ddfa, build_min_3dfa_incremental
-from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word, sort_and_validate
+from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
 
 
 class BudgetExceededError(ValueError):
@@ -157,12 +157,10 @@ def gen_samples_from_dfa(dfa: LearnedDFA, count: int, max_len: int,
 def parity_stats(cfg: ParityConfig, budget: int = 100_000_000) -> tuple:
     """Corpus statistics: colours, length, sample counts, acceptor sizes."""
     samples = gen_parity_samples(cfg, budget)
-    ordered = sort_and_validate(samples)
-    apta_size = build_apta(ordered).state_count
-    min3dfa_size = build_min_3dfa_incremental(ordered).state_count
-    ddfa_size = build_ddfa(samples).state_count
     return (cfg.colours, cfg.length, len(samples.positives),
-            len(samples.negatives), apta_size, min3dfa_size, ddfa_size)
+            len(samples.negatives), build_apta(samples).state_count,
+            build_min_3dfa_incremental(samples).state_count,
+            build_ddfa(samples).state_count)
 
 
 def format_stats_line(stats: tuple) -> str:

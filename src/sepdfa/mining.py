@@ -11,18 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import (
-    LearnedDFA,
-    ThreeValuedDFA,
-    build_apta,
-    build_ddfa,
-    build_min_3dfa_incremental,
-)
+from . import automata
+from .automata import LearnedDFA, ThreeValuedDFA
 from .encoding import build_formula, decode_model
-from .samples import NEGATIVE, POSITIVE, SampleSet, Word, sort_and_validate
+from .samples import NEGATIVE, POSITIVE, SampleSet, Word
 from .solver import DEFAULT_SOLVER_COMMAND, SolverError, solve
 
-MODES = ("apta", "min3dfa", "ddfa")
+# Mode -> name of its SampleSet -> ThreeValuedDFA builder in automata.  The
+# name is resolved on each call, so a wrapper bound over the module
+# attribute (perfbench/tracer.py's spans) sees the build.
+_BUILDERS = {"apta": "build_apta", "min3dfa": "build_min_3dfa_incremental",
+             "ddfa": "build_ddfa"}
+MODES = tuple(_BUILDERS)
 
 
 class SizeRangeError(ValueError):
@@ -35,6 +35,14 @@ class MiningError(RuntimeError):
     def __init__(self, message: str, report: "MiningReport | None" = None):
         super().__init__(message)
         self.report = report
+
+
+class NoSeparatorError(MiningError):
+    """No DFA of the permitted sizes and shape separates the samples.
+
+    An answer, not a fault: the user's n_max was too small, or safety mode
+    found no safety-shaped separator up to the bound.
+    """
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,6 @@ def verify_separating(dfa: LearnedDFA, samples: SampleSet) -> VerificationOutcom
     return VerificationOutcome(not violations, tuple(violations))
 
 
-def _build_acceptor(samples: SampleSet, mode: str) -> ThreeValuedDFA:
-    if mode == "apta":
-        return build_apta(sort_and_validate(samples))
-    if mode == "min3dfa":
-        return build_min_3dfa_incremental(sort_and_validate(samples))
-    if mode == "ddfa":
-        return build_ddfa(samples)
-    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-
 def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                  safety: bool = False, symmetry_breaking: bool = True,
                  solver_command=DEFAULT_SOLVER_COMMAND,
@@ -138,7 +136,8 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     been re-checked against the samples.  Sizes that cannot be searched
     raise SizeRangeError before any work.  Solver failures propagate with
     the partial report attached as .report; exhausting n_max (default:
-    the acceptor's size bound) raises MiningError with the same .report.
+    the acceptor's size bound) raises MiningError with the same .report,
+    NoSeparatorError when the cap was the user's or safety mode's.
     """
     if n_start is None:
         n_start = 2 if safety else 1
@@ -148,7 +147,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         raise SizeRangeError("n_start must be at least 1")
     if n_max is not None and n_max < n_start:
         raise SizeRangeError(f"n_max must be at least n_start ({n_start})")
-    acceptor = _build_acceptor(samples, mode)
+    builder = _BUILDERS.get(mode)
+    if builder is None:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    acceptor = getattr(automata, builder)(samples)
     report = MiningReport(
         mode=mode,
         safety=safety,
@@ -184,11 +186,11 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             return report
         n += 1
     if n_max is not None:
-        raise MiningError(
+        raise NoSeparatorError(
             f"no separating DFA up to the requested size {bound}", report)
     if safety:
         # The completion bound only promises an unconstrained separator.
-        raise MiningError(
+        raise NoSeparatorError(
             f"no safety-shaped separating DFA up to size {bound}; the "
             f"sample set may admit none of any size", report)
     raise MiningError(

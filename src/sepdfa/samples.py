@@ -1,8 +1,10 @@
 """Labelled word samples and the Abbadingo One text format.
 
 Words are tuples of letter indices drawn from a fixed-size alphabet.  A
-sample set keeps disjoint positive and negative example words; every word
-mentioned in neither set is implicitly a don't-care.
+SampleSet, the one sample type from parser to acceptor builders, keeps
+disjoint positive and negative example words; every word mentioned in
+neither set is implicitly a don't-care.  SampleSet.entries() lists the
+labelled words in ascending order, the order the builders consume.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ class SampleSet:
     def size(self) -> int:
         return len(self.positives) + len(self.negatives)
 
+    def entries(self) -> list[tuple[Word, str]]:
+        """(word, label) pairs, words ascending as tuples.
+
+        The first differing letter decides, and a proper prefix comes
+        before its extensions.  The list is built afresh on every call.
+        """
+        entries = [(w, POSITIVE) for w in self.positives]
+        entries += [(w, NEGATIVE) for w in self.negatives]
+        entries.sort(key=lambda e: e[0])  # words only: faster, and distinct
+        return entries
+
 
 def classify(s: SampleSet, w: Word) -> str:
     """Label of w relative to the sample set: '+', '-' or '?'."""
@@ -69,46 +82,14 @@ def classify(s: SampleSet, w: Word) -> str:
     return DONT_CARE
 
 
-@dataclass(frozen=True)
-class OrderedSampleSet:
-    """Sample entries sorted strictly ascending, smaller words first.
-
-    Words compare as tuples: the first differing letter decides, and a
-    proper prefix comes before its extensions.  Each entry is a
-    (word, label) pair with label '+' or '-'.  Strict ascent rules out
-    duplicates, so conflicting labels cannot occur.
-    """
-
-    alphabet_size: int
-    entries: tuple[tuple[Word, str], ...]
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
-            raise SampleError("alphabet size must be at least 1")
-        entries = tuple((tuple(w), label) for w, label in self.entries)
-        object.__setattr__(self, "entries", entries)
-        prev = None
-        for w, label in entries:
-            if label not in (POSITIVE, NEGATIVE):
-                raise SampleError(f"bad label {label!r} for word {w!r}")
-            _check_word(w, self.alphabet_size)
-            if prev is not None and prev >= w:
-                raise SampleError("entries are not strictly ascending")
-            prev = w
-
-
-def sort_and_validate(s: SampleSet) -> OrderedSampleSet:
-    """Flatten a sample set into lexicographically ordered entries."""
-    entries = [(w, POSITIVE) for w in s.positives]
-    entries += [(w, NEGATIVE) for w in s.negatives]
-    entries.sort(key=lambda e: e[0])
-    return OrderedSampleSet(s.alphabet_size, tuple(entries))
-
-
 def _parse_int(token: str, what: str, line_no: int) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise SampleError(f"line {line_no}: {what} is not a number: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise SampleError(
+            f"line {line_no}: {what} has too many digits") from None
 
 
 def parse_abbadingo(text: str) -> SampleSet:
@@ -167,9 +148,8 @@ def write_abbadingo(s: SampleSet) -> str:
     Inverse of parse_abbadingo up to duplicate collapsing: parsing the
     result reproduces the sample set exactly.
     """
-    ordered = sort_and_validate(s)
-    lines = [f"{len(ordered.entries)} {s.alphabet_size}"]
-    for w, label in ordered.entries:
+    lines = [f"{s.size} {s.alphabet_size}"]
+    for w, label in s.entries():
         bit = "1" if label == POSITIVE else "0"
         parts = [bit, str(len(w))] + [str(a) for a in w]
         lines.append(" ".join(parts))

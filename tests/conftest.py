@@ -1,8 +1,11 @@
 """Shared fixtures: solver discovery, fake solver scripts, cached corpora."""
 
 import os
+import shutil
 import stat
+import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,13 +21,33 @@ settings.register_profile(
 settings.load_profile("sepdfa")
 
 
+REFSOLVER_SOURCE = Path(__file__).parent.parent / "perfbench" / "refsolver.c"
+
+
 @pytest.fixture(scope="session")
-def solver_cmd():
-    """Command for a working DIMACS solver, or skip."""
+def solver_cmd(tmp_path_factory):
+    """Command for a working DIMACS solver, or skip.
+
+    With none installed, the C reference solver in perfbench/ is compiled
+    with gcc into a session temp directory, probed like the others, and
+    named by SEPDFA_SOLVER for the rest of the session, as the README does.
+    """
     command = find_solver()
+    if command is not None:
+        yield command
+        return
+    if shutil.which("gcc") is not None and REFSOLVER_SOURCE.is_file():
+        binary = tmp_path_factory.mktemp("refsolver") / "refsolver"
+        built = subprocess.run(
+            ["gcc", "-O2", "-std=c99", "-o", str(binary),
+             str(REFSOLVER_SOURCE)], capture_output=True)
+        if built.returncode == 0:
+            command = find_solver([[str(binary)]])
     if command is None:
         pytest.skip("no working SAT solver available")
-    return command
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SEPDFA_SOLVER", str(binary))
+        yield command
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from sepdfa.generators import (
     gen_samples_from_dfa,
 )
 from sepdfa.mining import MODES, MiningError, mine_min_dfa, verify_separating
-from sepdfa.samples import SampleSet, sort_and_validate
+from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
 
 # (colours, length) -> ((positives, negatives), (apta, min3dfa, ddfa))
@@ -112,9 +112,8 @@ def test_criterion_2_acceptor_sizes(parity_corpus):
     failures = []
     for (c, l), (_, sizes) in sorted(PUBLISHED_ROWS.items()):
         samples = parity_corpus(c, l)
-        ordered = sort_and_validate(samples)
-        got = (build_apta(ordered).state_count,
-               build_min_3dfa_incremental(ordered).state_count,
+        got = (build_apta(samples).state_count,
+               build_min_3dfa_incremental(samples).state_count,
                build_ddfa(samples).state_count)
         if got != sizes:
             failures.append(f"({c},{l}): got {got}, expected {sizes}")
@@ -167,9 +166,8 @@ def test_criterion_4_incremental_equals_batch():
                for _ in range(rng.randint(0, 60))}
         positives = frozenset(w for w in raw if rng.randrange(2))
         samples = SampleSet(k, positives, frozenset(raw) - positives)
-        ordered = sort_and_validate(samples)
-        incremental = build_min_3dfa_incremental(ordered)
-        batch = minimize_acyclic(build_apta(ordered))
+        incremental = build_min_3dfa_incremental(samples)
+        batch = minimize_acyclic(build_apta(samples))
         if not isomorphic(incremental, batch):
             failures += 1
     elapsed = time.monotonic() - started
@@ -219,7 +217,7 @@ def test_criterion_5_encoding_matches_brute_force(solver_cmd):
     for index in range(rounds):
         samples = small_prefix_sample_set(rng)
         smallest = brute_force_smallest(samples, 3)
-        facts = build_min_3dfa_incremental(sort_and_validate(samples))
+        facts = build_min_3dfa_incremental(samples)
         for n in (1, 2, 3):
             expected = smallest is not None and n >= smallest
             verdicts = {}

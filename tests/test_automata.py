@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sepdfa.automata import (
     AutomatonFormatError,
+    _IncrementalBuilder,
     LearnedDFA,
     ThreeValuedDFA,
     as_learned_dfa,
@@ -19,13 +20,7 @@ from sepdfa.automata import (
     parse_automaton,
     run,
 )
-from sepdfa.samples import (
-    DONT_CARE,
-    NEGATIVE,
-    POSITIVE,
-    SampleSet,
-    sort_and_validate,
-)
+from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet
 
 words = st.lists(st.integers(0, 2), max_size=7).map(tuple)
 sample_sets = st.tuples(
@@ -87,7 +82,7 @@ class TestThreeValuedDFA:
 
 class TestApta:
     def test_tiny(self):
-        s = sort_and_validate(SampleSet(2, {(0, 0)}, {(0, 1)}))
+        s = SampleSet(2, {(0, 0)}, {(0, 1)})
         a = build_apta(s)
         # states: eps, 0, 00, 01
         assert a.state_count == 4
@@ -97,14 +92,14 @@ class TestApta:
         assert run(a, (1,)) is None
 
     def test_empty_sample_set(self):
-        s = sort_and_validate(SampleSet(2, set(), set()))
+        s = SampleSet(2, set(), set())
         a = build_apta(s)
         assert a.state_count == 1
         assert a.transitions == {}
 
     @given(sample_sets)
     def test_classifies_exactly_the_samples(self, s):
-        a = build_apta(sort_and_validate(s))
+        a = build_apta(s)
         for w in s.positives:
             assert run(a, w) == POSITIVE
         for w in s.negatives:
@@ -122,13 +117,13 @@ class TestMinimizeAcyclic:
             minimize_acyclic(a)
 
     def test_merges_equal_leaves(self):
-        s = sort_and_validate(SampleSet(2, {(0,), (1,)}, set()))
+        s = SampleSet(2, {(0,), (1,)}, set())
         m = minimize_acyclic(build_apta(s))
         assert m.state_count == 2
 
     @given(sample_sets)
     def test_language_preserved(self, s):
-        a = build_apta(sort_and_validate(s))
+        a = build_apta(s)
         m = minimize_acyclic(a)
         assert m.state_count <= a.state_count
         for w in all_words(3, 4):
@@ -136,7 +131,7 @@ class TestMinimizeAcyclic:
 
     @given(sample_sets)
     def test_idempotent(self, s):
-        m = minimize_acyclic(build_apta(sort_and_validate(s)))
+        m = minimize_acyclic(build_apta(s))
         again = minimize_acyclic(m)
         assert isomorphic(m, again)
         assert again.state_count == m.state_count
@@ -159,27 +154,28 @@ class TestMinimizeAcyclic:
 class TestIncremental:
     @given(sample_sets)
     def test_matches_batch_minimisation(self, s):
-        ordered = sort_and_validate(s)
-        inc = build_min_3dfa_incremental(ordered)
-        batch = minimize_acyclic(build_apta(ordered))
+        inc = build_min_3dfa_incremental(s)
+        batch = minimize_acyclic(build_apta(s))
         assert isomorphic(inc, batch)
 
     @given(sample_sets)
     def test_peak_live_bounded_by_prefix_count(self, s):
-        ordered = sort_and_validate(s)
-        _, peak = build_min_3dfa_incremental(ordered, track_peak=True)
-        prefixes = {w[:i] for w, _ in ordered.entries
+        builder = _IncrementalBuilder()
+        for w, label in s.entries():
+            builder.add(w, label)
+        builder.finish()
+        prefixes = {w[:i] for w in s.positives | s.negatives
                     for i in range(len(w) + 1)} | {()}
-        assert peak <= len(prefixes)
+        assert builder.peak_live <= len(prefixes)
 
     def test_empty_word_first_sample(self):
-        s = sort_and_validate(SampleSet(2, {()}, {(0,)}))
+        s = SampleSet(2, {()}, {(0,)})
         a = build_min_3dfa_incremental(s)
         assert run(a, ()) == POSITIVE
         assert run(a, (0,)) == NEGATIVE
 
     def test_no_samples(self):
-        s = sort_and_validate(SampleSet(2, set(), set()))
+        s = SampleSet(2, set(), set())
         a = build_min_3dfa_incremental(s)
         assert a.state_count == 1
 
@@ -218,7 +214,7 @@ class TestDoubleDFA:
     def test_positive_part_is_its_own_minimal_acceptor(self, s):
         dd = build_ddfa(s)
         pos = build_min_3dfa_incremental(
-            sort_and_validate(SampleSet(s.alphabet_size, s.positives, set())))
+            SampleSet(s.alphabet_size, s.positives, set()))
         assert dd.initials[1] == pos.state_count
         assert {k: r for k, r in dd.transitions.items()
                 if k[0] < pos.state_count} == pos.transitions
@@ -242,9 +238,7 @@ class TestReachability:
     def test_every_state_reachable(self, s):
         # The encoder gives every acceptor state a row of product
         # variables; this keeps those rows free of unreachable junk.
-        ordered = sort_and_validate(s)
-        for a in (build_apta(ordered), build_min_3dfa_incremental(ordered),
-                  build_ddfa(s)):
+        for a in (build_apta(s), build_min_3dfa_incremental(s), build_ddfa(s)):
             assert reachable_states(a) == set(range(a.state_count))
 
 
@@ -279,7 +273,7 @@ class TestCanonical:
 class TestDumpParse:
     @given(sample_sets)
     def test_round_trip(self, s):
-        a = minimize_acyclic(build_apta(sort_and_validate(s)))
+        a = minimize_acyclic(build_apta(s))
         again = parse_automaton(dump_automaton(a))
         assert again == a
 
@@ -307,6 +301,22 @@ class TestDumpParse:
     def test_malformed_rejected(self, text):
         with pytest.raises(AutomatonFormatError):
             parse_automaton(text)
+
+    def test_huge_declared_state_count_is_cheap(self):
+        # the count is compared before any per-state list is built
+        with pytest.raises(AutomatonFormatError, match="every state"):
+            parse_automaton(
+                "states 1000000000000 initial 0 alphabet 2\nstate 0 A\n")
+
+    @given(st.text() | st.lists(st.lists(st.sampled_from(
+        ["states", "initial", "alphabet", "state", "trans", "A", "R", "Z",
+         "0", "1", "2", "-1", "\u0663", "x", "9" * 5000]
+    ), max_size=6).map(" ".join), max_size=4).map("\n".join))
+    def test_fuzz_raises_only_format_errors(self, text):
+        try:
+            parse_automaton(text)
+        except AutomatonFormatError:
+            pass
 
 
 class TestLearnedDFA:

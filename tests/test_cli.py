@@ -82,6 +82,29 @@ class TestMine:
         script = write(tmp_path / "solver.sh", "#!/bin/sh\nexit 10\n")
         assert main(["mine", samples, "--solver", script]) == 3
 
+    @pytest.mark.parametrize("flags,code,first", [
+        (["--n-max", "1"], 7, "n=1 unsat"),
+        (["--safety"], 7, "n=2 unsat"),
+        ([], 6, "n=1 unsat"),       # the computed bound should suffice
+    ])
+    def test_search_without_dfa(self, tmp_path, fake_solver, capsys, flags,
+                                code, first):
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        unsat = fake_solver("echo 's UNSATISFIABLE'\nexit 20\n")
+        assert main(["mine", samples, "--solver", unsat, *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mode min3dfa\n")
+        assert first in captured.out
+        assert captured.err.startswith("error: no ")
+
+    def test_solver_failure_shows_report(self, tmp_path, fake_solver, capsys):
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        broken = fake_solver("exit 1\n")
+        assert main(["mine", samples, "--solver", broken]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mode min3dfa\n")
+        assert captured.err.startswith("error: solver exited with status 1")
+
     def test_timeout(self, tmp_path, fake_solver, capsys):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
         slow = fake_solver("sleep 60\n")
@@ -157,8 +180,16 @@ class TestGenRandomAndVerify:
         assert parse_abbadingo(out.read_text()).size == 10
 
     def test_bad_size(self, tmp_path, capsys):
-        assert main(["gen-random", "--dfa-size", "0",
-                     "--out", str(tmp_path / "x.txt")]) == 1
+        out = tmp_path / "x.txt"
+        for flags in (["--dfa-size", "0"],
+                      ["--dfa-size", "2", "--sample-count", "-1"],
+                      ["--dfa-size", "2", "--max-len", "-1"],
+                      # 50 distinct words from the 3 of length <= 1
+                      ["--dfa-size", "2", "--max-len", "1",
+                       "--sample-count", "50"]):
+            assert main(["gen-random", *flags, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("gen-random: ")
+            assert not out.exists()
 
     def test_verify_failure_lists_violations(self, tmp_path, capsys):
         dfa = write(tmp_path / "d.dfa",

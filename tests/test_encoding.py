@@ -22,12 +22,14 @@ from sepdfa.encoding import (
     encode_symmetry_breaking,
 )
 from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
-from sepdfa.samples import SampleSet, sort_and_validate
+from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
 
 
-def clauses_of(literals):
-    """Split a zero-terminated literal buffer into clause tuples."""
+def clauses_of(encoder, *args, **kwargs):
+    """Run one encoder into a fresh buffer and split it into clause tuples."""
+    literals = array("i")
+    encoder(*args, literals, **kwargs)
     clauses, clause = [], []
     for lit in literals:
         if lit:
@@ -121,7 +123,7 @@ class TestAcceptorFacts:
     def test_double_dfa_offsets(self):
         dd = build_ddfa(SampleSet(2, {(0,)}, {(1,)}))
         vm = VarMap(2, 2, dd.state_count, False)
-        clauses = clauses_of(encode_product(vm, dd))
+        clauses = clauses_of(encode_product, vm, dd)
         # both initial states are seeded, the negative one past the split
         split = dd.initials[1]
         assert dd.initials == (0, split)
@@ -133,7 +135,7 @@ class TestAcceptorFacts:
 class TestShapeClauses:
     def test_counts_n3_k2(self):
         vm = VarMap(3, 2, 1, False)
-        clauses = clauses_of(encode_dfa_shape(vm))
+        clauses = clauses_of(encode_dfa_shape, vm)
         at_most = [c for c in clauses if len(c) == 2 and c[0] < 0]
         at_least = [c for c in clauses if c[0] > 0]
         assert len(at_most) == 3 * 2 * 3  # n*k * C(n,2)
@@ -144,7 +146,7 @@ class TestShapeClauses:
     def test_truth_table_is_total_functions(self, n, k):
         # shape clauses hold exactly when e describes a total function
         vm = VarMap(n, k, 1, False)
-        clauses = clauses_of(encode_dfa_shape(vm))
+        clauses = clauses_of(encode_dfa_shape, vm)
         evars = [(i, a, j) for i in range(n) for a in range(k)
                  for j in range(n)]
         sat_count = 0
@@ -185,9 +187,10 @@ def separating_projection_by_enumeration(samples, n):
 def separating_projection_by_formula(samples, n):
     """Same set read off the clauses, using exhaustive d extensions."""
     k = samples.alphabet_size
-    acceptor = build_apta(sort_and_validate(samples))
+    acceptor = build_apta(samples)
     vm = VarMap(n, k, acceptor.state_count, False)
-    clauses = clauses_of(encode_dfa_shape(vm) + encode_product(vm, acceptor))
+    clauses = (clauses_of(encode_dfa_shape, vm)
+               + clauses_of(encode_product, vm, acceptor))
     keys = [(i, a) for i in range(n) for a in range(k)]
     dvars = [vm.d(p, i) for p in range(acceptor.state_count)
              for i in range(n)]
@@ -225,10 +228,10 @@ class TestProductClauses:
                 == separating_projection_by_enumeration(samples, n))
 
     def test_vm_acceptor_mismatch_rejected(self):
-        acceptor = build_apta(sort_and_validate(SampleSet(1, {(0,)}, set())))
+        acceptor = build_apta(SampleSet(1, {(0,)}, set()))
         vm = VarMap(2, 1, 3, False)
         with pytest.raises(EncodingError):
-            encode_product(vm, acceptor)
+            encode_product(vm, acceptor, array("i"))
 
 
 def derived_symmetry_assignment(vm, table):
@@ -279,7 +282,7 @@ class TestSymmetryBreaking:
         # filter, so adding it never changes satisfiability.
         n, k = 3, 2
         vm = VarMap(n, k, 1, True)
-        clauses = clauses_of(encode_symmetry_breaking(vm))
+        clauses = clauses_of(encode_symmetry_breaking, vm)
         keys = [(i, a) for i in range(n) for a in range(k)]
         accepted = set()
         reachable_tables = []
@@ -304,12 +307,12 @@ class TestSymmetryBreaking:
     def test_requires_symmetry_vars(self):
         vm = VarMap(2, 1, 1, False)
         with pytest.raises(EncodingError):
-            encode_symmetry_breaking(vm)
+            encode_symmetry_breaking(vm, array("i"))
 
     def test_safety_filter_drops_sink_clauses(self):
         vm = VarMap(3, 2, 2, True)
-        full = clauses_of(encode_symmetry_breaking(vm))
-        safe = clauses_of(encode_symmetry_breaking(vm, safety_mode=True))
+        full = clauses_of(encode_symmetry_breaking, vm)
+        safe = clauses_of(encode_symmetry_breaking, vm, safety_mode=True)
         assert set(safe) < set(full)
 
         def touches_sink(clause):
@@ -330,7 +333,7 @@ class TestParityConstraints:
     def test_two_colours_n2(self):
         # highest colour 1 is odd: co-safety, initial state rejects
         vm = VarMap(2, 2, 1, True)
-        clauses = clauses_of(encode_parity_constraints(vm, 2))
+        clauses = clauses_of(encode_parity_constraints, vm, 2)
         assert (vm.e(0, 1, 0),) in clauses          # odd colour loops on 0
         assert (-vm.e(0, 0, 0),) in clauses         # even colour must leave
         assert (-vm.e(0, 0, 1),) in clauses         # but no middle exists
@@ -342,7 +345,7 @@ class TestParityConstraints:
     def test_three_colours_middle_disjunction(self):
         # highest colour 2 is even: safety, non-sink states accept
         vm = VarMap(4, 3, 1, True)
-        clauses = clauses_of(encode_parity_constraints(vm, 3))
+        clauses = clauses_of(encode_parity_constraints, vm, 3)
         assert (vm.e(0, 0, 0),) in clauses
         assert (vm.e(0, 2, 0),) in clauses
         assert (vm.e(0, 1, 1), vm.e(0, 1, 2)) in clauses
@@ -355,16 +358,16 @@ class TestParityConstraints:
     def test_errors(self):
         vm = VarMap(3, 2, 1, True)
         with pytest.raises(EncodingError):
-            encode_parity_constraints(vm, 3)
+            encode_parity_constraints(vm, 3, array("i"))
         with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(3, 1, 1, True), 1)
+            encode_parity_constraints(VarMap(3, 1, 1, True), 1, array("i"))
         with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(1, 2, 1, True), 2)
+            encode_parity_constraints(VarMap(1, 2, 1, True), 2, array("i"))
 
 
 def parity_corpus_acceptor(parity_corpus, colours, length):
     samples = parity_corpus(colours, length)
-    return build_min_3dfa_incremental(sort_and_validate(samples))
+    return build_min_3dfa_incremental(samples)
 
 
 class TestBuildFormula:
@@ -430,9 +433,9 @@ GOLDEN_DIMACS = {
 
 def acceptor_for(samples, mode):
     if mode == "apta":
-        return build_apta(sort_and_validate(samples))
+        return build_apta(samples)
     if mode == "min3dfa":
-        return build_min_3dfa_incremental(sort_and_validate(samples))
+        return build_min_3dfa_incremental(samples)
     return build_ddfa(samples)
 
 

@@ -20,7 +20,7 @@ from sepdfa.mining import (
     upper_bound,
     verify_separating,
 )
-from sepdfa.samples import SampleSet, sort_and_validate
+from sepdfa.samples import SampleSet
 from sepdfa.solver import SolverError, SolverTimeoutError
 
 words = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -70,7 +70,7 @@ class TestUpperBound:
     @settings(max_examples=30)
     def test_completion_construction_witnesses_bound(self, samples):
         # completing the prefix tree with a rejecting sink must separate
-        apta = build_apta(sort_and_validate(samples))
+        apta = build_apta(samples)
         bound = upper_bound(apta)
         assert bound == apta.state_count + 1
         sink = apta.state_count
@@ -88,7 +88,7 @@ class TestUpperBound:
     @settings(max_examples=30)
     def test_ddfa_bound_uses_positive_part(self, samples):
         positives = SampleSet(samples.alphabet_size, samples.positives, set())
-        pos = build_min_3dfa_incremental(sort_and_validate(positives))
+        pos = build_min_3dfa_incremental(positives)
         assert upper_bound(build_ddfa(samples)) == pos.state_count + 1
 
 

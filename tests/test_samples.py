@@ -9,12 +9,10 @@ from sepdfa.samples import (
     NEGATIVE,
     POSITIVE,
     ConflictingLabelsError,
-    OrderedSampleSet,
     SampleError,
     SampleSet,
     classify,
     parse_abbadingo,
-    sort_and_validate,
     write_abbadingo,
 )
 
@@ -49,12 +47,8 @@ class TestSampleSet:
 
 
 def ascending(*ws):
-    """Whether OrderedSampleSet accepts the words in this order."""
-    try:
-        OrderedSampleSet(3, tuple((w, POSITIVE) for w in ws))
-    except SampleError:
-        return False
-    return True
+    """Whether entries() lists exactly these words, in this order."""
+    return [w for w, _ in SampleSet(3, ws, ()).entries()] == list(ws)
 
 
 class TestLexCompare:
@@ -78,29 +72,21 @@ class TestLexCompare:
 class TestOrdering:
     def test_sorted_entries(self):
         s = SampleSet(2, {(1,), (0, 0)}, {(0,)})
-        ordered = sort_and_validate(s)
-        assert [w for w, _ in ordered.entries] == [(0,), (0, 0), (1,)]
-        assert [l for _, l in ordered.entries] == [
-            NEGATIVE, POSITIVE, POSITIVE]
-
-    def test_strict_ascent_enforced(self):
-        with pytest.raises(SampleError):
-            OrderedSampleSet(2, (((1,), POSITIVE), ((0,), NEGATIVE)))
-        with pytest.raises(SampleError):
-            OrderedSampleSet(2, (((0,), POSITIVE), ((0,), NEGATIVE)))
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(SampleError):
-            OrderedSampleSet(2, (((0,), "x"),))
+        entries = s.entries()
+        assert [w for w, _ in entries] == [(0,), (0, 0), (1,)]
+        assert [l for _, l in entries] == [NEGATIVE, POSITIVE, POSITIVE]
+        # built afresh, never cached on the set
+        assert s.entries() == entries and s.entries() is not entries
 
     @given(st.sets(words, max_size=8), st.sets(words, max_size=8))
     def test_sorting_random_sets(self, pos, neg):
         neg = neg - pos
         s = SampleSet(3, pos, neg)
-        ordered = sort_and_validate(s)
-        ws = [w for w, _ in ordered.entries]
+        entries = s.entries()
+        ws = [w for w, _ in entries]
         assert ws == sorted(ws)
         assert len(ws) == s.size
+        assert all(classify(s, w) == label for w, label in entries)
 
 
 ABBADINGO_EXAMPLE = "3 2\n1 2 0 1\n0 0\n1 3 1 1 0\n"
@@ -150,6 +136,25 @@ class TestAbbadingo:
     def test_malformed_rejected(self, text):
         with pytest.raises(SampleError):
             parse_abbadingo(text)
+
+    @pytest.mark.parametrize("text", [
+        "1 2\n1 1 \u00b2\n",          # superscript two
+        "1 4\n1 1 \u0663\n",          # Arabic-Indic three
+        "1 2\n1 1 " + "1" * 5000 + "\n",  # beyond int()'s digit limit
+        "1 2\n1 \u0661 0\n",          # non-ASCII length
+    ])
+    def test_only_ascii_numbers(self, text):
+        with pytest.raises(SampleError, match="^line 2: "):
+            parse_abbadingo(text)
+
+    @given(st.text() | st.lists(st.lists(st.sampled_from(
+        ["0", "1", "2", "-1", "x", "\u00b2", "\u0663", "9" * 5000]
+    ), max_size=4).map(" ".join), max_size=4).map("\n".join))
+    def test_fuzz_raises_only_sample_errors(self, text):
+        try:
+            parse_abbadingo(text)
+        except SampleError:
+            pass
 
     @pytest.mark.parametrize("tail", ["\n", "\n\n", "  \n\t\n", " "])
     def test_trailing_blank_lines_ignored(self, tail):

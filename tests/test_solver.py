@@ -3,6 +3,8 @@
 from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepdfa.encoding import CnfFormula
 from sepdfa.solver import (
@@ -58,6 +60,16 @@ class TestParseOutput:
         _, assignment = parse_solver_output(
             "s SATISFIABLE\nv 1 0\nv 2 0\n")
         assert assignment == {1: True}
+
+    @given(st.text() | st.lists(st.lists(st.sampled_from(
+        ["s", "v", "c", "SATISFIABLE", "UNSATISFIABLE", "0", "1", "-2",
+         "\u0663", "x", "\x1b[0m", "9" * 5000]
+    ), max_size=4).map(" ".join), max_size=4).map("\n".join))
+    def test_fuzz_raises_only_solver_errors(self, text):
+        try:
+            parse_solver_output(text)
+        except SolverError:
+            pass
 
 
 class TestSolveWithRealSolver:
