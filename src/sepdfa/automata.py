@@ -1,11 +1,13 @@
-"""Three-valued acceptors over labelled samples.
+"""Three-valued automata, the one automaton type from acceptor to replay.
 
 Provides the prefix-tree acceptor, backward minimisation of acyclic
 automata, an incremental construction that keeps the working automaton
 minimal while samples stream in ascending order, and the double automaton
 that places one minimal acceptor per polarity side by side, each with its
 own initial state.  The three builders take a SampleSet, read its
-entries() in ascending order, and return a ThreeValuedDFA.
+entries() in ascending order, and return a ThreeValuedDFA.  The same type
+holds the DFA decoded from a solver model, a hidden random DFA and a
+parsed dump.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ class ThreeValuedDFA:
     """Deterministic acceptor whose states accept, reject or don't care.
 
     The transition map may be partial; a run that hits a missing entry is
-    undefined.  States are numbered 0 .. state_count - 1.  Most acceptors
+    undefined.  States are numbered 0 .. state_count - 1.  Most automata
     have one initial state; the double automaton has two, one per
-    polarity.
+    polarity.  A DFA is total, with one initial state and no don't-care
+    state.
     """
 
     alphabet_size: int
@@ -69,46 +72,6 @@ class ThreeValuedDFA:
         if q in self.rejecting:
             return NEGATIVE
         return DONT_CARE
-
-
-@dataclass(frozen=True)
-class LearnedDFA:
-    """Complete DFA, the output of the mining search.  State 0 is initial."""
-
-    alphabet_size: int
-    state_count: int
-    transitions: dict[tuple[int, int], int]
-    accepting: frozenset[int]
-
-    initials = (0,)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        if self.state_count < 1:
-            raise ValueError("automaton needs at least one state")
-        for q in self.accepting:
-            if not 0 <= q < self.state_count:
-                raise ValueError(f"accepting state {q} out of range")
-        for q in range(self.state_count):
-            for a in range(self.alphabet_size):
-                r = self.transitions.get((q, a))
-                if r is None:
-                    raise ValueError(f"missing transition for ({q}, {a})")
-                if not 0 <= r < self.state_count:
-                    raise ValueError(f"bad transition ({q}, {a}) -> {r}")
-        if len(self.transitions) != self.state_count * self.alphabet_size:
-            raise ValueError("transition map holds spurious entries")
-
-    def accepts(self, w: Word) -> bool:
-        q = 0
-        for a in w:
-            if not 0 <= a < self.alphabet_size:
-                raise ValueError(f"letter {a} outside alphabet")
-            q = self.transitions[(q, a)]
-        return q in self.accepting
-
-    def status(self, q: int) -> str:
-        return POSITIVE if q in self.accepting else NEGATIVE
 
 
 def run(a: ThreeValuedDFA, w: Word) -> str | None:
@@ -164,14 +127,8 @@ def build_apta(samples: SampleSet) -> ThreeValuedDFA:
     return _assemble(samples.alphabet_size, children, status)
 
 
-def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
-    """Renumber states in breadth-first discovery order, letters ascending.
-
-    The search starts from all initial states at once, which become
-    0 .. len(initials) - 1 in their given order.  Raises if any state is
-    unreachable from them; callers that tolerate junk states must prune
-    them first.
-    """
+def _breadth_first_order(a: ThreeValuedDFA) -> dict[int, int]:
+    """Discovery index of each state reachable from the initial states."""
     order = {q: idx for idx, q in enumerate(a.initials)}
     queue = deque(a.initials)
     while queue:
@@ -181,6 +138,18 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
             if r is not None and r not in order:
                 order[r] = len(order)
                 queue.append(r)
+    return order
+
+
+def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
+    """Renumber states in breadth-first discovery order, letters ascending.
+
+    The search starts from all initial states at once, which become
+    0 .. len(initials) - 1 in their given order.  Raises if any state is
+    unreachable from them; callers that tolerate junk states must prune
+    them first.
+    """
+    order = _breadth_first_order(a)
     if len(order) != a.state_count:
         raise ValueError("automaton has unreachable states")
     transitions = {(order[q], letter): order[r]
@@ -391,7 +360,7 @@ def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
                      (0, off))
 
 
-def dump_automaton(a: ThreeValuedDFA | LearnedDFA) -> str:
+def dump_automaton(a: ThreeValuedDFA) -> str:
     """Line-oriented text dump: header, status per state, transitions."""
     if len(a.initials) != 1:
         raise ValueError("the dump format holds a single initial state")
@@ -404,6 +373,15 @@ def dump_automaton(a: ThreeValuedDFA | LearnedDFA) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_number(token: str, line: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise AutomatonFormatError(f"not a number: {token!r} in {line!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise AutomatonFormatError(f"too many digits in {line!r}") from None
+
+
 def parse_automaton(text: str) -> ThreeValuedDFA:
     """Parse the dump format back into a three-valued automaton."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -413,32 +391,26 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
     if (len(head) != 6 or head[0] != "states" or head[2] != "initial"
             or head[4] != "alphabet"):
         raise AutomatonFormatError(f"bad header line: {lines[0]!r}")
-    try:
-        state_count, initial, alphabet_size = int(head[1]), int(head[3]), int(head[5])
-    except ValueError:
-        raise AutomatonFormatError(f"bad header line: {lines[0]!r}") from None
+    state_count, initial, alphabet_size = (
+        _parse_number(head[i], lines[0]) for i in (1, 3, 5))
     statuses: dict[int, str] = {}
     transitions: dict[tuple[int, int], int] = {}
     for ln in lines[1:]:
         fields = ln.split()
-        try:
-            if fields[0] == "state" and len(fields) == 3:
-                q = int(fields[1])
-                if q in statuses:
-                    raise AutomatonFormatError(f"duplicate state line for {q}")
-                statuses[q] = fields[2]
-                continue
-            if fields[0] == "trans" and len(fields) == 4:
-                key = (int(fields[1]), int(fields[2]))
-                if key in transitions:
-                    raise AutomatonFormatError(
-                        f"duplicate transition for state {key[0]} "
-                        f"letter {key[1]}")
-                transitions[key] = int(fields[3])
-                continue
-        except ValueError:
-            pass
-        raise AutomatonFormatError(f"bad line: {ln!r}")
+        if fields[0] == "state" and len(fields) == 3:
+            q = _parse_number(fields[1], ln)
+            if q in statuses:
+                raise AutomatonFormatError(f"duplicate state line for {q}")
+            statuses[q] = fields[2]
+        elif fields[0] == "trans" and len(fields) == 4:
+            key = (_parse_number(fields[1], ln), _parse_number(fields[2], ln))
+            if key in transitions:
+                raise AutomatonFormatError(
+                    f"duplicate transition for state {key[0]} "
+                    f"letter {key[1]}")
+            transitions[key] = _parse_number(fields[3], ln)
+        else:
+            raise AutomatonFormatError(f"bad line: {ln!r}")
     if (len(statuses) != state_count
             or sorted(statuses) != list(range(state_count))):
         raise AutomatonFormatError("state lines do not cover every state once")
@@ -458,14 +430,3 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
     except ValueError as err:
         raise AutomatonFormatError(str(err)) from None
 
-
-def as_learned_dfa(a: ThreeValuedDFA) -> LearnedDFA:
-    """Reinterpret a total, two-valued automaton as a learned DFA."""
-    if a.initials != (0,):
-        raise ValueError("learned automata start at state 0 alone")
-    if len(a.accepting) + len(a.rejecting) != a.state_count:
-        raise ValueError("automaton has don't-care states")
-    if len(a.transitions) != a.state_count * a.alphabet_size:
-        raise ValueError("automaton is not complete")
-    return LearnedDFA(a.alphabet_size, a.state_count, dict(a.transitions),
-                      a.accepting)

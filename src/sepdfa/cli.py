@@ -10,15 +10,11 @@ failed mine prints the attempts made so far before the error line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 
-from .automata import (
-    AutomatonFormatError,
-    as_learned_dfa,
-    dump_automaton,
-    parse_automaton,
-)
+from .automata import AutomatonFormatError, dump_automaton, parse_automaton
 from .encoding import EncodingError
 from .generators import (
     BudgetExceededError,
@@ -122,17 +118,17 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dfa = as_learned_dfa(parse_automaton(_read_text(args.dfa)))
+    dfa = parse_automaton(_read_text(args.dfa))
     samples = parse_abbadingo(_read_text(args.samples))
-    outcome = verify_separating(dfa, samples)
-    for word, expected in outcome.violations:
+    violations = verify_separating(dfa, samples)
+    for word, expected in violations:
         rendered = " ".join(str(a) for a in word) if word else "(empty)"
         wanted = "accept" if expected == POSITIVE else "reject"
         print(f"violation: should {wanted}: {rendered}")
-    if outcome.ok:
+    if not violations:
         print("verification OK")
         return EXIT_OK
-    print(f"verification FAILED with {len(outcome.violations)} violations")
+    print(f"verification FAILED with {len(violations)} violations")
     return EXIT_VERIFICATION
 
 
@@ -144,6 +140,18 @@ def cmd_stats(args) -> int:
         return EXIT_USAGE
     print(format_stats_line(parity_stats(cfg, args.budget)))
     return EXIT_OK
+
+
+def _seconds(text: str) -> float:
+    """A finite, positive number of seconds, for argparse's type=."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number of seconds, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -162,7 +170,7 @@ def build_parser() -> _Parser:
                       help="drop the breadth-first-tree ordering clauses")
     mine.add_argument("--solver", default=DEFAULT_SOLVER_COMMAND,
                       help="solver command line (default: cadical)")
-    mine.add_argument("--timeout", type=float, default=None,
+    mine.add_argument("--timeout", type=_seconds, default=None,
                       help="per-call solver timeout in seconds")
     mine.add_argument("--n-start", type=int, default=None,
                       help="first candidate size to try")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, TextIO
 
-from .automata import LearnedDFA, ThreeValuedDFA
+from .automata import ThreeValuedDFA
 
 _CHUNK = 1 << 16  # literals per DIMACS chunk, rounded up to a clause end
 
@@ -324,7 +324,7 @@ def emit_dimacs(formula: CnfFormula, handle: TextIO) -> None:
         start = end
 
 
-def decode_model(model: Mapping[int, bool], vm: VarMap) -> LearnedDFA:
+def decode_model(model: Mapping[int, bool], vm: VarMap) -> ThreeValuedDFA:
     """Read the candidate DFA out of a satisfying assignment.
 
     Checks that the transition variables describe exactly one target per
@@ -345,4 +345,5 @@ def decode_model(model: Mapping[int, bool], vm: VarMap) -> LearnedDFA:
                     f"state {i} letter {a}: {len(targets)} targets in model")
             transitions[(i, a)] = targets[0]
     accepting = frozenset(i for i in range(vm.n) if model[vm.f(i)])
-    return LearnedDFA(vm.alphabet_size, vm.n, transitions, accepting)
+    return ThreeValuedDFA(vm.alphabet_size, vm.n, (0,), transitions,
+                          accepting, frozenset(range(vm.n)) - accepting)

@@ -2,7 +2,8 @@
 
 Parity corpora label every fixed-length word over the colour alphabet by
 the cycles it closes; random corpora label sampled words with a hidden
-random DFA so the miner's result can be compared against its size.
+random DFA, a total two-valued ThreeValuedDFA, so the miner's result can
+be compared against its size.
 """
 
 from __future__ import annotations
@@ -11,7 +12,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .automata import LearnedDFA, build_apta, build_ddfa, build_min_3dfa_incremental
+from .automata import (
+    ThreeValuedDFA,
+    _breadth_first_order,
+    build_apta,
+    build_ddfa,
+    build_min_3dfa_incremental,
+    run,
+)
 from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
 
 
@@ -91,22 +99,8 @@ def gen_parity_samples(cfg: ParityConfig,
     return SampleSet(cfg.colours, frozenset(positives), frozenset(negatives))
 
 
-def _all_reachable(transitions: dict[tuple[int, int], int], size: int,
-                   alphabet_size: int) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        q = frontier.pop()
-        for a in range(alphabet_size):
-            r = transitions[(q, a)]
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return len(seen) == size
-
-
 def gen_random_dfa(size: int, alphabet_size: int = 2,
-                   seed: int = 0) -> LearnedDFA:
+                   seed: int = 0) -> ThreeValuedDFA:
     """Uniformly random complete DFA, resampled until all states are
     reachable from state 0.  Deterministic for a given seed."""
     if size < 1:
@@ -118,11 +112,13 @@ def gen_random_dfa(size: int, alphabet_size: int = 2,
         transitions = {(q, a): rng.randrange(size)
                        for q in range(size) for a in range(alphabet_size)}
         accepting = frozenset(q for q in range(size) if rng.randrange(2))
-        if _all_reachable(transitions, size, alphabet_size):
-            return LearnedDFA(alphabet_size, size, transitions, accepting)
+        dfa = ThreeValuedDFA(alphabet_size, size, (0,), transitions,
+                             accepting, frozenset(range(size)) - accepting)
+        if len(_breadth_first_order(dfa)) == size:
+            return dfa
 
 
-def gen_samples_from_dfa(dfa: LearnedDFA, count: int, max_len: int,
+def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
                          seed: int = 0) -> SampleSet:
     """Draw count distinct words and label each with the hidden DFA.
 
@@ -150,7 +146,7 @@ def gen_samples_from_dfa(dfa: LearnedDFA, count: int, max_len: int,
         while len(words) < count:
             length = rng.randint(0, max_len)
             words.add(tuple(rng.randrange(k) for _ in range(length)))
-    positives = frozenset(w for w in words if dfa.accepts(w))
+    positives = frozenset(w for w in words if run(dfa, w) == POSITIVE)
     return SampleSet(k, positives, frozenset(words) - positives)
 
 

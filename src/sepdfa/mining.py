@@ -4,7 +4,8 @@ The miner builds a three-valued acceptor for the samples, then asks the
 SAT solver for candidate DFAs of growing size until one exists.  Acceptor
 choice is the mode: the raw prefix tree, the incrementally minimised
 three-valued automaton, or the per-polarity double automaton with one
-initial state per polarity.
+initial state per polarity.  The decoded DFA is a ThreeValuedDFA too, and
+it is replayed on every sample before it is reported.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import automata
-from .automata import LearnedDFA, ThreeValuedDFA
+from .automata import ThreeValuedDFA, run
 from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
 from .solver import DEFAULT_SOLVER_COMMAND, SolverError, solve
@@ -56,12 +57,6 @@ class SizeAttempt:
     solve_seconds: float
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    ok: bool
-    violations: tuple[tuple[Word, str], ...]
-
-
 @dataclass
 class MiningReport:
     mode: str
@@ -69,8 +64,7 @@ class MiningReport:
     symmetry_breaking: bool
     acceptor_size: int
     attempts: list[SizeAttempt] = field(default_factory=list)
-    dfa: LearnedDFA | None = None
-    verified: bool = False
+    dfa: ThreeValuedDFA | None = None  # set only once it is verified
 
     @property
     def minimal_size(self) -> int | None:
@@ -89,7 +83,7 @@ class MiningReport:
                 f"clauses={att.clauses} time={att.solve_seconds:.3f}s")
         if self.dfa is not None:
             lines.append(f"minimal size {self.dfa.state_count}")
-            lines.append(f"verified {'yes' if self.verified else 'no'}")
+            lines.append("verified yes")
         return "\n".join(lines) + "\n"
 
 
@@ -106,21 +100,29 @@ def upper_bound(acceptor: ThreeValuedDFA) -> int:
     return acceptor.state_count + 1
 
 
-def verify_separating(dfa: LearnedDFA, samples: SampleSet) -> VerificationOutcome:
-    """Check the DFA accepts every positive and rejects every negative word."""
+def verify_separating(dfa: ThreeValuedDFA,
+                      samples: SampleSet) -> list[tuple[Word, str]]:
+    """Sorted (word, label) pairs the DFA classifies wrongly; [] if none.
+
+    Raises ValueError unless dfa is a DFA: one initial state, a
+    transition for every state and letter, and no don't-care state.
+    """
+    if len(dfa.initials) != 1:
+        raise ValueError("a DFA has a single initial state")
+    if len(dfa.transitions) != dfa.state_count * dfa.alphabet_size:
+        raise ValueError("automaton is not complete")
+    if len(dfa.accepting) + len(dfa.rejecting) != dfa.state_count:
+        raise ValueError("automaton has don't-care states")
     if dfa.alphabet_size != samples.alphabet_size:
         raise ValueError(
             f"alphabet mismatch: automaton has {dfa.alphabet_size}, "
             f"samples have {samples.alphabet_size}")
-    violations = []
-    for w in samples.positives:
-        if not dfa.accepts(w):
-            violations.append((w, POSITIVE))
-    for w in samples.negatives:
-        if dfa.accepts(w):
-            violations.append((w, NEGATIVE))
+    violations = [(w, label)
+                  for words, label in ((samples.positives, POSITIVE),
+                                       (samples.negatives, NEGATIVE))
+                  for w in words if run(dfa, w) != label]
     violations.sort()
-    return VerificationOutcome(not violations, tuple(violations))
+    return violations
 
 
 def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
@@ -176,13 +178,12 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         ))
         if verdict.outcome == "sat":
             dfa = decode_model(verdict.model, vm)
-            check = verify_separating(dfa, samples)
-            if not check.ok:
+            violations = verify_separating(dfa, samples)
+            if violations:
                 raise MiningError(
                     f"internal error: mined DFA violates "
-                    f"{len(check.violations)} samples", report)
+                    f"{len(violations)} samples", report)
             report.dfa = dfa
-            report.verified = True
             return report
         n += 1
     if n_max is not None:

@@ -74,7 +74,10 @@ def parse_solver_output(text: str) -> tuple[str, dict[int, bool]]:
             if done_values:
                 continue
             for token in line.split()[1:]:
+                digits = token.removeprefix("-")
                 try:
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
                     lit = int(token)
                 except ValueError:
                     raise SolverError(
@@ -101,7 +104,9 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
 
     The DIMACS text is streamed into a temporary file whose path is
     appended to the command line.  On timeout the whole solver process
-    group is killed and SolverTimeoutError is raised.
+    group is killed and SolverTimeoutError is raised; on any other
+    exception during the wait, KeyboardInterrupt included, it is killed
+    and the exception propagates.
     """
     command = (shlex.split(solver_command) if isinstance(solver_command, str)
                else list(solver_command))
@@ -128,11 +133,17 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
                 f"cannot run solver {command[0]}: {err.strerror or err}") from None
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
+        except BaseException as err:
+            # The solver has a session of its own, which a Ctrl-C at the
+            # terminal does not reach: whatever ends the wait ends it too.
             _kill_process_tree(proc)
-            proc.communicate()
-            raise SolverTimeoutError(
-                f"solver exceeded {timeout} seconds") from None
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+            if isinstance(err, subprocess.TimeoutExpired):
+                raise SolverTimeoutError(
+                    f"solver exceeded {timeout} seconds") from None
+            raise
         wall_time = time.monotonic() - started
     finally:
         with contextlib.suppress(OSError):

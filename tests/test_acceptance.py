@@ -246,14 +246,14 @@ def test_criterion_6_end_to_end_closure(solver_cmd, safety_reports,
     failures = []
     for (c, l), (samples, mined) in sorted(safety_reports.items()):
         tag = f"safety ({c},{l})"
-        if not verify_separating(mined.dfa, samples).ok:
+        if verify_separating(mined.dfa, samples):
             failures.append(f"{tag}: verification failed")
         if not unsat_below(samples, mined.minimal_size, solver_cmd,
                            safety=True):
             failures.append(f"{tag}: satisfiable below the minimum")
     for n_states, (samples, mined) in sorted(random_reports.items()):
         tag = f"random N={n_states}"
-        if not verify_separating(mined.dfa, samples).ok:
+        if verify_separating(mined.dfa, samples):
             failures.append(f"{tag}: verification failed")
         if mined.minimal_size > n_states:
             failures.append(

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from sepdfa.automata import (
     AutomatonFormatError,
     _IncrementalBuilder,
-    LearnedDFA,
     ThreeValuedDFA,
-    as_learned_dfa,
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
@@ -70,6 +68,14 @@ class TestThreeValuedDFA:
         a = ThreeValuedDFA(2, 1, (0,), {}, set(), set())
         with pytest.raises(ValueError):
             run(a, (1, 5))
+
+    def test_run_total_dfa(self):
+        d = ThreeValuedDFA(2, 2, (0,), {(0, 0): 1, (0, 1): 0, (1, 0): 1,
+                                        (1, 1): 0},
+                           frozenset({1}), frozenset({0}))
+        assert run(d, (0,)) == POSITIVE
+        assert run(d, (0, 1)) == NEGATIVE
+        assert run(d, ()) == NEGATIVE
 
     def test_run_tries_each_initial(self):
         # state 0 leads to don't-care on 0, state 2 to rejecting on 1
@@ -282,11 +288,13 @@ class TestDumpParse:
             dump_automaton(build_ddfa(SampleSet(2, {(0,)}, {(1,)})))
 
     def test_dump_learned(self):
-        d = LearnedDFA(1, 2, {(0, 0): 1, (1, 0): 1}, frozenset({1}))
+        d = ThreeValuedDFA(1, 2, (0,), {(0, 0): 1, (1, 0): 1},
+                           frozenset({1}), frozenset({0}))
         text = dump_automaton(d)
         assert "states 2 initial 0 alphabet 1" in text
         parsed = parse_automaton(text)
-        assert as_learned_dfa(parsed).accepting == frozenset({1})
+        assert parsed.accepting == frozenset({1})
+        assert parsed == d
 
     @pytest.mark.parametrize("text", [
         "",
@@ -297,6 +305,13 @@ class TestDumpParse:
         "states 2 initial 0 alphabet 1\nstate 0 A\n",   # missing state line
         "states 1 initial 0 alphabet 1\nstate 0 A\nstate 0 R\n",
         "states 1 initial 0 alphabet 1\nstate 0 A\ntrans 0 0 0\ntrans 0 0 0\n",
+        # numbers are runs of ASCII digits, as in sample files
+        "states 1_0 initial 0 alphabet 1\n" + "".join(
+            f"state {q} A\n" for q in range(10)),
+        "states 1 initial 0 alphabet 1\nstate 0 A\ntrans 0 0 +0\n",
+        "states 1 initial 0 alphabet 1\nstate \u0660 A\n",
+        "states 1 initial 0 alphabet 1\nstate 0 A\ntrans 0 0 -0\n",
+        "states \u0661 initial 0 alphabet 1\nstate 0 A\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(AutomatonFormatError):
@@ -318,28 +333,3 @@ class TestDumpParse:
         except AutomatonFormatError:
             pass
 
-
-class TestLearnedDFA:
-    def test_accepts(self):
-        d = LearnedDFA(2, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0},
-                       frozenset({1}))
-        assert d.accepts((0,))
-        assert not d.accepts((0, 1))
-        assert not d.accepts(())
-
-    def test_must_be_total(self):
-        with pytest.raises(ValueError):
-            LearnedDFA(2, 1, {(0, 0): 0}, frozenset())
-
-    def test_conversion_requires_total_two_valued(self):
-        partial = ThreeValuedDFA(1, 1, (0,), {}, frozenset({0}), frozenset())
-        with pytest.raises(ValueError):
-            as_learned_dfa(partial)
-        dontcare = ThreeValuedDFA(
-            1, 2, (0,), {(0, 0): 1, (1, 0): 1}, frozenset({0}), frozenset())
-        with pytest.raises(ValueError):
-            as_learned_dfa(dontcare)
-        double = ThreeValuedDFA(1, 2, (0, 1), {(0, 0): 0, (1, 0): 1},
-                                frozenset({0}), frozenset({1}))
-        with pytest.raises(ValueError):
-            as_learned_dfa(double)

@@ -42,6 +42,18 @@ class TestUsageErrors:
         assert main(["mine", samples, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
+    def test_bad_timeout(self, tmp_path, fake_solver, capsys, seconds):
+        # rejected while parsing the command line, before any solver runs
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
+        assert main(["mine", samples, "--solver", script,
+                     "--timeout", seconds]) == 1
+        err = capsys.readouterr().err
+        assert "finite positive number of seconds" in err
+        assert not ran.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["mine", "--help"]) == 0

@@ -1,5 +1,6 @@
 """Parity-word labelling and benchmark corpus generation."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -16,7 +17,8 @@ from sepdfa.generators import (
     gen_samples_from_dfa,
     parity_stats,
 )
-from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE
+from sepdfa.automata import dump_automaton, run
+from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE, write_abbadingo
 
 
 def classify_by_consecutive_occurrences(w, colours):
@@ -135,15 +137,56 @@ class TestRandomDfa:
             gen_random_dfa(2, 0)
 
 
+# sha256 of the sample file followed by the hidden DFA dump that
+# `gen-random --dfa-size N --seed S` writes (50 N words of length at most
+# 2 N + 3), for the hidden DFAs of the random-search benchmark.
+GEN_RANDOM_SHA256 = {
+    (4, 101): "2262044b2bb0edf3f19fb972aeb66db76fd59ae1160cc4c9d0b7d5ef03262ec6",
+    (4, 102): "956015a80e64ed1b8b72ec7d27c4a0274d16990e988f48883f4e280044288fcc",
+    (4, 103): "b552d2b4013f8f2ce251eccb4f9ed6f4e8ce7003b4eeaea41c4f7d477e3ea2ab",
+    (4, 104): "11a647ea4c8a092c72d484c4a25b52c5c5c13c7a46aef355eb2f908923a91570",
+    (4, 105): "ca389dd6ab99e81984a51078ed8bf4d5e886143e928dbcef30ae6001868db25c",
+    (5, 101): "1a097e2e6a021d3eb19bfc4b5b5ab7a64c951060b8cfcdc7af1fa908dfc6a277",
+    (5, 102): "9222f05bf01327afd8b4b012789116bcecf5ccee7116d25bcd3846e689c877ad",
+    (5, 103): "f968550af6d6ac235b1cec33706a5a62bd3f8b3f1264fbc23b9b5da35b43abc2",
+    (5, 104): "ef55c1ca0f016ce3ff8e2f81454437251535c94a2782988c2c162086cc4ad388",
+    (5, 105): "95c6f69c7d100884f58e753c089094540be86391be7414fee4410c80f2a275ce",
+    (6, 101): "b59ee77763ecfdf86e2c16553863fbd8caa8198ad9d47f593fa4739304861006",
+    (6, 102): "21a42b656a692efe5ee8e5f17351d9bd80ffbb673ca3dfe7f5cc71fe0074a421",
+    (6, 103): "e9650559eec7dd4c0c1f23d614e6f309cd3dbb0f91d3f110416326d01a930cb9",
+    (6, 104): "64c67d56449e6471321cdfe9332045934374465e0145872572de67a1cd1b3938",
+    (6, 105): "96f20629f9b88f9020bd50518f3f75e6e1285a6c9bfa4adac979300b92df8def",
+    (7, 101): "cec9a3ae7352997b35a4603f68ab81e1e955bc2f84025579fa7d0d671352553f",
+    (7, 102): "c4578eb8a86fdb507b056d87f819fad9f372912200c5e2bccc71c0d415f08d8f",
+    (7, 103): "91d00bfa3fb2c0bba8dca4b94f4e09dc095f407fb4e50a0e9fab74262095c2f1",
+    (7, 104): "fbf776fa8e47a34604e866d5c10d165dfa72cdb30afff1b2da446b9cbb74d32d",
+    (7, 105): "0775437056507c6dbbe2b77aba869c852d132851bf2c3f936621091224fa31c9",
+    (8, 101): "1dc12afa9630697240067201568b09bb88bb192d5c35b80e1ee482f37986499b",
+    (8, 102): "44f936fa941cdb935a2c5dd64197f72e045dc00197027331e31d36f2e8b72b58",
+    (8, 103): "803255a33ca9700f1599f778821f4bddef73b5713d4598c25994120bf4396318",
+    (8, 104): "313de278dd15ca4e727d69f92c0ba7aa89b9cc38fcc766f36f138c7302d748fa",
+    (8, 105): "2d32f5b2e36b53e6b758a13bb05975a84ac5d854e9dfa5608e0fa5eb51c73ee8",
+}
+
+
+@pytest.mark.parametrize("size,seed", sorted(GEN_RANDOM_SHA256))
+def test_gen_random_output_is_pinned(size, seed):
+    dfa = gen_random_dfa(size, 2, seed)
+    samples = gen_samples_from_dfa(dfa, 50 * size, 2 * size + 3, seed=seed)
+    text = write_abbadingo(samples) + dump_automaton(dfa)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == GEN_RANDOM_SHA256[(size, seed)])
+
+
 class TestSamplesFromDfa:
     def test_labels_match_hidden_dfa(self):
         dfa = gen_random_dfa(4, 2, 3)
         s = gen_samples_from_dfa(dfa, 60, 6, seed=3)
         assert s.size == 60
         for w in s.positives:
-            assert dfa.accepts(w)
+            assert run(dfa, w) == POSITIVE
         for w in s.negatives:
-            assert not dfa.accepts(w)
+            assert run(dfa, w) != POSITIVE
         assert all(len(w) <= 6 for w in s.positives | s.negatives)
 
     def test_deterministic_per_seed(self):

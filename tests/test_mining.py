@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdfa.automata import (
-    LearnedDFA,
+    ThreeValuedDFA,
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
+    run,
 )
 from sepdfa.mining import (
     MODES,
@@ -20,7 +21,7 @@ from sepdfa.mining import (
     upper_bound,
     verify_separating,
 )
-from sepdfa.samples import SampleSet
+from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet
 from sepdfa.solver import SolverError, SolverTimeoutError
 
 words = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -28,6 +29,13 @@ small_sets = st.tuples(
     st.sets(words, min_size=1, max_size=6),
     st.sets(words, max_size=6),
 ).map(lambda pn: SampleSet(2, pn[0], pn[1] - pn[0]))
+
+
+def dfa(k, n, table, accepting):
+    """The DFA over k letters with n states, state 0 initial."""
+    accepting = frozenset(accepting)
+    return ThreeValuedDFA(k, n, (0,), table, accepting,
+                          frozenset(range(n)) - accepting)
 
 
 def brute_force_minimal_size(samples, limit=4):
@@ -38,31 +46,51 @@ def brute_force_minimal_size(samples, limit=4):
         for targets in itertools.product(range(n), repeat=len(keys)):
             table = dict(zip(keys, targets))
             for bits in itertools.product((False, True), repeat=n):
-                dfa = LearnedDFA(k, n, table,
-                                 frozenset(i for i in range(n) if bits[i]))
-                if verify_separating(dfa, samples).ok:
+                candidate = dfa(k, n, table,
+                                (i for i in range(n) if bits[i]))
+                if not verify_separating(candidate, samples):
                     return n
     return None
 
 
 class TestVerify:
     def test_ok(self):
-        dfa = LearnedDFA(2, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0},
-                         frozenset({1}))
-        out = verify_separating(dfa, SampleSet(2, {(0,)}, {(1,), ()}))
-        assert out.ok
-        assert out.violations == ()
+        d = dfa(2, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}, {1})
+        out = verify_separating(d, SampleSet(2, {(0,)}, {(1,), ()}))
+        assert not out
+        assert out == []
 
     def test_violations_sorted(self):
-        dfa = LearnedDFA(2, 1, {(0, 0): 0, (0, 1): 0}, frozenset())
-        out = verify_separating(dfa, SampleSet(2, {(1,), (0,)}, {()}))
-        assert not out.ok
-        assert out.violations == (((0,), "+"), ((1,), "+"))
+        d = dfa(2, 1, {(0, 0): 0, (0, 1): 0}, ())
+        out = verify_separating(d, SampleSet(2, {(1,), (0,)}, {()}))
+        assert out
+        assert out == [((0,), "+"), ((1,), "+")]
+
+    def test_violations_of_both_labels(self):
+        # accepts exactly the words ending in 1
+        d = dfa(2, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}, {1})
+        out = verify_separating(
+            d, SampleSet(2, {(1,), (1, 0), ()}, {(0,), (0, 1)}))
+        assert out == [((), POSITIVE), ((0, 1), NEGATIVE), ((1, 0), POSITIVE)]
 
     def test_alphabet_mismatch(self):
-        dfa = LearnedDFA(1, 1, {(0, 0): 0}, frozenset())
+        d = dfa(1, 1, {(0, 0): 0}, ())
         with pytest.raises(ValueError):
-            verify_separating(dfa, SampleSet(2, {(0,)}, set()))
+            verify_separating(d, SampleSet(2, {(0,)}, set()))
+
+    def test_requires_a_dfa(self):
+        samples = SampleSet(1, {(0,)}, set())
+        partial = ThreeValuedDFA(1, 1, (0,), {}, frozenset({0}), frozenset())
+        with pytest.raises(ValueError, match="complete"):
+            verify_separating(partial, samples)
+        dontcare = ThreeValuedDFA(
+            1, 2, (0,), {(0, 0): 1, (1, 0): 1}, frozenset({0}), frozenset())
+        with pytest.raises(ValueError, match="don't-care"):
+            verify_separating(dontcare, samples)
+        double = ThreeValuedDFA(1, 2, (0, 1), {(0, 0): 0, (1, 0): 1},
+                                frozenset({0}), frozenset({1}))
+        with pytest.raises(ValueError, match="single initial"):
+            verify_separating(double, samples)
 
 
 class TestUpperBound:
@@ -80,9 +108,8 @@ class TestUpperBound:
                 table[(q, a)] = apta.transitions.get((q, a), sink)
         for a in range(samples.alphabet_size):
             table[(sink, a)] = sink
-        completed = LearnedDFA(samples.alphabet_size, bound, table,
-                               apta.accepting)
-        assert verify_separating(completed, samples).ok
+        completed = dfa(samples.alphabet_size, bound, table, apta.accepting)
+        assert not verify_separating(completed, samples)
 
     @given(small_sets)
     @settings(max_examples=30)
@@ -99,8 +126,8 @@ class TestMining:
         assert report.minimal_size == 2
         assert [(a.n, a.outcome) for a in report.attempts] == [
             (1, "unsat"), (2, "sat")]
-        assert report.verified
-        assert verify_separating(report.dfa, SampleSet(2, {(0,)}, {(1,)})).ok
+        assert "verified yes" in report.to_text()
+        assert not verify_separating(report.dfa, SampleSet(2, {(0,)}, {(1,)}))
 
     def test_empty_sample_set(self, solver_cmd):
         report = mine_min_dfa(SampleSet(2, set(), set()),
@@ -111,8 +138,8 @@ class TestMining:
         report = mine_min_dfa(SampleSet(1, {()}, {(0,)}),
                               solver_command=solver_cmd)
         assert report.minimal_size == 2
-        assert report.dfa.accepts(())
-        assert not report.dfa.accepts((0,))
+        assert run(report.dfa, ()) == POSITIVE
+        assert run(report.dfa, (0,)) != POSITIVE
 
     def test_parity_needs_three_states(self, solver_cmd):
         # multiples of three over a one-letter alphabet

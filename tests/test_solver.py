@@ -1,5 +1,8 @@
 """External solver subprocess handling and output parsing."""
 
+import os
+import subprocess
+import time
 from array import array
 
 import pytest
@@ -60,6 +63,17 @@ class TestParseOutput:
         _, assignment = parse_solver_output(
             "s SATISFIABLE\nv 1 0\nv 2 0\n")
         assert assignment == {1: True}
+
+    @pytest.mark.parametrize("values", [
+        "v \u0661 0",      # Arabic-Indic one
+        "v -2_0 0",
+        "v +1 0",
+        "v --1 0",
+        "v 1 -\u0662 0",
+    ])
+    def test_literals_are_ascii_numbers(self, values):
+        with pytest.raises(SolverError, match="malformed literal"):
+            parse_solver_output(f"s SATISFIABLE\n{values}\n")
 
     @given(st.text() | st.lists(st.lists(st.sampled_from(
         ["s", "v", "c", "SATISFIABLE", "UNSATISFIABLE", "0", "1", "-2",
@@ -158,6 +172,27 @@ class TestSolveWithFakeSolver:
         script = fake_solver("sleep 60\n")
         with pytest.raises(SolverTimeoutError):
             solve(SAT_2VAR, [script], timeout=0.3)
+
+    def test_interrupt_kills_solver(self, fake_solver, tmp_path,
+                                    monkeypatch):
+        # the solver has a session of its own, so Ctrl-C never reaches it
+        pid_file = tmp_path / "pid"
+        script = fake_solver(f'echo $$ > "{pid_file}"\nexec sleep 60\n')
+
+        def interrupted(self, *args, **kwargs):
+            deadline = time.monotonic() + 10
+            while not pid_file.exists() or not pid_file.read_text().strip():
+                if time.monotonic() > deadline:
+                    raise AssertionError("fake solver did not start")
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            solve(SAT_2VAR, [script])
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
 
     def test_file_path_appended(self, fake_solver):
         script = fake_solver(
