@@ -17,6 +17,7 @@ import traceback
 from .automata import AutomatonFormatError, dump_automaton, parse_automaton
 from .encoding import EncodingError
 from .generators import (
+    WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
     format_stats_line,
@@ -186,7 +187,7 @@ def build_parser() -> _Parser:
     gen_parity.add_argument("--length", type=int, required=True)
     gen_parity.add_argument("--out", required=True,
                             help="sample file to write")
-    gen_parity.add_argument("--budget", type=int, default=100_000_000,
+    gen_parity.add_argument("--budget", type=int, default=WORD_BUDGET,
                             help="word enumeration budget")
     gen_parity.set_defaults(func=cmd_gen_parity)
 
@@ -213,7 +214,7 @@ def build_parser() -> _Parser:
     stats = sub.add_parser("stats", help="parity corpus statistics")
     stats.add_argument("--colours", type=int, required=True)
     stats.add_argument("--length", type=int, required=True)
-    stats.add_argument("--budget", type=int, default=100_000_000)
+    stats.add_argument("--budget", type=int, default=WORD_BUDGET)
     stats.set_defaults(func=cmd_stats)
 
     return parser

@@ -14,6 +14,7 @@ clause closed by a 0 as in DIMACS; emit_dimacs streams it in chunks.
 
 from __future__ import annotations
 
+import itertools
 import re
 from array import array
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ from typing import Mapping, TextIO
 from .automata import ThreeValuedDFA
 
 _CHUNK = 1 << 16  # literals per DIMACS chunk, rounded up to a clause end
+# A clause, marked "|"-terminated, whose literals are all false ("0").
+_FALSE_CLAUSE_RE = re.compile(rb"(?:^|\|)0*\|")
 
 
 class EncodingError(RuntimeError):
@@ -63,6 +66,17 @@ class CnfFormula:
     def clause_count(self) -> int:
         return self.literals.count(0)
 
+    def satisfied_by(self, model: Mapping[int, bool]) -> bool:
+        """Whether the model, which assigns every variable, makes every
+        clause true."""
+        values = [model[var] for var in range(1, self.variable_count + 1)]
+        # "1"/"0" per literal by value (negatives index from the end), "|"
+        # per 0; a clause of false literals reads as "|" 0* "|".
+        truth = (b"|" + bytes(b"01"[v] for v in values)
+                 + bytes(b"10"[v] for v in reversed(values)))
+        return not _FALSE_CLAUSE_RE.search(
+            bytes(map(truth.__getitem__, self.literals)))
+
 
 class VarMap:
     """Fixed variable layout for one (candidate size, acceptor) pair.
@@ -85,11 +99,10 @@ class VarMap:
         self._base_f = n * alphabet_size * n
         self._base_d = self._base_f + n
         self._base_t = self._base_d + acceptor_state_count * n
-        # Upper-triangular pairs (i, j) with i < j, row-major in j.
-        self._pairs = [(i, j) for j in range(n) for i in range(j)]
-        self._base_p = self._base_t + len(self._pairs)
-        self._base_m = self._base_p + len(self._pairs)
-        self.variable_count = (self._base_m + len(self._pairs) * alphabet_size
+        pairs = n * (n - 1) // 2  # node pairs (i, j) with i < j
+        self._base_p = self._base_t + pairs
+        self._base_m = self._base_p + pairs
+        self.variable_count = (self._base_m + pairs * alphabet_size
                                if symmetry else self._base_t)
 
     def e(self, i: int, a: int, j: int) -> int:
@@ -110,6 +123,16 @@ class VarMap:
         if not (0 <= p < self.acceptor_state_count and 0 <= i < self.n):
             raise EncodingError(f"d({p}, {i}) out of range")
         return 1 + self._base_d + p * self.n + i
+
+    def e_row(self, i: int, a: int) -> range:
+        """e(i, a, j) for j = 0..n-1: the targets of state i on letter a."""
+        first = self.e(i, a, 0)
+        return range(first, first + self.n)
+
+    def d_row(self, p: int) -> range:
+        """d(p, i) for i = 0..n-1: acceptor state p's row."""
+        first = self.d(p, 0)
+        return range(first, first + self.n)
 
     def _pair(self, i: int, j: int) -> int:
         """Index of the node pair (i, j), i < j, among the symmetry pairs."""
@@ -133,41 +156,16 @@ class VarMap:
             raise EncodingError(f"m({i}, {a}, {j}) letter out of range")
         return 1 + self._base_m + self._pair(i, j) * self.alphabet_size + a
 
-    def decode(self, var: int) -> tuple:
-        """Inverse of the id mapping: ('e', i, a, j), ('f', i), and so on."""
-        if not 1 <= var <= self.variable_count:
-            raise EncodingError(f"variable {var} out of range")
-        idx = var - 1
-        n, k = self.n, self.alphabet_size
-        if idx < self._base_f:
-            ia, j = divmod(idx, n)
-            i, a = divmod(ia, k)
-            return ("e", i, a, j)
-        if idx < self._base_d:
-            return ("f", idx - self._base_f)
-        if idx < self._base_t:
-            p, i = divmod(idx - self._base_d, n)
-            return ("d", p, i)
-        if idx < self._base_p:
-            i, j = self._pairs[idx - self._base_t]
-            return ("t", i, j)
-        if idx < self._base_m:
-            i, j = self._pairs[idx - self._base_p]
-            return ("p", j, i)
-        pair, a = divmod(idx - self._base_m, k)
-        i, j = self._pairs[pair]
-        return ("m", i, a, j)
-
 
 def encode_dfa_shape(vm: VarMap, out: array) -> None:
     """Determinism and completeness of the candidate transition function."""
-    n = vm.n
-    for i in range(n):
+    for i in range(vm.n):
         for a in range(vm.alphabet_size):
-            for j in range(n):
-                for jj in range(j + 1, n):
-                    out.extend((-vm.e(i, a, j), -vm.e(i, a, jj), 0))
-            out.extend([vm.e(i, a, j) for j in range(n)] + [0])
+            row = vm.e_row(i, a)
+            for x, y in itertools.combinations(row, 2):
+                out.extend((-x, -y, 0))
+            out.extend(row)
+            out.append(0)
 
 
 def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array) -> None:
@@ -187,15 +185,19 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array) -> None:
         out.extend((vm.d(q0, 0), 0))
     for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
         for p in sorted(states):
-            for i in range(n):
-                out.extend((-vm.d(p, i), sign * vm.f(i), 0))
+            for i, var in enumerate(vm.d_row(p)):
+                out.extend((-var, sign * vm.f(i), 0))
+    # Transition (p, a) -> r gives the clauses -d(p, i) -e(i, a, j) d(r, j)
+    # for i, then j, in 0..n-1.  The -e column depends on the letter only,
+    # so one block of n*n clauses is refilled by strided slices.
+    columns = [[-var for i in range(n) for var in vm.e_row(i, a)]
+               for a in range(vm.alphabet_size)]
+    block = [0] * (4 * n * n)
     for (p, a), r in acceptor.transitions.items():
-        batch = []
-        for i in range(n):
-            not_pi = -vm.d(p, i)
-            for j in range(n):
-                batch += (not_pi, -vm.e(i, a, j), vm.d(r, j), 0)
-        out.fromlist(batch)
+        block[0::4] = [-var for var in vm.d_row(p) for _ in range(n)]
+        block[1::4] = columns[a]
+        block[2::4] = list(vm.d_row(r)) * n
+        out.fromlist(block)
 
 
 def encode_symmetry_breaking(vm: VarMap, out: array,
@@ -334,8 +336,7 @@ def decode_model(model: Mapping[int, bool], vm: VarMap) -> ThreeValuedDFA:
     for i in range(vm.n):
         for a in range(vm.alphabet_size):
             targets = []
-            for j in range(vm.n):
-                var = vm.e(i, a, j)
+            for j, var in enumerate(vm.e_row(i, a)):
                 if var not in model:
                     raise EncodingError(f"model misses variable {var}")
                 if model[var]:

@@ -23,6 +23,11 @@ from .automata import (
 from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
 
 
+# Work limit of the corpus generators: parity words enumerated, or letters
+# drawn at most (count times max_len) for a random corpus.
+WORD_BUDGET = 100_000_000
+
+
 class BudgetExceededError(ValueError):
     """Enumerating the corpus would exceed the word budget."""
 
@@ -82,7 +87,7 @@ def classify_parity_word(w: Word, colours: int) -> str:
 
 
 def gen_parity_samples(cfg: ParityConfig,
-                       budget: int = 100_000_000) -> SampleSet:
+                       budget: int = WORD_BUDGET) -> SampleSet:
     """Classify every length-cfg.length colour word; drop the don't-cares."""
     if cfg.word_count > budget:
         raise BudgetExceededError(
@@ -125,13 +130,23 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
     Word lengths are uniform on [0, max_len], letters uniform over the
     alphabet.  When the request covers most of the word pool the pool is
     enumerated and shuffled instead, so the draw always terminates.
+    Requests whose count times max_len exceeds WORD_BUDGET are refused.
     """
     if count < 0:
         raise ValueError("count must not be negative")
     if max_len < 0:
         raise ValueError("max_len must not be negative")
+    if count * max_len > WORD_BUDGET:
+        raise BudgetExceededError(
+            f"{count} words of length up to {max_len} exceed the budget of "
+            f"{WORD_BUDGET} letters")
     k = dfa.alphabet_size
-    pool = sum(k ** i for i in range(max_len + 1))
+    # The pool is the words of length 0..max_len.  Only whether it holds
+    # count and 2 * count words matters, which with k >= 2 it does once
+    # the length passes count's bit length: stop there, not build a huge
+    # integer.
+    span = min(max_len, count.bit_length() + 1)
+    pool = max_len + 1 if k == 1 else (k ** (span + 1) - 1) // (k - 1)
     if count > pool:
         raise ValueError(
             f"cannot draw {count} distinct words from a pool of {pool}")
@@ -150,7 +165,7 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
     return SampleSet(k, positives, frozenset(words) - positives)
 
 
-def parity_stats(cfg: ParityConfig, budget: int = 100_000_000) -> tuple:
+def parity_stats(cfg: ParityConfig, budget: int = WORD_BUDGET) -> tuple:
     """Corpus statistics: colours, length, sample counts, acceptor sizes."""
     samples = gen_parity_samples(cfg, budget)
     return (cfg.colours, cfg.length, len(samples.positives),

@@ -136,10 +136,12 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     safety mode, where the sink must differ from the initial state); the
     first satisfiable size yields the answer.  Every returned DFA has
     been re-checked against the samples.  Sizes that cannot be searched
-    raise SizeRangeError before any work.  Solver failures propagate with
-    the partial report attached as .report; exhausting n_max (default:
-    the acceptor's size bound) raises MiningError with the same .report,
-    NoSeparatorError when the cap was the user's or safety mode's.
+    raise SizeRangeError before any work; so does, before any solver call,
+    an n_start above the acceptor's size bound when n_max is not given.
+    Solver failures propagate with the partial report attached as
+    .report; exhausting n_max (default: the acceptor's size bound) raises
+    MiningError with the same .report, NoSeparatorError when the cap was
+    the user's or safety mode's.
     """
     if n_start is None:
         n_start = 2 if safety else 1
@@ -153,13 +155,17 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     acceptor = getattr(automata, builder)(samples)
+    bound = upper_bound(acceptor) if n_max is None else n_max
+    if n_start > bound:
+        raise SizeRangeError(
+            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
+            f"give n_max to search beyond it")
     report = MiningReport(
         mode=mode,
         safety=safety,
         symmetry_breaking=symmetry_breaking,
         acceptor_size=acceptor.state_count,
     )
-    bound = upper_bound(acceptor) if n_max is None else n_max
     n = n_start
     while n <= bound:
         vm, formula = build_formula(n, acceptor, symmetry=symmetry_breaking,

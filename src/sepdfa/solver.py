@@ -29,8 +29,6 @@ DEFAULT_SOLVER_COMMAND = "cadical"
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[A-Za-z]|\x1b.|[\r\x07]")
 _STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\b")
-# A clause, marked "|"-terminated, whose literals are all false ("0").
-_FALSE_CLAUSE_RE = re.compile(rb"(?:^|\|)0*\|")
 
 
 class SolverError(RuntimeError):
@@ -167,11 +165,7 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     for var in assignment:
         if var > formula.variable_count:
             raise SolverError(f"model assigns unknown variable {var}")
-    # "1"/"0" per literal by value (negatives index from the end), "|" per 0.
-    values = [assignment[var] for var in range(1, formula.variable_count + 1)]
-    truth = (b"|" + bytes(b"01"[v] for v in values)
-             + bytes(b"10"[v] for v in reversed(values)))
-    if _FALSE_CLAUSE_RE.search(bytes(map(truth.__getitem__, formula.literals))):
+    if not formula.satisfied_by(assignment):
         raise SolverError("model does not satisfy the formula")
     return SolverVerdict("sat", assignment, wall_time)
 

@@ -42,6 +42,22 @@ class TestUsageErrors:
         assert main(["mine", samples, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--safety"]])
+    def test_n_start_above_size_bound(self, tmp_path, fake_solver, capsys,
+                                      flags):
+        # no size is left to try, so no solver runs and nothing is reported
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        assert main(["mine", samples, "--n-start", "10", "--solver", script,
+                     *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: n_start 10 exceeds the acceptor's size bound 4; "
+            "give n_max to search beyond it\n")
+        assert captured.out == ""
+        assert not ran.exists()
+
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
     def test_bad_timeout(self, tmp_path, fake_solver, capsys, seconds):
         # rejected while parsing the command line, before any solver runs
@@ -198,7 +214,9 @@ class TestGenRandomAndVerify:
                       ["--dfa-size", "2", "--max-len", "-1"],
                       # 50 distinct words from the 3 of length <= 1
                       ["--dfa-size", "2", "--max-len", "1",
-                       "--sample-count", "50"]):
+                       "--sample-count", "50"],
+                      # 100 * 300000 letters exceed the word budget
+                      ["--dfa-size", "2", "--max-len", "3000000"]):
             assert main(["gen-random", *flags, "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith("gen-random: ")
             assert not out.exists()

@@ -6,6 +6,8 @@ import itertools
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepdfa import encoding
 from sepdfa.automata import build_apta, build_ddfa, build_min_3dfa_incremental
@@ -60,27 +62,26 @@ class TestVarMap:
         (1, 1, 1, False), (2, 2, 3, False), (3, 2, 5, True),
         (4, 3, 7, True), (2, 5, 2, True),
     ])
-    def test_decode_is_inverse(self, n, k, m, sym):
+    def test_layout_is_a_bijection(self, n, k, m, sym):
+        # every accessor over every in-range index gives 1..variable_count,
+        # each id once, and the rows agree with the scalar accessors
         vm = VarMap(n, k, m, sym)
-        seen = set()
-        for var in range(1, vm.variable_count + 1):
-            tag = vm.decode(var)
-            assert tag not in seen
-            seen.add(tag)
-            kind = tag[0]
-            if kind == "e":
-                assert vm.e(tag[1], tag[2], tag[3]) == var
-            elif kind == "f":
-                assert vm.f(tag[1]) == var
-            elif kind == "d":
-                assert vm.d(tag[1], tag[2]) == var
-            elif kind == "t":
-                assert vm.t(tag[1], tag[2]) == var
-            elif kind == "p":
-                assert vm.p(tag[1], tag[2]) == var
-            else:
-                assert kind == "m"
-                assert vm.m(tag[1], tag[2], tag[3]) == var
+        ids = [vm.e(i, a, j) for i in range(n) for a in range(k)
+               for j in range(n)]
+        ids += [vm.f(i) for i in range(n)]
+        ids += [vm.d(p, i) for p in range(m) for i in range(n)]
+        if sym:
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            ids += [vm.t(i, j) for i, j in pairs]
+            ids += [vm.p(j, i) for i, j in pairs]
+            ids += [vm.m(i, a, j) for i, j in pairs for a in range(k)]
+        assert sorted(ids) == list(range(1, vm.variable_count + 1))
+        for i in range(n):
+            for a in range(k):
+                assert list(vm.e_row(i, a)) == [vm.e(i, a, j)
+                                                for j in range(n)]
+        for p in range(m):
+            assert list(vm.d_row(p)) == [vm.d(p, i) for i in range(n)]
         expected = n * k * n + n + m * n
         if sym:
             pairs = n * (n - 1) // 2
@@ -108,8 +109,12 @@ class TestVarMap:
             vm.d(1, 0)
         with pytest.raises(EncodingError):
             vm.t(1, 1)
-        with pytest.raises(EncodingError):
-            vm.decode(vm.variable_count + 1)
+        for i, a in ((2, 0), (-1, 0), (0, 2), (0, -1)):
+            with pytest.raises(EncodingError):
+                vm.e_row(i, a)
+        for p in (1, -1):
+            with pytest.raises(EncodingError):
+                vm.d_row(p)
 
     def test_symmetry_vars_gated(self):
         vm = VarMap(2, 1, 1, False)
@@ -234,6 +239,61 @@ class TestProductClauses:
             encode_product(vm, acceptor, array("i"))
 
 
+def reference_shape(vm):
+    """encode_dfa_shape's buffer, one scalar accessor call per literal."""
+    n, out = vm.n, []
+    for i in range(n):
+        for a in range(vm.alphabet_size):
+            for j in range(n):
+                for jj in range(j + 1, n):
+                    out += (-vm.e(i, a, j), -vm.e(i, a, jj), 0)
+            out += [vm.e(i, a, j) for j in range(n)] + [0]
+    return out
+
+
+def reference_product(vm, acceptor):
+    """encode_product's buffer, one scalar accessor call per literal."""
+    n, out = vm.n, []
+    for q0 in acceptor.initials:
+        out += (vm.d(q0, 0), 0)
+    for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
+        for p in sorted(states):
+            for i in range(n):
+                out += (-vm.d(p, i), sign * vm.f(i), 0)
+    for (p, a), r in acceptor.transitions.items():
+        for i in range(n):
+            for j in range(n):
+                out += (-vm.d(p, i), -vm.e(i, a, j), vm.d(r, j), 0)
+    return out
+
+
+@st.composite
+def sample_sets(draw):
+    k = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, k - 1), max_size=5).map(tuple)
+    positives = draw(st.sets(words, max_size=8))
+    negatives = draw(st.sets(words, max_size=8))
+    return SampleSet(k, positives, negatives - positives)
+
+
+class TestRowsMatchScalarAccessors:
+    @given(sample_sets(),
+           st.sampled_from([build_apta, build_min_3dfa_incremental,
+                            build_ddfa]),
+           st.integers(1, 4), st.booleans())
+    @settings(max_examples=60)
+    def test_buffers_equal_per_literal_reference(self, samples, builder, n,
+                                                 symmetry):
+        acceptor = builder(samples)
+        vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count,
+                    symmetry)
+        shape, product = array("i"), array("i")
+        encode_dfa_shape(vm, shape)
+        encode_product(vm, acceptor, product)
+        assert shape.tolist() == reference_shape(vm)
+        assert product.tolist() == reference_product(vm, acceptor)
+
+
 def derived_symmetry_assignment(vm, table):
     """Values of e, t, p, m that the definitions force for one table."""
     n, k = vm.n, vm.alphabet_size
@@ -315,15 +375,18 @@ class TestSymmetryBreaking:
         safe = clauses_of(encode_symmetry_breaking, vm, safety_mode=True)
         assert set(safe) < set(full)
 
+        n, k, sink = vm.n, vm.alphabet_size, vm.n - 1
+        # every variable of a clause here is an e, t, p or m over two nodes
+        sink_vars = set()
+        for i in range(n):
+            for a in range(k):
+                sink_vars.update((vm.e(i, a, sink), vm.e(sink, a, i)))
+        for i in range(sink):
+            sink_vars.update((vm.t(i, sink), vm.p(sink, i)))
+            sink_vars.update(vm.m(i, a, sink) for a in range(k))
+
         def touches_sink(clause):
-            sink = vm.n - 1
-            for lit in clause:
-                tag = vm.decode(abs(lit))
-                nodes = ({tag[1], tag[3]} if tag[0] in ("e", "m")
-                         else {tag[1], tag[2]})
-                if sink in nodes:
-                    return True
-            return False
+            return any(abs(lit) in sink_vars for lit in clause)
 
         expected = [c for c in full if not touches_sink(c)]
         assert safe == expected
@@ -428,6 +491,8 @@ GOLDEN_DIMACS = {
     ("random", "ddfa", 3, False): "1f7859aa137194a8566f7e4f3fe9b27225a78c352514adcb5141bd713f363bc4",
     ("random", "ddfa", 4, True): "8cb66bbfb62402d363f1493c11360f9c50716a7b6de962673bc3e2b1d114241c",
     ("random", "ddfa", 4, False): "0409ddaa41c11feae4254aed3ea69bccd3acf68734350169b0d6f32f09365d7c",
+    # 256 literals per transition's product block
+    ("random", "apta", 8, True): "267ae93de9f75ab82ac67ded1643be2a65dc5306dfcf66425217fef986e30b4e",
 }
 
 

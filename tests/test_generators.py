@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdfa.generators import (
+    WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
     classify_parity_word,
@@ -205,6 +206,15 @@ class TestSamplesFromDfa:
         dfa = gen_random_dfa(2, 2, 0)
         with pytest.raises(ValueError):
             gen_samples_from_dfa(dfa, 8, 2)
+
+    def test_draw_budget(self):
+        dfa = gen_random_dfa(2, 2, 0)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            gen_samples_from_dfa(dfa, 150, 10 ** 8)
+        with pytest.raises(BudgetExceededError):
+            gen_samples_from_dfa(dfa, 1, WORD_BUDGET + 1)
+        # no letters are drawn, however long the words might have been
+        assert gen_samples_from_dfa(dfa, 0, 10 ** 12).size == 0
 
     @given(st.integers(0, 7), st.integers(0, 100))
     @settings(max_examples=25)

@@ -183,6 +183,22 @@ class TestMining:
                 mine_min_dfa(SampleSet(1, {()}, set()), n_max=n_max,
                              safety=safety, solver_command=["no-solver"])
 
+    def test_n_start_above_bound(self, fake_solver, tmp_path):
+        # rejected once the acceptor gives the bound, before any solver call
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = SampleSet(2, {(0,)}, {(1,)})
+        for safety in (False, True):
+            with pytest.raises(SizeRangeError, match="size bound 4"):
+                mine_min_dfa(samples, safety=safety, n_start=10,
+                             solver_command=[script])
+        assert not ran.exists()
+        # n_start at the bound still searches that one size
+        unsat = fake_solver('echo "s UNSATISFIABLE"\nexit 20\n', "unsat")
+        with pytest.raises(MiningError, match="at fault") as exc:
+            mine_min_dfa(samples, n_start=4, solver_command=[unsat])
+        assert [a.n for a in exc.value.report.attempts] == [4]
+
     def test_n_max_exhaustion(self, solver_cmd):
         samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
         with pytest.raises(MiningError) as exc:
