@@ -3,8 +3,9 @@
 Subcommands: mine, gen-parity, gen-random, verify, stats.  Exit codes: 0
 success, 1 usage error, 2 input parse error, 3 solver failure, 4 solver
 timeout, 5 verification failure, 6 internal error, 7 no separating DFA of
-the permitted sizes (an exhausted --n-max, or none of safety shape).  A
-failed mine prints the attempts made so far before the error line.
+the permitted sizes (an exhausted --n-max, one below the lower bound, or
+none of safety shape).  A failed mine prints the attempts made so far
+before the error line.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def build_parser() -> _Parser:
     mine.add_argument("--timeout", type=_seconds, default=None,
                       help="per-call solver timeout in seconds")
     mine.add_argument("--n-start", type=int, default=None,
-                      help="first candidate size to try")
+                      help="first candidate size to try (default: one "
+                           "below the lower bound)")
     mine.add_argument("--n-max", type=int, default=None,
                       help="last candidate size to try")
     mine.add_argument("--dfa-out", default=None,

@@ -86,21 +86,67 @@ def classify_parity_word(w: Word, colours: int) -> str:
     return DONT_CARE
 
 
+def _parity_step(state: tuple, colour: int) -> tuple:
+    """The per-prefix state of a parity word after one more colour.
+
+    A state holds, per colour, None while the colour is unseen, else the
+    highest colour seen since its last occurrence (-1 for none yet),
+    followed by the flags "closed a winning cycle" and "closed a losing
+    cycle".  The label of a word depends on its final state alone.
+    """
+    *since, winning, losing = state
+    top = since[colour]
+    if top is not None:
+        if max(top, colour) % 2 == 0:
+            winning = True
+        else:
+            losing = True
+    since = [c if c is None or c >= colour else colour for c in since]
+    since[colour] = -1
+    return (*since, winning, losing)
+
+
 def gen_parity_samples(cfg: ParityConfig,
                        budget: int = WORD_BUDGET) -> SampleSet:
-    """Classify every length-cfg.length colour word; drop the don't-cares."""
+    """Classify every length-cfg.length colour word; drop the don't-cares.
+
+    Words are walked depth first on their per-prefix state (_parity_step,
+    memoised), so each label costs O(1) rather than classify_parity_word's
+    O(L^2), and a prefix that has closed both a winning and a losing cycle
+    is dropped with all its completions.
+    """
     if cfg.word_count > budget:
         raise BudgetExceededError(
             f"{cfg.colours}^{cfg.length} = {cfg.word_count} words exceed "
             f"the budget of {budget}")
+    colours = range(cfg.colours)
+    successors: dict[tuple, list[tuple[int, tuple]]] = {}
+
+    def live_successors(state: tuple) -> list[tuple[int, tuple]]:
+        found = successors.get(state)
+        if found is None:
+            found = successors[state] = []
+            for colour in colours:
+                nxt = _parity_step(state, colour)
+                if not (nxt[-2] and nxt[-1]):
+                    found.append((colour, nxt))
+        return found
+
     positives = []
     negatives = []
-    for w in itertools.product(range(cfg.colours), repeat=cfg.length):
-        label = classify_parity_word(w, cfg.colours)
-        if label == POSITIVE:
-            positives.append(w)
-        elif label == NEGATIVE:
-            negatives.append(w)
+
+    def walk(prefix: Word, state: tuple, remaining: int) -> None:
+        if remaining == 1:
+            for colour, (*_, winning, losing) in live_successors(state):
+                if winning:
+                    positives.append(prefix + (colour,))
+                elif losing:
+                    negatives.append(prefix + (colour,))
+            return
+        for colour, nxt in live_successors(state):
+            walk(prefix + (colour,), nxt, remaining - 1)
+
+    walk((), (None,) * cfg.colours + (False, False), cfg.length)
     return SampleSet(cfg.colours, frozenset(positives), frozenset(negatives))
 
 

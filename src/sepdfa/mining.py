@@ -1,11 +1,13 @@
 """Search for the smallest DFA separating a sample set.
 
 The miner builds a three-valued acceptor for the samples, then asks the
-SAT solver for candidate DFAs of growing size until one exists.  Acceptor
-choice is the mode: the raw prefix tree, the incrementally minimised
-three-valued automaton, or the per-polarity double automaton with one
-initial state per polarity.  The decoded DFA is a ThreeValuedDFA too, and
-it is replayed on every sample before it is reported.
+SAT solver for candidate DFAs of growing size until one exists, starting
+just below the lower bound that a clique of pairwise-incompatible states
+of the minimal three-valued acceptor proves.  Acceptor choice is the
+mode: the raw prefix tree, the incrementally minimised three-valued
+automaton, or the per-polarity double automaton with one initial state
+per polarity.  The decoded DFA is a ThreeValuedDFA too, and it is
+replayed on every sample before it is reported.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ class MiningReport:
     safety: bool
     symmetry_breaking: bool
     acceptor_size: int
+    lower_bound: int  # size of incompatible_clique on the min3dfa acceptor
     attempts: list[SizeAttempt] = field(default_factory=list)
     dfa: ThreeValuedDFA | None = None  # set only once it is verified
 
@@ -76,6 +79,7 @@ class MiningReport:
             f"safety {'on' if self.safety else 'off'}",
             f"symmetry-breaking {'on' if self.symmetry_breaking else 'off'}",
             f"acceptor size {self.acceptor_size}",
+            f"lower bound {self.lower_bound}",
         ]
         for att in self.attempts:
             lines.append(
@@ -98,6 +102,89 @@ def upper_bound(acceptor: ThreeValuedDFA) -> int:
     if len(acceptor.initials) > 1:
         return acceptor.initials[1] + 1
     return acceptor.state_count + 1
+
+
+def _incompatible_sets(acceptor: ThreeValuedDFA) -> list[int]:
+    """Per state, the bitset of states incompatible with it.
+
+    Seeded with every (accepting, rejecting) pair, then propagated
+    backwards: p and q are incompatible when some letter takes them to an
+    incompatible pair.
+    """
+    n, k = acceptor.state_count, acceptor.alphabet_size
+    # preds[a][r]: the states whose letter-a transition enters r, as a list
+    # and as a bitset.
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
+    pred_bits = [[0] * n for _ in range(k)]
+    for (q, a), r in acceptor.transitions.items():
+        preds[a][r].append(q)
+        pred_bits[a][r] |= 1 << q
+    incompatible = [0] * n
+    accepting = sum(1 << q for q in acceptor.accepting)
+    rejecting = sum(1 << q for q in acceptor.rejecting)
+    for q in acceptor.accepting:
+        incompatible[q] = rejecting
+    for q in acceptor.rejecting:
+        incompatible[q] = accepting
+    work = [(p, q) for p in acceptor.accepting for q in acceptor.rejecting]
+    while work:
+        p, q = work.pop()
+        for a in range(k):
+            q_bits = pred_bits[a][q]
+            if not q_bits:
+                continue
+            for pp in preds[a][p]:
+                fresh = q_bits & ~incompatible[pp]
+                if not fresh:
+                    continue
+                incompatible[pp] |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    qq = low.bit_length() - 1
+                    fresh ^= low
+                    incompatible[qq] |= 1 << pp
+                    work.append((pp, qq))
+    return incompatible
+
+
+def incompatible_clique(acceptor: ThreeValuedDFA) -> tuple[int, ...]:
+    """States that pairwise lead, on some suffix, to opposite labels.
+
+    Two states are incompatible when one suffix takes the first to an
+    accepting state and the second to a rejecting one, or the other way
+    round (Heule & Verwer, ICGI 2010).  The words reaching them must end in
+    different states of any DFA that labels the acceptor's words alike, so
+    a clique of c such states proves that no DFA with fewer than c states
+    separates the samples.  The clique is grown greedily inside each
+    state's neighbourhood, always by the candidate with the most neighbours
+    among the remaining candidates (the lowest on a tie); the largest is
+    returned, sorted.
+    """
+    incompatible = _incompatible_sets(acceptor)
+    degrees = [bits.bit_count() for bits in incompatible]
+    best = [0]
+    # Seeds by falling degree, so a large clique soon prunes the rest.
+    for v in sorted(range(len(incompatible)), key=lambda q: -degrees[q]):
+        if degrees[v] < len(best):
+            break
+        clique = [v]
+        candidates = incompatible[v]
+        # A clique from v cannot outgrow v's neighbourhood plus v itself.
+        while candidates and len(clique) + candidates.bit_count() > len(best):
+            pick, most = -1, -1
+            rest = candidates
+            while rest:
+                low = rest & -rest
+                c = low.bit_length() - 1
+                rest ^= low
+                degree = (incompatible[c] & candidates).bit_count()
+                if degree > most:
+                    pick, most = c, degree
+            clique.append(pick)
+            candidates &= incompatible[pick]
+        if len(clique) > len(best):
+            best = clique
+    return tuple(sorted(best))
 
 
 def verify_separating(dfa: ThreeValuedDFA,
@@ -132,40 +219,55 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                  n_max: int | None = None) -> MiningReport:
     """Find a smallest separating DFA for the samples.
 
-    Candidate sizes grow one by one from n_start (1 by default, 2 in
-    safety mode, where the sink must differ from the initial state); the
-    first satisfiable size yields the answer.  Every returned DFA has
-    been re-checked against the samples.  Sizes that cannot be searched
-    raise SizeRangeError before any work; so does, before any solver call,
-    an n_start above the acceptor's size bound when n_max is not given.
-    Solver failures propagate with the partial report attached as
-    .report; exhausting n_max (default: the acceptor's size bound) raises
-    MiningError with the same .report, NoSeparatorError when the cap was
-    the user's or safety mode's.
+    Candidate sizes grow one by one from n_start; the first satisfiable
+    size yields the answer.  By default the search starts one below the
+    lower bound of incompatible_clique on the min3dfa acceptor, so the
+    size below the answer is still tried, but never below 1, or 2 in
+    safety mode, where the sink must differ from the initial state.  An
+    explicit n_start is used as given.  Every returned DFA has been
+    re-checked against the samples.  Sizes that cannot be searched raise
+    SizeRangeError before any work; so does, before any solver call, an
+    n_start above the acceptor's size bound when n_max is not given.
+    Without n_start, an n_max below the lower bound raises
+    NoSeparatorError before any solver call.  Solver failures propagate
+    with the partial report attached as .report; exhausting n_max
+    (default: the acceptor's size bound) raises MiningError with the same
+    .report, NoSeparatorError when the cap was the user's or safety mode's.
     """
-    if n_start is None:
-        n_start = 2 if safety else 1
-    elif safety and n_start < 2:
-        raise SizeRangeError("safety mode needs n_start >= 2")
-    if n_start < 1:
-        raise SizeRangeError("n_start must be at least 1")
-    if n_max is not None and n_max < n_start:
-        raise SizeRangeError(f"n_max must be at least n_start ({n_start})")
+    floor = 2 if safety else 1
+    if n_start is not None and n_start < floor:
+        raise SizeRangeError("safety mode needs n_start >= 2" if safety
+                             else "n_start must be at least 1")
+    first = floor if n_start is None else n_start
+    if n_max is not None and n_max < first:
+        raise SizeRangeError(f"n_max must be at least n_start ({first})")
     builder = _BUILDERS.get(mode)
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     acceptor = getattr(automata, builder)(samples)
-    bound = upper_bound(acceptor) if n_max is None else n_max
-    if n_start > bound:
-        raise SizeRangeError(
-            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
-            f"give n_max to search beyond it")
+    # Not kept: a second acceptor alive through the search slows it.
+    lower = len(incompatible_clique(
+        acceptor if mode == "min3dfa"
+        else getattr(automata, _BUILDERS["min3dfa"])(samples)))
     report = MiningReport(
         mode=mode,
         safety=safety,
         symmetry_breaking=symmetry_breaking,
         acceptor_size=acceptor.state_count,
+        lower_bound=lower,
     )
+    bound = upper_bound(acceptor) if n_max is None else n_max
+    if n_start is None:
+        n_start = max(lower - 1, floor)
+        if bound < lower:
+            raise NoSeparatorError(
+                f"no separating DFA up to the requested size {bound}: the "
+                f"search needs at least {lower} states, as {lower} acceptor "
+                f"states are pairwise incompatible", report)
+    elif n_start > bound:
+        raise SizeRangeError(
+            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
+            f"give n_max to search beyond it")
     n = n_start
     while n <= bound:
         vm, formula = build_formula(n, acceptor, symmetry=symmetry_breaking,

@@ -85,7 +85,7 @@ class TestMine:
         assert code == 0
         assert "minimal size 2" in out
         assert "verified yes" in out
-        assert "n=1 unsat" in out
+        assert "acceptor size 3\nlower bound 2\nn=1 unsat" in out
         dumped = parse_automaton(dfa_out.read_text())
         assert dumped.state_count == 2
 
@@ -111,7 +111,7 @@ class TestMine:
         assert main(["mine", samples, "--solver", script]) == 3
 
     @pytest.mark.parametrize("flags,code,first", [
-        (["--n-max", "1"], 7, "n=1 unsat"),
+        (["--n-start", "1", "--n-max", "1"], 7, "n=1 unsat"),
         (["--safety"], 7, "n=2 unsat"),
         ([], 6, "n=1 unsat"),       # the computed bound should suffice
     ])
@@ -124,6 +124,23 @@ class TestMine:
         assert captured.out.startswith("mode min3dfa\n")
         assert first in captured.out
         assert captured.err.startswith("error: no ")
+
+    def test_n_max_below_lower_bound(self, tmp_path, fake_solver, capsys):
+        # refused before any solver call; the partial report names the bound
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        assert main(["mine", samples, "--n-max", "1", "--solver",
+                     script]) == 7
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "mode min3dfa\nsafety off\nsymmetry-breaking on\n"
+            "acceptor size 3\nlower bound 2\n")
+        assert captured.err == (
+            "error: no separating DFA up to the requested size 1: the "
+            "search needs at least 2 states, as 2 acceptor states are "
+            "pairwise incompatible\n")
+        assert not ran.exists()
 
     def test_solver_failure_shows_report(self, tmp_path, fake_solver, capsys):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")

@@ -105,6 +105,21 @@ class TestGenParity:
             assert (w in s.negatives) == (label == NEGATIVE)
         assert all(len(w) == 4 for w in s.positives | s.negatives)
 
+    @pytest.mark.parametrize("colours,length", [(2, 3), (3, 5), (3, 6),
+                                                (4, 6)])
+    def test_matches_word_oracle(self, colours, length):
+        # the per-prefix walk labels every word as the O(L^2) classifier does
+        s = gen_parity_samples(ParityConfig(colours, length))
+        positives, negatives = set(), set()
+        for w in itertools.product(range(colours), repeat=length):
+            label = classify_parity_word(w, colours)
+            if label == POSITIVE:
+                positives.add(w)
+            elif label == NEGATIVE:
+                negatives.add(w)
+        assert s.positives == positives
+        assert s.negatives == negatives
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             gen_parity_samples(ParityConfig(2, 3), budget=7)

@@ -1,6 +1,7 @@
 """Minimal-size search loop, verification, and failure reporting."""
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,14 @@ from sepdfa.automata import (
     build_min_3dfa_incremental,
     run,
 )
+from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.mining import (
     MODES,
     MiningError,
+    NoSeparatorError,
     SizeRangeError,
+    _incompatible_sets,
+    incompatible_clique,
     mine_min_dfa,
     upper_bound,
     verify_separating,
@@ -200,14 +205,43 @@ class TestMining:
         assert [a.n for a in exc.value.report.attempts] == [4]
 
     def test_n_max_exhaustion(self, solver_cmd):
+        # an explicit n_start searches below the lower bound of 3 as asked
         samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
         with pytest.raises(MiningError) as exc:
-            mine_min_dfa(samples, solver_command=solver_cmd, n_max=2)
+            mine_min_dfa(samples, solver_command=solver_cmd, n_start=1,
+                         n_max=2)
         assert str(exc.value) == (
             "no separating DFA up to the requested size 2")
         report = exc.value.report
         assert [a.outcome for a in report.attempts] == ["unsat", "unsat"]
         assert report.dfa is None
+
+    @pytest.mark.parametrize("safety", [False, True])
+    def test_n_max_below_lower_bound(self, fake_solver, tmp_path, safety):
+        # refused once the clique is known, before any solver call
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
+        with pytest.raises(NoSeparatorError) as exc:
+            mine_min_dfa(samples, safety=safety, n_max=2,
+                         solver_command=[script])
+        assert str(exc.value) == (
+            "no separating DFA up to the requested size 2: the search needs "
+            "at least 3 states, as 3 acceptor states are pairwise "
+            "incompatible")
+        assert exc.value.report.lower_bound == 3
+        assert exc.value.report.attempts == []
+        assert not ran.exists()
+
+    def test_starts_below_lower_bound(self, solver_cmd):
+        # the size below the minimum is still tried, the ones under it not
+        samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
+        for mode in MODES:
+            report = mine_min_dfa(samples, mode=mode,
+                                  solver_command=solver_cmd)
+            assert report.lower_bound == 3
+            assert [(a.n, a.outcome) for a in report.attempts] == [
+                (2, "unsat"), (3, "sat")]
 
     def test_solver_failure_carries_partial_report(self, fake_solver):
         bad = fake_solver('exit 3\n')
@@ -265,5 +299,95 @@ class TestReportText:
         report = mine_min_dfa(samples, solver_command=solver_cmd)
         text = report.to_text()
         assert "mode min3dfa" in text
+        assert "acceptor size 3\nlower bound 2\nn=1 unsat" in text
         assert "minimal size 2" in text
         assert "verified yes" in text
+
+
+def incompatible_pairs_by_fixpoint(acceptor):
+    """Unordered incompatible state pairs, by iterating over all pairs."""
+    pairs = {frozenset((p, q)) for p in acceptor.accepting
+             for q in acceptor.rejecting}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in itertools.combinations(range(acceptor.state_count), 2):
+            if frozenset((p, q)) in pairs:
+                continue
+            for a in range(acceptor.alphabet_size):
+                pa = acceptor.transitions.get((p, a))
+                qa = acceptor.transitions.get((q, a))
+                if pa is not None and qa is not None and \
+                        frozenset((pa, qa)) in pairs:
+                    pairs.add(frozenset((p, q)))
+                    changed = True
+                    break
+    return pairs
+
+
+def access_words(acceptor):
+    """A shortest word reaching each state, first by letters ascending."""
+    words = {acceptor.initials[0]: ()}
+    queue = deque(words)
+    while queue:
+        q = queue.popleft()
+        for a in range(acceptor.alphabet_size):
+            r = acceptor.transitions.get((q, a))
+            if r is not None and r not in words:
+                words[r] = words[q] + (a,)
+                queue.append(r)
+    return words
+
+
+def distinguished(samples, u, v):
+    """Whether some suffix s makes u.s and v.s samples of opposite labels."""
+    for words, others in ((samples.positives, samples.negatives),
+                          (samples.negatives, samples.positives)):
+        for w in words:
+            if w[:len(u)] == u and v + w[len(u):] in others:
+                return True
+    return False
+
+
+class TestIncompatibleClique:
+    @given(small_sets)
+    @settings(max_examples=60)
+    def test_pairs_match_all_pairs_fixpoint(self, samples):
+        for build in (build_apta, build_min_3dfa_incremental, build_ddfa):
+            acceptor = build(samples)
+            sets = _incompatible_sets(acceptor)
+            got = {frozenset((p, q)) for p, bits in enumerate(sets)
+                   for q in range(acceptor.state_count) if bits >> q & 1}
+            assert got == incompatible_pairs_by_fixpoint(acceptor)
+
+    @given(small_sets)
+    @settings(max_examples=60)
+    def test_clique_pairs_have_sample_witnesses(self, samples):
+        acceptor = build_min_3dfa_incremental(samples)
+        clique = incompatible_clique(acceptor)
+        assert list(clique) == sorted(set(clique))
+        words = access_words(acceptor)
+        for p, q in itertools.combinations(clique, 2):
+            assert distinguished(samples, words[p], words[q])
+
+    @given(small_sets)
+    @settings(max_examples=15, deadline=None)
+    def test_minimum_is_at_least_the_clique(self, solver_cmd, samples):
+        clique = incompatible_clique(build_min_3dfa_incremental(samples))
+        report = mine_min_dfa(samples, solver_command=solver_cmd, n_start=1)
+        assert report.minimal_size >= len(clique)
+        assert report.lower_bound == len(clique)
+
+    def test_no_labels_give_one_state(self):
+        acceptor = build_apta(SampleSet(2, set(), set()))
+        assert incompatible_clique(acceptor) == (0,)
+
+    @pytest.mark.parametrize("n_states,seed,at_least", [
+        (4, 101, 4), (5, 102, 4), (6, 103, 6), (7, 104, 7), (8, 105, 8)])
+    def test_random_benchmarks_reach_their_minima(self, n_states, seed,
+                                                  at_least):
+        hidden = gen_random_dfa(n_states, 2, seed)
+        samples = gen_samples_from_dfa(
+            hidden, 50 * n_states, 2 * n_states + 3, seed=seed)
+        acceptor = build_min_3dfa_incremental(samples)
+        assert len(incompatible_clique(acceptor)) >= at_least
