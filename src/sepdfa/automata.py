@@ -7,7 +7,7 @@ that places one minimal acceptor per polarity side by side, each with its
 own initial state.  The three builders take a SampleSet, read its
 entries() in ascending order, and return a ThreeValuedDFA.  The same type
 holds the DFA decoded from a solver model, a hidden random DFA and a
-parsed dump.
+parsed dump, whose numbers follow the sample files' rule.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
+from .samples import (DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word,
+                      _parse_numbers)
 
 _STATUS_CODES = {POSITIVE: "A", NEGATIVE: "R", DONT_CARE: "D"}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
@@ -373,13 +374,11 @@ def dump_automaton(a: ThreeValuedDFA) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_number(token: str, line: str) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise AutomatonFormatError(f"not a number: {token!r} in {line!r}")
+def _numbers(fields: list[str], line: str) -> tuple[int, ...]:
     try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise AutomatonFormatError(f"too many digits in {line!r}") from None
+        return _parse_numbers(fields)
+    except ValueError as err:
+        raise AutomatonFormatError(f"{err} in {line!r}") from None
 
 
 def parse_automaton(text: str) -> ThreeValuedDFA:
@@ -391,24 +390,22 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
     if (len(head) != 6 or head[0] != "states" or head[2] != "initial"
             or head[4] != "alphabet"):
         raise AutomatonFormatError(f"bad header line: {lines[0]!r}")
-    state_count, initial, alphabet_size = (
-        _parse_number(head[i], lines[0]) for i in (1, 3, 5))
+    state_count, initial, alphabet_size = _numbers(head[1::2], lines[0])
     statuses: dict[int, str] = {}
     transitions: dict[tuple[int, int], int] = {}
     for ln in lines[1:]:
         fields = ln.split()
         if fields[0] == "state" and len(fields) == 3:
-            q = _parse_number(fields[1], ln)
+            (q,) = _numbers(fields[1:2], ln)
             if q in statuses:
                 raise AutomatonFormatError(f"duplicate state line for {q}")
             statuses[q] = fields[2]
         elif fields[0] == "trans" and len(fields) == 4:
-            key = (_parse_number(fields[1], ln), _parse_number(fields[2], ln))
-            if key in transitions:
+            q, letter, r = _numbers(fields[1:], ln)
+            if (q, letter) in transitions:
                 raise AutomatonFormatError(
-                    f"duplicate transition for state {key[0]} "
-                    f"letter {key[1]}")
-            transitions[key] = _parse_number(fields[3], ln)
+                    f"duplicate transition for state {q} letter {letter}")
+            transitions[q, letter] = r
         else:
             raise AutomatonFormatError(f"bad line: {ln!r}")
     if (len(statuses) != state_count

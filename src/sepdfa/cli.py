@@ -36,7 +36,12 @@ from .mining import (
     verify_separating,
 )
 from .samples import POSITIVE, SampleError, parse_abbadingo, write_abbadingo
-from .solver import DEFAULT_SOLVER_COMMAND, SolverError, SolverTimeoutError
+from .solver import (
+    DEFAULT_SOLVER_COMMAND,
+    MAX_TIMEOUT,
+    SolverError,
+    SolverTimeoutError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,14 +150,15 @@ def cmd_stats(args) -> int:
 
 
 def _seconds(text: str) -> float:
-    """A finite, positive number of seconds, for argparse's type=."""
+    """A positive number of seconds up to MAX_TIMEOUT, for argparse's type=."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:  # also false for nan
+    if not 0 < value <= MAX_TIMEOUT:  # also false for nan
         raise argparse.ArgumentTypeError(
-            f"expected a finite positive number of seconds, got {text!r}")
+            f"expected a finite positive number of seconds, at most "
+            f"{MAX_TIMEOUT}, got {text!r}")
     return value
 
 
@@ -167,13 +173,15 @@ def build_parser() -> _Parser:
     mine.add_argument("--mode", choices=MODES, default="min3dfa",
                       help="acceptor construction (default min3dfa)")
     mine.add_argument("--safety", action="store_true",
-                      help="restrict candidates to safety/co-safety shape")
+                      help="restrict candidates to safety/co-safety shape "
+                           "(needs an alphabet of at least 2 letters)")
     mine.add_argument("--no-symmetry-breaking", action="store_true",
                       help="drop the breadth-first-tree ordering clauses")
     mine.add_argument("--solver", default=DEFAULT_SOLVER_COMMAND,
                       help="solver command line (default: cadical)")
     mine.add_argument("--timeout", type=_seconds, default=None,
-                      help="per-call solver timeout in seconds")
+                      help="per-call solver timeout in seconds, at most "
+                           f"{MAX_TIMEOUT}")
     mine.add_argument("--n-start", type=int, default=None,
                       help="first candidate size to try (default: one "
                            "below the lower bound)")

@@ -29,7 +29,11 @@ MODES = tuple(_BUILDERS)
 
 
 class SizeRangeError(ValueError):
-    """The requested candidate sizes are invalid or empty."""
+    """The requested candidate sizes are invalid or empty.
+
+    Also raised for safety mode on a one-letter alphabet, where the
+    parity shape it pins needs two colours.
+    """
 
 
 class MiningError(RuntimeError):
@@ -111,14 +115,12 @@ def _incompatible_sets(acceptor: ThreeValuedDFA) -> list[int]:
     backwards: p and q are incompatible when some letter takes them to an
     incompatible pair.
     """
-    n, k = acceptor.state_count, acceptor.alphabet_size
-    # preds[a][r]: the states whose letter-a transition enters r, as a list
-    # and as a bitset.
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    pred_bits = [[0] * n for _ in range(k)]
+    n = acceptor.state_count
+    # into[r][a]: the bitset of states whose letter-a transition enters r,
+    # for the letters that enter r at all.
+    into: list[dict[int, int]] = [{} for _ in range(n)]
     for (q, a), r in acceptor.transitions.items():
-        preds[a][r].append(q)
-        pred_bits[a][r] |= 1 << q
+        into[r][a] = into[r].get(a, 0) | 1 << q
     incompatible = [0] * n
     accepting = sum(1 << q for q in acceptor.accepting)
     rejecting = sum(1 << q for q in acceptor.rejecting)
@@ -129,11 +131,15 @@ def _incompatible_sets(acceptor: ThreeValuedDFA) -> list[int]:
     work = [(p, q) for p in acceptor.accepting for q in acceptor.rejecting]
     while work:
         p, q = work.pop()
-        for a in range(k):
-            q_bits = pred_bits[a][q]
-            if not q_bits:
+        into_q = into[q]
+        for a, p_bits in into[p].items():
+            q_bits = into_q.get(a)
+            if q_bits is None:
                 continue
-            for pp in preds[a][p]:
+            while p_bits:
+                low = p_bits & -p_bits
+                pp = low.bit_length() - 1
+                p_bits ^= low
                 fresh = q_bits & ~incompatible[pp]
                 if not fresh:
                     continue
@@ -225,7 +231,8 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     size below the answer is still tried, but never below 1, or 2 in
     safety mode, where the sink must differ from the initial state.  An
     explicit n_start is used as given.  Every returned DFA has been
-    re-checked against the samples.  Sizes that cannot be searched raise
+    re-checked against the samples.  Sizes that cannot be searched, and
+    safety mode on an alphabet of fewer than two letters, raise
     SizeRangeError before any work; so does, before any solver call, an
     n_start above the acceptor's size bound when n_max is not given.
     Without n_start, an n_max below the lower bound raises
@@ -241,6 +248,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     first = floor if n_start is None else n_start
     if n_max is not None and n_max < first:
         raise SizeRangeError(f"n_max must be at least n_start ({first})")
+    if safety and samples.alphabet_size < 2:
+        raise SizeRangeError(
+            f"safety mode needs an alphabet of at least 2 letters (parity "
+            f"colours); the samples have {samples.alphabet_size}")
     builder = _BUILDERS.get(mode)
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")

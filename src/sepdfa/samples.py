@@ -5,6 +5,9 @@ SampleSet, the one sample type from parser to acceptor builders, keeps
 disjoint positive and negative example words; every word mentioned in
 neither set is implicitly a don't-care.  SampleSet.entries() lists the
 labelled words in ascending order, the order the builders consume.
+SampleSet is the one checker of letters and labels; parse_abbadingo checks
+only the file format, whose numbers, like those of automaton dumps, are
+runs of ASCII digits.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ class ConflictingLabelsError(SampleError):
 def _check_word(w: Word, alphabet_size: int) -> None:
     for a in w:
         if not 0 <= a < alphabet_size:
-            raise SampleError(
-                f"letter {a} out of range for alphabet size {alphabet_size}")
+            raise SampleError(f"word {w!r}: letter {a} out of range for "
+                              f"alphabet size {alphabet_size}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,20 @@ def classify(s: SampleSet, w: Word) -> str:
     return DONT_CARE
 
 
-def _parse_int(token: str, what: str, line_no: int) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise SampleError(f"line {line_no}: {what} is not a number: {token!r}")
+def _parse_numbers(fields: list[str]) -> tuple[int, ...]:
+    """The fields, one or more as str.split() gives them, as ints.
+
+    The number rule of both text formats: raises ValueError unless every
+    field is a run of ASCII digits with no more digits than int() converts.
+    """
+    digits = "".join(fields)  # one isascii() and isdigit() call per line
+    if not (digits.isascii() and digits.isdigit()):
+        bad = next(f for f in fields if not (f.isascii() and f.isdigit()))
+        raise ValueError(f"not a number: {bad!r}")
     try:
-        return int(token)
+        return tuple(map(int, fields))
     except ValueError:  # more digits than int() converts
-        raise SampleError(
-            f"line {line_no}: {what} has too many digits") from None
+        raise ValueError("too many digits") from None
 
 
 def parse_abbadingo(text: str) -> SampleSet:
@@ -98,6 +107,7 @@ def parse_abbadingo(text: str) -> SampleSet:
     The header line carries the sample count and the alphabet size; each
     following line is "<label> <length> <letters...>" with label 1 for
     positive and 0 for negative.  Blank lines at the end are ignored.
+    The alphabet size, the letters and the labels are SampleSet's to check.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -107,39 +117,31 @@ def parse_abbadingo(text: str) -> SampleSet:
     header = lines[0].split()
     if len(header) != 2:
         raise SampleError("header must hold sample count and alphabet size")
-    count = _parse_int(header[0], "sample count", 1)
-    alphabet_size = _parse_int(header[1], "alphabet size", 1)
-    if alphabet_size < 1:
-        raise SampleError("alphabet size must be at least 1")
+    try:
+        count, alphabet_size = _parse_numbers(header)
+    except ValueError as err:
+        raise SampleError(f"line 1: {err}") from None
     if len(lines) - 1 != count:
         raise SampleError(
             f"header declares {count} samples, file holds {len(lines) - 1}")
-    positives: set[Word] = set()
-    negatives: set[Word] = set()
+    words: dict[str, set[Word]] = {"1": set(), "0": set()}
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split()
         if len(fields) < 2:
             raise SampleError(f"line {line_no}: expected label and length")
-        if fields[0] not in ("0", "1"):
+        labelled = words.get(fields[0])
+        if labelled is None:
             raise SampleError(f"line {line_no}: label must be 0 or 1")
-        length = _parse_int(fields[1], "word length", line_no)
-        if len(fields) - 2 != length:
+        try:
+            numbers = _parse_numbers(fields[1:])
+        except ValueError as err:
+            raise SampleError(f"line {line_no}: {err}") from None
+        if len(numbers) - 1 != numbers[0]:
             raise SampleError(
-                f"line {line_no}: declared length {length}, "
-                f"found {len(fields) - 2} letters")
-        word = tuple(_parse_int(f, "letter", line_no) for f in fields[2:])
-        _check_word(word, alphabet_size)
-        if fields[0] == "1":
-            if word in negatives:
-                raise ConflictingLabelsError(
-                    f"line {line_no}: word {word!r} already labelled negative")
-            positives.add(word)
-        else:
-            if word in positives:
-                raise ConflictingLabelsError(
-                    f"line {line_no}: word {word!r} already labelled positive")
-            negatives.add(word)
-    return SampleSet(alphabet_size, frozenset(positives), frozenset(negatives))
+                f"line {line_no}: declared length {numbers[0]}, "
+                f"found {len(numbers) - 1} letters")
+        labelled.add(numbers[1:])
+    return SampleSet(alphabet_size, words["1"], words["0"])
 
 
 def write_abbadingo(s: SampleSet) -> str:

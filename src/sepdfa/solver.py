@@ -5,7 +5,8 @@ file, streamed from the formula's literal buffer, as its last argument
 and must answer with SAT-competition output, an "s" status line plus "v"
 value lines, and exit status 10 for satisfiable or 20 for unsatisfiable.
 Both channels are cross-checked, and satisfying models are checked
-against the literal buffer before anyone gets to rely on them.
+against the literal buffer before anyone gets to rely on them.  A timeout
+is at most MAX_TIMEOUT seconds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from typing import Sequence
 from .encoding import CnfFormula, emit_dimacs
 
 DEFAULT_SOLVER_COMMAND = "cadical"
+# The longest timeout, in seconds, that solve() accepts: waiting for the
+# solver polls its pipes with a timeout in milliseconds held in a C int.
+MAX_TIMEOUT = (2**31 - 1) // 1000
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[A-Za-z]|\x1b.|[\r\x07]")
 _STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\b")
@@ -104,12 +108,16 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     appended to the command line.  On timeout the whole solver process
     group is killed and SolverTimeoutError is raised; on any other
     exception during the wait, KeyboardInterrupt included, it is killed
-    and the exception propagates.
+    and the exception propagates.  A timeout above MAX_TIMEOUT raises
+    ValueError before anything is written or run.
     """
     command = (shlex.split(solver_command) if isinstance(solver_command, str)
                else list(solver_command))
     if not command:
         raise SolverError("empty solver command")
+    if timeout is not None and timeout > MAX_TIMEOUT:
+        raise ValueError(f"solver timeout {timeout} exceeds the longest "
+                         f"wait of {MAX_TIMEOUT} seconds")
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "w") as handle:

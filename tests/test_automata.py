@@ -312,6 +312,7 @@ class TestDumpParse:
         "states 1 initial 0 alphabet 1\nstate \u0660 A\n",
         "states 1 initial 0 alphabet 1\nstate 0 A\ntrans 0 0 -0\n",
         "states \u0661 initial 0 alphabet 1\nstate 0 A\n",
+        "states 1 initial 0 alphabet 1\nstate " + "1" * 5000 + " A\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(AutomatonFormatError):

@@ -58,7 +58,8 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not ran.exists()
 
-    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x"])
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "x",
+                                         "2147484"])
     def test_bad_timeout(self, tmp_path, fake_solver, capsys, seconds):
         # rejected while parsing the command line, before any solver runs
         ran = tmp_path / "ran"
@@ -68,6 +69,19 @@ class TestUsageErrors:
                      "--timeout", seconds]) == 1
         err = capsys.readouterr().err
         assert "finite positive number of seconds" in err
+        assert not ran.exists()
+
+    def test_safety_on_one_letter(self, tmp_path, fake_solver, capsys):
+        # refused with the size checks, before any solver runs
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = write(tmp_path / "k1.txt", "2 1\n1 1 0\n0 2 0 0\n")
+        assert main(["mine", samples, "--safety", "--solver", script]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: safety mode needs an alphabet of at least 2 letters "
+            "(parity colours); the samples have 1\n")
+        assert captured.out == ""
         assert not ran.exists()
 
     def test_help_exits_zero(self, capsys):

@@ -1,12 +1,14 @@
 """Minimal-size search loop, verification, and failure reporting."""
 
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepdfa import automata
 from sepdfa.automata import (
     ThreeValuedDFA,
     build_apta,
@@ -26,7 +28,7 @@ from sepdfa.mining import (
     upper_bound,
     verify_separating,
 )
-from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet
+from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet, parse_abbadingo
 from sepdfa.solver import SolverError, SolverTimeoutError
 
 words = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -188,6 +190,25 @@ class TestMining:
                 mine_min_dfa(SampleSet(1, {()}, set()), n_max=n_max,
                              safety=safety, solver_command=["no-solver"])
 
+    def test_safety_needs_two_letters(self, fake_solver, tmp_path,
+                                      monkeypatch):
+        # the parity shape needs two colours; refused before any build
+        def no_build(samples):
+            raise AssertionError("acceptor built")
+
+        for name in ("build_apta", "build_min_3dfa_incremental",
+                     "build_ddfa"):
+            monkeypatch.setattr(automata, name, no_build)
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = SampleSet(1, {(0,)}, {(0, 0)})
+        for mode in MODES:
+            with pytest.raises(SizeRangeError,
+                               match="at least 2 letters.* have 1$"):
+                mine_min_dfa(samples, mode, safety=True,
+                             solver_command=[script])
+        assert not ran.exists()
+
     def test_n_start_above_bound(self, fake_solver, tmp_path):
         # rejected once the acceptor gives the bound, before any solver call
         ran = tmp_path / "ran"
@@ -221,7 +242,8 @@ class TestMining:
         # refused once the clique is known, before any solver call
         ran = tmp_path / "ran"
         script = fake_solver(f'touch "{ran}"\nexit 1\n')
-        samples = SampleSet(1, {(), (0, 0, 0)}, {(0,), (0, 0)})
+        # two letters, as safety mode needs, though only letter 0 is used
+        samples = SampleSet(2, {(), (0, 0, 0)}, {(0,), (0, 0)})
         with pytest.raises(NoSeparatorError) as exc:
             mine_min_dfa(samples, safety=safety, n_max=2,
                          solver_command=[script])
@@ -377,6 +399,20 @@ class TestIncompatibleClique:
         report = mine_min_dfa(samples, solver_command=solver_cmd, n_start=1)
         assert report.minimal_size >= len(clique)
         assert report.lower_bound == len(clique)
+
+    def test_unused_letters_cost_nothing(self):
+        # the predecessor index holds the transitions that exist, not one
+        # entry per letter and state
+        samples = parse_abbadingo("2 1000000\n1 1 0\n0 1 5\n")
+        acceptor = build_min_3dfa_incremental(samples)
+        tracemalloc.start()
+        try:
+            clique = incompatible_clique(acceptor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clique) == 2
+        assert peak < 10_000_000
 
     def test_no_labels_give_one_state(self):
         acceptor = build_apta(SampleSet(2, set(), set()))

@@ -1,9 +1,12 @@
 """Sample-set container, ordering, and Abbadingo round trips."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepdfa
 from sepdfa.samples import (
     DONT_CARE,
     NEGATIVE,
@@ -11,6 +14,7 @@ from sepdfa.samples import (
     ConflictingLabelsError,
     SampleError,
     SampleSet,
+    _parse_numbers,
     classify,
     parse_abbadingo,
     write_abbadingo,
@@ -132,10 +136,26 @@ class TestAbbadingo:
         "1 2\n1 1 -1\n",
         "1 0\n1 0\n",            # empty alphabet
         "1 2\n1 x\n",
+        "1 2\n01 1 0\n",         # label with a leading zero
+        "1 2 2\n1 1 0\n",        # header of three numbers
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(SampleError):
             parse_abbadingo(text)
+
+    @pytest.mark.parametrize("text,word", [
+        ("2 2\n1 1 0\n0 2 0 2\n", (0, 2)),      # letter out of range
+        ("3 2\n1 1 1\n0 0\n0 1 1\n", (1,)),    # both labels
+    ])
+    def test_refusal_names_the_word(self, text, word):
+        with pytest.raises(SampleError, match=re.escape(repr(word))):
+            parse_abbadingo(text)
+
+    def test_number_helper_is_not_public(self):
+        # perfbench/tracer.py wraps every function in sepdfa.__all__, and a
+        # wrapper around this per-line helper would take time out of the
+        # span of parse_abbadingo
+        assert _parse_numbers.__name__ not in sepdfa.__all__
 
     @pytest.mark.parametrize("text", [
         "1 2\n1 1 \u00b2\n",          # superscript two

@@ -2,6 +2,7 @@
 
 import os
 import subprocess
+import tempfile
 import time
 from array import array
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from sepdfa.encoding import CnfFormula
 from sepdfa.solver import (
+    MAX_TIMEOUT,
     SolverError,
     SolverTimeoutError,
     find_solver,
@@ -172,6 +174,22 @@ class TestSolveWithFakeSolver:
         script = fake_solver("sleep 60\n")
         with pytest.raises(SolverTimeoutError):
             solve(SAT_2VAR, [script], timeout=0.3)
+
+    def test_longest_timeout(self, fake_solver, tmp_path, monkeypatch):
+        # a longer wait cannot be polled for: refused before the temp file
+        # is written or the solver started
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\n'
+                             'echo "s SATISFIABLE"\necho "v -1 2 0"\nexit 10\n')
+        with pytest.raises(ValueError, match="longest wait"):
+            solve(SAT_2VAR, [script], timeout=MAX_TIMEOUT + 1)
+        assert not ran.exists()
+        assert not any(temp_dir.iterdir())
+        assert solve(SAT_2VAR, [script], timeout=MAX_TIMEOUT).outcome == "sat"
+        assert ran.exists()
 
     def test_interrupt_kills_solver(self, fake_solver, tmp_path,
                                     monkeypatch):
