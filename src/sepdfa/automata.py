@@ -240,99 +240,78 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
 class _IncrementalBuilder:
     """Grows a minimal acyclic automaton from ascending samples.
 
-    At every point the automaton is minimal except for the path of the
-    most recent word; a register keyed by (status, children) signatures
-    holds one representative per equivalence class.  peak_live tracks the
-    high-water mark of simultaneously existing states.
+    Only the latest word's path is unminimised: a stack of [status,
+    children] entries, root first.  The register numbers every other
+    state by its (status, children) signature, for good.  A new word
+    folds the stacked states below its common prefix with the previous
+    word into the register and pushes its suffix.  peak_live is the
+    high-water mark of registered plus stacked states.
     """
 
     def __init__(self):
-        self.children: list[dict[int, int] | None] = [{}]
-        self.status: list[str] = [DONT_CARE]
         self.register: dict[tuple, int] = {}
-        self.live = 1
+        self.stack: list[list] = [[DONT_CARE, {}]]
+        self.prev: Word = ()
         self.peak_live = 1
 
-    def _signature(self, q: int) -> tuple:
-        return (self.status[q], tuple(sorted(self.children[q].items())))
+    def _fold(self, depth: int) -> int | None:
+        """Register the stacked states below depth, deepest first.
 
-    def _replace_or_register(self, p: int) -> None:
-        # The un-minimised suffix of the previous word hangs off p along
-        # the chain of maximal-letter children; fold it bottom-up.
-        chain = [p]
-        while self.children[chain[-1]]:
-            kids = self.children[chain[-1]]
-            chain.append(kids[max(kids)])
-        for idx in range(len(chain) - 1, 0, -1):
-            state = chain[idx]
-            parent_kids = self.children[chain[idx - 1]]
-            sig = self._signature(state)
-            known = self.register.get(sig)
-            if known is None:
-                self.register[sig] = state
-            elif known != state:
-                parent_kids[max(parent_kids)] = known
-                self.children[state] = None
-                self.live -= 1
+        Each becomes its parent's last child, keeping children in letter
+        order.  Returns the root's number once the root is folded.
+        """
+        stack, register = self.stack, self.register
+        while len(stack) > depth:
+            status, kids = stack.pop()
+            q = register.setdefault((status, tuple(kids.items())),
+                                    len(register))
+            if not stack:
+                return q
+            stack[-1][1][self.prev[len(stack) - 1]] = q
+        return None
 
     def add(self, w: Word, label: str) -> None:
-        cur = 0
-        depth = 0
-        for a in w:
-            nxt = self.children[cur].get(a)
-            if nxt is None:
+        common = 0
+        for a, b in zip(w, self.prev):
+            if a != b:
                 break
-            cur = nxt
-            depth += 1
-        if self.children[cur]:
-            self._replace_or_register(cur)
-        suffix = w[depth:]
-        if not suffix:
-            # Ascending order leaves only one way to land on an existing
-            # state: the empty word as the very first sample.
-            self.status[cur] = label
-            return
-        for a in suffix:
-            nid = len(self.children)
-            self.children.append({})
-            self.status.append(DONT_CARE)
-            self.children[cur][a] = nid
-            cur = nid
-            self.live += 1
-            if self.live > self.peak_live:
-                self.peak_live = self.live
-        self.status[cur] = label
+            common += 1
+        self._fold(common + 1)
+        self.stack.extend([DONT_CARE, {}] for _ in range(common, len(w)))
+        self.stack[-1][0] = label
+        self.prev = w
+        self.peak_live = max(self.peak_live,
+                             len(self.register) + len(self.stack))
 
     def finish(self) -> tuple[list[dict[int, int]], list[str]]:
         """Fold the last word in; successor maps and statuses per state.
 
         States are renumbered in breadth-first order, letters ascending,
-        from state 0.
+        from the root.
         """
-        if self.children[0]:
-            self._replace_or_register(0)
-        order = {0: 0}
-        seq = [0]
+        root = self._fold(0)
+        signatures = list(self.register)  # in the order they were numbered
+        order = {root: 0}
+        seq = [root]
         for q in seq:  # grows while it is walked: a breadth-first queue
-            kids = self.children[q]
-            for a in sorted(kids):
-                r = kids[a]
+            for _, r in signatures[q][1]:
                 if r not in order:
                     order[r] = len(seq)
                     seq.append(r)
-        if len(seq) != self.live:
+        if len(seq) != len(signatures):
             raise RuntimeError(
                 "internal error: live state count does not match reachability")
-        children = [{a: order[r] for a, r in self.children[q].items()}
-                    for q in seq]
-        return children, [self.status[q] for q in seq]
+        return ([{a: order[r] for a, r in signatures[q][1]} for q in seq],
+                [signatures[q][0] for q in seq])
 
 
 def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal three-valued automaton for the samples, built incrementally.
 
-    Equivalent to minimising the prefix-tree acceptor, but the working
-    automaton never grows beyond the number of distinct sample prefixes.
+    Equal to minimize_acyclic(build_apta(samples)), states numbered
+    breadth first alike, but the working automaton, a register of
+    minimised states plus the stacked path of the latest word, never
+    grows beyond the number of distinct sample prefixes.
     """
     builder = _IncrementalBuilder()
     for w, label in samples.entries():

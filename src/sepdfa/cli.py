@@ -21,6 +21,7 @@ from .generators import (
     WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
+    _check_request,
     format_stats_line,
     gen_parity_samples,
     gen_random_dfa,
@@ -111,6 +112,7 @@ def cmd_gen_random(args) -> int:
     if max_len is None:
         max_len = 2 * args.dfa_size + 3
     try:
+        _check_request(count, max_len, 2)  # the draw below may take long
         dfa = gen_random_dfa(args.dfa_size, 2, args.seed)
         samples = gen_samples_from_dfa(dfa, count, max_len, seed=args.seed)
     except ValueError as err:

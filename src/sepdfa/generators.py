@@ -113,12 +113,17 @@ def gen_parity_samples(cfg: ParityConfig,
     Words are walked depth first on their per-prefix state (_parity_step,
     memoised), so each label costs O(1) rather than classify_parity_word's
     O(L^2), and a prefix that has closed both a winning and a losing cycle
-    is dropped with all its completions.
+    is dropped with all its completions.  A request for more than budget
+    words is refused before any is built, with a message that names the
+    count as a power: colours**length may have too many digits to print.
     """
-    if cfg.word_count > budget:
-        raise BudgetExceededError(
-            f"{cfg.colours}^{cfg.length} = {cfg.word_count} words exceed "
-            f"the budget of {budget}")
+    count = 1
+    for _ in range(cfg.length):
+        count *= cfg.colours
+        if count > budget:
+            raise BudgetExceededError(
+                f"{cfg.colours}^{cfg.length} words exceed the budget of "
+                f"{budget}")
     colours = range(cfg.colours)
     successors: dict[tuple, list[tuple[int, tuple]]] = {}
 
@@ -169,14 +174,15 @@ def gen_random_dfa(size: int, alphabet_size: int = 2,
             return dfa
 
 
-def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
-                         seed: int = 0) -> SampleSet:
-    """Draw count distinct words and label each with the hidden DFA.
+def _check_request(count: int, max_len: int, alphabet_size: int) -> int:
+    """Refuse a random-corpus request before anything is drawn.
 
-    Word lengths are uniform on [0, max_len], letters uniform over the
-    alphabet.  When the request covers most of the word pool the pool is
-    enumerated and shuffled instead, so the draw always terminates.
-    Requests whose count times max_len exceeds WORD_BUDGET are refused.
+    count words of length up to max_len must be distinct, and count times
+    max_len may not exceed WORD_BUDGET letters.  Returns the number of
+    words of length 0..max_len, counted only up to one past count's bit
+    length: only whether the pool holds count and 2 * count words
+    matters, which with two or more letters it does from there on, and a
+    huge integer is not built.
     """
     if count < 0:
         raise ValueError("count must not be negative")
@@ -186,16 +192,26 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
         raise BudgetExceededError(
             f"{count} words of length up to {max_len} exceed the budget of "
             f"{WORD_BUDGET} letters")
-    k = dfa.alphabet_size
-    # The pool is the words of length 0..max_len.  Only whether it holds
-    # count and 2 * count words matters, which with k >= 2 it does once
-    # the length passes count's bit length: stop there, not build a huge
-    # integer.
+    k = alphabet_size
     span = min(max_len, count.bit_length() + 1)
     pool = max_len + 1 if k == 1 else (k ** (span + 1) - 1) // (k - 1)
     if count > pool:
         raise ValueError(
             f"cannot draw {count} distinct words from a pool of {pool}")
+    return pool
+
+
+def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
+                         seed: int = 0) -> SampleSet:
+    """Draw count distinct words and label each with the hidden DFA.
+
+    Word lengths are uniform on [0, max_len], letters uniform over the
+    alphabet.  When the request covers most of the word pool the pool is
+    enumerated and shuffled instead, so the draw always terminates.
+    Requests that _check_request refuses raise before any draw.
+    """
+    k = dfa.alphabet_size
+    pool = _check_request(count, max_len, k)
     rng = random.Random(seed)
     words: set[Word] = set()
     if count * 2 > pool:

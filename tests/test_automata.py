@@ -163,6 +163,8 @@ class TestIncremental:
         inc = build_min_3dfa_incremental(s)
         batch = minimize_acyclic(build_apta(s))
         assert isomorphic(inc, batch)
+        # field for field: both number their states breadth first
+        assert inc == batch
 
     @given(sample_sets)
     def test_peak_live_bounded_by_prefix_count(self, s):
@@ -224,6 +226,24 @@ class TestDoubleDFA:
         assert dd.initials[1] == pos.state_count
         assert {k: r for k, r in dd.transitions.items()
                 if k[0] < pos.state_count} == pos.transitions
+
+    @given(sample_sets)
+    def test_parts_are_the_polarity_builds(self, s):
+        dd = build_ddfa(s)
+        split = dd.initials[1]
+        pos = build_min_3dfa_incremental(
+            SampleSet(s.alphabet_size, s.positives, set()))
+        neg = build_min_3dfa_incremental(
+            SampleSet(s.alphabet_size, set(), s.negatives))
+        assert pos == ThreeValuedDFA(
+            s.alphabet_size, split, (0,),
+            {(q, a): r for (q, a), r in dd.transitions.items() if q < split},
+            dd.accepting, frozenset())
+        assert neg == ThreeValuedDFA(
+            s.alphabet_size, dd.state_count - split, (0,),
+            {(q - split, a): r - split
+             for (q, a), r in dd.transitions.items() if q >= split},
+            frozenset(), frozenset(q - split for q in dd.rejecting))
 
 
 def reachable_states(a):

@@ -212,9 +212,17 @@ class TestGenParity:
 
     def test_budget_exceeded(self, tmp_path, capsys):
         out = tmp_path / "corpus.txt"
-        assert main(["gen-parity", "--colours", "2", "--length", "3",
-                     "--out", str(out), "--budget", "7"]) == 1
-        assert not out.exists()
+        # the large counts have too many digits to print: named as powers
+        for flags, count in ((["--colours", "2", "--length", "3",
+                               "--budget", "7"], "2^3"),
+                             (["--colours", "2", "--length", "20000"],
+                              "2^20000"),
+                             (["--colours", "1000000", "--length", "1000001"],
+                              "1000000^1000001")):
+            assert main(["gen-parity", *flags, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {count} words exceed the budget of ")
+            assert not out.exists()
 
 
 class TestGenRandomAndVerify:
@@ -247,7 +255,9 @@ class TestGenRandomAndVerify:
                       ["--dfa-size", "2", "--max-len", "1",
                        "--sample-count", "50"],
                       # 100 * 300000 letters exceed the word budget
-                      ["--dfa-size", "2", "--max-len", "3000000"]):
+                      ["--dfa-size", "2", "--max-len", "3000000"],
+                      # refused before the slow draw of a 2000-state DFA
+                      ["--dfa-size", "2000"]):
             assert main(["gen-random", *flags, "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith("gen-random: ")
             assert not out.exists()
@@ -299,5 +309,12 @@ class TestStats:
         assert main(["stats", "--colours", "3", "--length", "3"]) == 1
 
     def test_budget_exceeded(self, capsys):
-        assert main(["stats", "--colours", "2", "--length", "3",
-                     "--budget", "7"]) == 1
+        for flags, count in ((["--colours", "2", "--length", "3",
+                               "--budget", "7"], "2^3"),
+                             (["--colours", "10", "--length", "5000"],
+                              "10^5000")):
+            assert main(["stats", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: {count} words exceed the budget of ")
+            assert captured.out == ""
