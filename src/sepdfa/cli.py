@@ -11,7 +11,9 @@ before the error line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 import traceback
 
@@ -72,18 +74,39 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _claim_for_writing(path: str) -> bool:
+    """Raise OSError unless path can be written; leave its content as it is.
+
+    Returns whether this call created the (empty) file.
+    """
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()
+        return False
+    return True
+
+
 def cmd_mine(args) -> int:
     samples = parse_abbadingo(_read_text(args.samples))
-    report = mine_min_dfa(
-        samples,
-        mode=args.mode,
-        safety=args.safety,
-        symmetry_breaking=not args.no_symmetry_breaking,
-        solver_command=args.solver,
-        timeout=args.timeout,
-        n_start=args.n_start,
-        n_max=args.n_max,
-    )
+    # An unwritable --dfa-out fails here, before the search, not after it.
+    created = bool(args.dfa_out) and _claim_for_writing(args.dfa_out)
+    try:
+        report = mine_min_dfa(
+            samples,
+            mode=args.mode,
+            safety=args.safety,
+            symmetry_breaking=not args.no_symmetry_breaking,
+            solver_command=args.solver,
+            timeout=args.timeout,
+            n_start=args.n_start,
+            n_max=args.n_max,
+        )
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.dfa_out)
+        raise
     sys.stdout.write(report.to_text())
     if args.dfa_out:
         _write_text(args.dfa_out, dump_automaton(report.dfa))

@@ -9,7 +9,11 @@ p(child, parent) and m(i, a, j), and shape constraints that force the
 candidate into safety or co-safety form for parity corpora.
 
 Each encoder appends its clauses to one flat array('i') of literals, each
-clause closed by a 0 as in DIMACS; emit_dimacs streams it in chunks.
+clause closed by a 0 as in DIMACS; emit_dimacs streams it in chunks of
+about _CHUNK literals.  The product clauses, nearly the whole formula on a
+prefix tree, are filled column by column: a zeroed block of at most
+_CHUNK literals takes one clause slot at a time, by strided slices over
+every transition in the block.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from typing import Mapping, TextIO
 
 from .automata import ThreeValuedDFA
 
-_CHUNK = 1 << 16  # literals per DIMACS chunk, rounded up to a clause end
+# Literals per DIMACS chunk, rounded up to a clause end, and at most per
+# product block (about 256 KiB of 4-byte literals).
+_CHUNK = 1 << 16
 # A clause, marked "|"-terminated, whose literals are all false ("0").
 _FALSE_CLAUSE_RE = re.compile(rb"(?:^|\|)0*\|")
 
@@ -174,30 +180,63 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array) -> None:
     Product pairs seed at the initial states and follow the acceptor's
     transitions in the order they are stored; candidate states paired with
     an accepting acceptor state must accept, those paired with a rejecting
-    one must reject.
+    one must reject.  Clauses are filled column by column, by strided
+    slices that each store one clause slot of many clauses, so the
+    interpreted work grows with transitions times n, not times n².
     """
     if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
     if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
     n = vm.n
+    d_first = vm.d_row(0).start  # d(p, i) is d_first + p*n + i
     for q0 in acceptor.initials:
         out.extend((vm.d(q0, 0), 0))
+    # Clauses -d(p, i) ±f(i) for each status state p in order, then i.
+    # Clause (p, i) starts at 3(kn + i) for the k-th state p, so one slice
+    # of stride 3n stores -d(p, i) for every p; the f row repeats.
+    f_row = [vm.f(i) for i in range(n)]
     for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
-        for p in sorted(states):
-            for i, var in enumerate(vm.d_row(p)):
-                out.extend((-var, sign * vm.f(i), 0))
+        rows = [-d_first - p * n for p in sorted(states)]
+        block = array("i", [0]) * (3 * n * len(rows))
+        for i in range(n):
+            block[3 * i::3 * n] = array("i", [row - i for row in rows])
+        block[1::3] = array("i", [sign * var for var in f_row]) * len(rows)
+        out.extend(block)
     # Transition (p, a) -> r gives the clauses -d(p, i) -e(i, a, j) d(r, j)
-    # for i, then j, in 0..n-1.  The -e column depends on the letter only,
-    # so one block of n*n clauses is refilled by strided slices.
-    columns = [[-var for i in range(n) for var in vm.e_row(i, a)]
+    # for i, then j, in 0..n-1: 4n² literals per transition, in stored
+    # order.  One block, zeroed once, is refilled for each run of
+    # transitions: at most _CHUNK literals unless one transition alone is
+    # more (a fresh block per run raised peak RSS).  Clause (i, j) of each
+    # transition in the run starts at 4(in + j) modulo 4n², so one slice of
+    # stride 4n² stores its -d(p, i) (one array per i) or its d(r, j) (one
+    # array per j) for the whole run.  The -e column depends on the letter
+    # only; it is built once per formula and stored by one slice per
+    # transition.  No slice touches the closing 0s, so they stay.
+    columns = [array("i", [-var for i in range(n) for var in vm.e_row(i, a)])
                for a in range(vm.alphabet_size)]
-    block = [0] * (4 * n * n)
-    for (p, a), r in acceptor.transitions.items():
-        block[0::4] = [-var for var in vm.d_row(p) for _ in range(n)]
-        block[1::4] = columns[a]
-        block[2::4] = list(vm.d_row(r)) * n
-        out.fromlist(block)
+    transitions = acceptor.transitions
+    sources = [-d_first - p * n for p, _ in transitions]  # -d(p, 0)
+    letters = [a for _, a in transitions]
+    targets = [d_first + r * n for r in transitions.values()]  # d(r, 0)
+    width = 4 * n * n
+    step = max(1, _CHUNK // width)
+    block = array("i", [0]) * (width * min(step, len(letters)))
+    for start in range(0, len(letters), step):
+        run = slice(start, start + step)
+        froms, tos = sources[run], targets[run]
+        del block[width * len(froms):]  # only the last run can be shorter
+        for i in range(n):
+            lits = array("i", [base - i for base in froms])
+            for j in range(n):
+                block[4 * (i * n + j)::width] = lits
+        for j in range(n):
+            lits = array("i", [base + j for base in tos])
+            for i in range(n):
+                block[4 * (i * n + j) + 2::width] = lits
+        for t, a in enumerate(letters[run]):
+            block[t * width + 1:(t + 1) * width:4] = columns[a]
+        out.extend(block)
 
 
 def encode_symmetry_breaking(vm: VarMap, out: array,

@@ -12,6 +12,7 @@ replayed on every sample before it is reported.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from . import automata
@@ -60,6 +61,7 @@ class SizeAttempt:
     outcome: str  # "sat" or "unsat"
     variables: int
     clauses: int
+    encode_seconds: float  # wall time of build_formula
     solve_seconds: float
 
 
@@ -88,7 +90,8 @@ class MiningReport:
         for att in self.attempts:
             lines.append(
                 f"n={att.n} {att.outcome} vars={att.variables} "
-                f"clauses={att.clauses} time={att.solve_seconds:.3f}s")
+                f"clauses={att.clauses} encode={att.encode_seconds:.3f}s "
+                f"time={att.solve_seconds:.3f}s")
         if self.dfa is not None:
             lines.append(f"minimal size {self.dfa.state_count}")
             lines.append("verified yes")
@@ -281,8 +284,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             f"give n_max to search beyond it")
     n = n_start
     while n <= bound:
+        started = time.perf_counter()
         vm, formula = build_formula(n, acceptor, symmetry=symmetry_breaking,
                                     safety=safety)
+        encode_seconds = time.perf_counter() - started
         try:
             verdict = solve(formula, solver_command, timeout=timeout)
         except SolverError as err:
@@ -293,6 +298,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             outcome=verdict.outcome,
             variables=formula.variable_count,
             clauses=formula.clause_count,
+            encode_seconds=encode_seconds,
             solve_seconds=verdict.wall_time,
         ))
         if verdict.outcome == "sat":

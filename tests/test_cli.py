@@ -156,6 +156,36 @@ class TestMine:
             "pairwise incompatible\n")
         assert not ran.exists()
 
+    def test_unwritable_dfa_out_refused_before_search(self, tmp_path,
+                                                      fake_solver, capsys):
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        dfa_out = tmp_path / "absent-dir" / "x.dfa"
+        assert main(["mine", samples, "--solver", script,
+                     "--dfa-out", str(dfa_out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err
+        assert not ran.exists()
+        assert not dfa_out.parent.exists()
+
+    @pytest.mark.parametrize("existing", [None, "old dump\n"])
+    def test_failed_mine_leaves_dfa_out_as_found(self, tmp_path, fake_solver,
+                                                 capsys, existing):
+        # the early check neither truncates a file nor leaves one behind
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        unsat = fake_solver("echo 's UNSATISFIABLE'\nexit 20\n")
+        dfa_out = tmp_path / "result.dfa"
+        if existing is not None:
+            dfa_out.write_text(existing)
+        assert main(["mine", samples, "--solver", unsat, "--n-start", "1",
+                     "--n-max", "1", "--dfa-out", str(dfa_out)]) == 7
+        if existing is None:
+            assert not dfa_out.exists()
+        else:
+            assert dfa_out.read_text() == existing
+
     def test_solver_failure_shows_report(self, tmp_path, fake_solver, capsys):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
         broken = fake_solver("exit 1\n")

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import itertools
+import tracemalloc
 from array import array
 
 import pytest
@@ -292,6 +293,61 @@ class TestRowsMatchScalarAccessors:
         encode_product(vm, acceptor, product)
         assert shape.tolist() == reference_shape(vm)
         assert product.tolist() == reference_product(vm, acceptor)
+
+
+def seam_acceptor():
+    """An APTA whose n = 8 product spans several default-sized blocks."""
+    samples = gen_samples_from_dfa(gen_random_dfa(8, 2, 105), 400, 19,
+                                   seed=105)
+    return build_apta(samples)
+
+
+class TestProductBlocks:
+    @given(sample_sets(),
+           st.sampled_from([build_apta, build_min_3dfa_incremental,
+                            build_ddfa]),
+           st.integers(1, 4), st.sampled_from([1, 5, 64]))
+    @settings(max_examples=60)
+    def test_block_seams_match_reference(self, samples, builder, n, chunk):
+        # a chunk below 4n² literals makes blocks of one transition; the
+        # others end most products on a partial block
+        acceptor = builder(samples)
+        vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, False)
+        product = array("i")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_CHUNK", chunk)
+            encode_product(vm, acceptor, product)
+        assert product.tolist() == reference_product(vm, acceptor)
+
+    def test_default_blocks_match_reference(self):
+        acceptor = seam_acceptor()
+        vm = VarMap(8, 2, acceptor.state_count, False)
+        per_block = encoding._CHUNK // (4 * 8 * 8)
+        transitions = len(acceptor.transitions)
+        assert transitions // per_block >= 3 and transitions % per_block
+        product = array("i")
+        encode_product(vm, acceptor, product)
+        assert product.tolist() == reference_product(vm, acceptor)
+
+    def test_transient_memory_below_half_the_region(self):
+        # Two designs were measured and rejected: filling the whole product
+        # region at once (+7.6 MiB peak RSS on the in-process APTA (4,8)
+        # mine) and blocks of 4,096 transitions whatever n is (random-search
+        # peak RSS 22.2 -> 25.5 MiB).  Either holds a second copy of this
+        # region; blocks of at most _CHUNK literals do not.
+        acceptor = seam_acceptor()
+        vm = VarMap(8, 2, acceptor.state_count, False)
+        out = array("i")
+        region = len(acceptor.transitions) * 4 * 8 * 8 * out.itemsize
+        assert region >= 2_000_000
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            encode_product(vm, acceptor, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - len(out) * out.itemsize < region / 2
 
 
 def derived_symmetry_assignment(vm, table):

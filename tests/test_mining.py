@@ -20,7 +20,9 @@ from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.mining import (
     MODES,
     MiningError,
+    MiningReport,
     NoSeparatorError,
+    SizeAttempt,
     SizeRangeError,
     _incompatible_sets,
     incompatible_clique,
@@ -324,6 +326,18 @@ class TestReportText:
         assert "acceptor size 3\nlower bound 2\nn=1 unsat" in text
         assert "minimal size 2" in text
         assert "verified yes" in text
+
+    def test_attempt_line_shows_encode_time(self, solver_cmd):
+        report = MiningReport("apta", False, True, 3, 2, [
+            SizeAttempt(1, "unsat", 5, 7, encode_seconds=0.0123,
+                        solve_seconds=0.5)])
+        # perfbench/checks.py reads "n=<n> <sat|unsat> " off each line
+        assert report.to_text().splitlines()[-1] == (
+            "n=1 unsat vars=5 clauses=7 encode=0.012s time=0.500s")
+        mined = mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
+                             solver_command=solver_cmd)
+        assert len(mined.attempts) == 2
+        assert all(att.encode_seconds > 0 for att in mined.attempts)
 
 
 def incompatible_pairs_by_fixpoint(acceptor):
