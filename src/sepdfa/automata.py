@@ -5,14 +5,15 @@ automata, an incremental construction that keeps the working automaton
 minimal while samples stream in ascending order, and the double automaton
 that places one minimal acceptor per polarity side by side, each with its
 own initial state.  The three builders take a SampleSet, read its
-entries() in ascending order, and return a ThreeValuedDFA.  The same type
-holds the DFA decoded from a solver model, a hidden random DFA and a
-parsed dump, whose numbers follow the sample files' rule.
+entries() in ascending order, and return a ThreeValuedDFA.  Every minimal
+acceptor is numbered by canonical_form alone: breadth first from the
+initial states, letters ascending, transitions stored in that order.  The
+same type holds the DFA decoded from a solver model, a hidden random DFA
+and a parsed dump, whose numbers follow the sample files' rule.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .samples import (DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word,
@@ -128,33 +129,37 @@ def build_apta(samples: SampleSet) -> ThreeValuedDFA:
     return _assemble(samples.alphabet_size, children, status)
 
 
-def _breadth_first_order(a: ThreeValuedDFA) -> dict[int, int]:
-    """Discovery index of each state reachable from the initial states."""
-    order = {q: idx for idx, q in enumerate(a.initials)}
-    queue = deque(a.initials)
-    while queue:
-        q = queue.popleft()
-        for letter in range(a.alphabet_size):
-            r = a.transitions.get((q, letter))
-            if r is not None and r not in order:
-                order[r] = len(order)
-                queue.append(r)
-    return order
+def _successors(a: ThreeValuedDFA) -> list[list[tuple[int, int]]]:
+    """Per-state (letter, successor) lists, letters ascending."""
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
+    for (q, letter), r in a.transitions.items():
+        succ[q].append((letter, r))
+    for kids in succ:
+        kids.sort()
+    return succ
 
 
 def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
     """Renumber states in breadth-first discovery order, letters ascending.
 
     The search starts from all initial states at once, which become
-    0 .. len(initials) - 1 in their given order.  Raises if any state is
-    unreachable from them; callers that tolerate junk states must prune
+    0 .. len(initials) - 1 in their given order.  Transitions are stored
+    by new state, then letter.  Raises if any state is unreachable from
+    the initial states; callers that tolerate junk states must prune
     them first.
     """
-    order = _breadth_first_order(a)
-    if len(order) != a.state_count:
+    succ = _successors(a)
+    order = {q: idx for idx, q in enumerate(a.initials)}
+    seq = list(a.initials)
+    for q in seq:  # grows while it is walked: a breadth-first queue
+        for _, r in succ[q]:
+            if r not in order:
+                order[r] = len(seq)
+                seq.append(r)
+    if len(seq) != a.state_count:
         raise ValueError("automaton has unreachable states")
     transitions = {(order[q], letter): order[r]
-                   for (q, letter), r in a.transitions.items()}
+                   for q in seq for letter, r in succ[q]}
     accepting = frozenset(order[q] for q in a.accepting)
     rejecting = frozenset(order[q] for q in a.rejecting)
     return ThreeValuedDFA(a.alphabet_size, a.state_count,
@@ -162,19 +167,13 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
                           accepting, rejecting)
 
 
-def isomorphic(a: ThreeValuedDFA, b: ThreeValuedDFA) -> bool:
-    """Equality up to state renaming, decided via canonical renumbering."""
-    if (a.alphabet_size != b.alphabet_size
-            or a.state_count != b.state_count
-            or len(a.accepting) != len(b.accepting)
-            or len(a.rejecting) != len(b.rejecting)):
-        return False
-    ca = canonical_form(a)
-    cb = canonical_form(b)
-    return (ca.initials == cb.initials
-            and ca.transitions == cb.transitions
-            and ca.accepting == cb.accepting
-            and ca.rejecting == cb.rejecting)
+def _from_register(alphabet_size: int, register: dict[tuple, int],
+                   initials: tuple[int, ...]) -> ThreeValuedDFA:
+    """Canonical acceptor of signatures numbered in insertion order."""
+    signatures = list(register)
+    return canonical_form(_assemble(
+        alphabet_size, [dict(kids) for _, kids in signatures],
+        [status for status, _ in signatures], initials))
 
 
 def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
@@ -182,59 +181,36 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
 
     States are merged when they share a status and, letter by letter,
     either both lack a successor or lead to already-merged successors.
-    Processing runs backwards over a depth-first post-order, so each
-    state's successors are canonical before the state itself is keyed.
-    The input must be acyclic.  Initial states whose classifications
-    coincide merge into one.
+    A reachable state is keyed once all its successors are: each counts
+    its outgoing transitions down as their targets are keyed, starting
+    from the leaves (Kahn's order on the reversed edges).  A state left
+    unkeyed lies on or leads to a cycle, and the input must be acyclic.
+    Initial states whose classifications coincide merge into one.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    mark = [WHITE] * a.state_count
-    post: list[int] = []
-    stack: list[tuple[int, int]] = []
-    for q0 in a.initials:
-        if mark[q0] == WHITE:
-            stack.append((q0, 0))
-            mark[q0] = GRAY
-        while stack:
-            q, letter = stack[-1]
-            advanced = False
-            while letter < a.alphabet_size:
-                r = a.transitions.get((q, letter))
-                letter += 1
-                if r is None:
-                    continue
-                if mark[r] == GRAY:
-                    raise ValueError("automaton contains a cycle")
-                if mark[r] == WHITE:
-                    stack[-1] = (q, letter)
-                    stack.append((r, 0))
-                    mark[r] = GRAY
-                    advanced = True
-                    break
-            if not advanced:
-                mark[q] = BLACK
-                post.append(q)
-                stack.pop()
-
+    succ = _successors(a)
+    pending = {q: len(succ[q]) for q in a.initials}  # successors unkeyed
+    preds: list[list[int]] = [[] for _ in succ]
+    reached = list(a.initials)
+    for q in reached:  # grows while it is walked: all reachable states
+        for _, r in succ[q]:
+            preds[r].append(q)
+            if r not in pending:
+                pending[r] = len(succ[r])
+                reached.append(r)
     register: dict[tuple, int] = {}
     rep: dict[int, int] = {}
-    rep_children: list[dict[int, int]] = []
-    rep_status: list[str] = []
-    for q in post:
-        kids = {letter: rep[a.transitions[(q, letter)]]
-                for letter in range(a.alphabet_size)
-                if (q, letter) in a.transitions}
-        sig = (a.status(q), tuple(kids.items()))
-        known = register.get(sig)
-        if known is None:
-            known = len(rep_children)
-            register[sig] = known
-            rep_children.append(kids)
-            rep_status.append(a.status(q))
-        rep[q] = known
-    initials = tuple(dict.fromkeys(rep[q] for q in a.initials))
-    return canonical_form(
-        _assemble(a.alphabet_size, rep_children, rep_status, initials))
+    ready = [q for q in reached if not pending[q]]
+    for q in ready:  # grows while it is walked
+        sig = (a.status(q), tuple((letter, rep[r]) for letter, r in succ[q]))
+        rep[q] = register.setdefault(sig, len(register))
+        for p in preds[q]:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    if len(rep) != len(reached):
+        raise ValueError("automaton contains a cycle")
+    return _from_register(a.alphabet_size, register,
+                          tuple(dict.fromkeys(rep[q] for q in a.initials)))
 
 
 class _IncrementalBuilder:
@@ -283,40 +259,28 @@ class _IncrementalBuilder:
         self.peak_live = max(self.peak_live,
                              len(self.register) + len(self.stack))
 
-    def finish(self) -> tuple[list[dict[int, int]], list[str]]:
-        """Fold the last word in; successor maps and statuses per state.
+    def finish(self, alphabet_size: int) -> ThreeValuedDFA:
+        """Fold the last word in; the register, renumbered canonically.
 
-        States are renumbered in breadth-first order, letters ascending,
-        from the root.
+        The register holds the states reachable from the root and
+        nothing else, which canonical_form checks.
         """
         root = self._fold(0)
-        signatures = list(self.register)  # in the order they were numbered
-        order = {root: 0}
-        seq = [root]
-        for q in seq:  # grows while it is walked: a breadth-first queue
-            for _, r in signatures[q][1]:
-                if r not in order:
-                    order[r] = len(seq)
-                    seq.append(r)
-        if len(seq) != len(signatures):
-            raise RuntimeError(
-                "internal error: live state count does not match reachability")
-        return ([{a: order[r] for a, r in signatures[q][1]} for q in seq],
-                [signatures[q][0] for q in seq])
+        return _from_register(alphabet_size, self.register, (root,))
 
 
 def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal three-valued automaton for the samples, built incrementally.
 
-    Equal to minimize_acyclic(build_apta(samples)), states numbered
-    breadth first alike, but the working automaton, a register of
+    Equal to minimize_acyclic(build_apta(samples)), as both end in
+    canonical_form, but the working automaton, a register of
     minimised states plus the stacked path of the latest word, never
     grows beyond the number of distinct sample prefixes.
     """
     builder = _IncrementalBuilder()
     for w, label in samples.entries():
         builder.add(w, label)
-    return _assemble(samples.alphabet_size, *builder.finish())
+    return builder.finish(samples.alphabet_size)
 
 
 def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
@@ -331,13 +295,15 @@ def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
                 NEGATIVE: _IncrementalBuilder()}
     for w, label in samples.entries():
         builders[label].add(w, label)
-    children, status = builders[POSITIVE].finish()
-    neg_children, neg_status = builders[NEGATIVE].finish()
-    off = len(children)
-    children += [{a: r + off for a, r in kids.items()}
-                 for kids in neg_children]
-    return _assemble(samples.alphabet_size, children, status + neg_status,
-                     (0, off))
+    pos, neg = (builders[label].finish(samples.alphabet_size)
+                for label in (POSITIVE, NEGATIVE))
+    off = pos.state_count
+    transitions = dict(pos.transitions)
+    transitions.update({(q + off, a): r + off
+                        for (q, a), r in neg.transitions.items()})
+    return ThreeValuedDFA(samples.alphabet_size, off + neg.state_count,
+                          (0, off), transitions, pos.accepting,
+                          frozenset(q + off for q in neg.rejecting))
 
 
 def dump_automaton(a: ThreeValuedDFA) -> str:

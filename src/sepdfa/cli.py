@@ -5,7 +5,9 @@ success, 1 usage error, 2 input parse error, 3 solver failure, 4 solver
 timeout, 5 verification failure, 6 internal error, 7 no separating DFA of
 the permitted sizes (an exhausted --n-max, one below the lower bound, or
 none of safety shape).  A failed mine prints the attempts made so far
-before the error line.
+before the error line.  SIGTERM or SIGHUP stops a running solver,
+removes its temporary file and exits with status 128 plus the signal
+number: 143 or 129.  An ignored SIGHUP, as under nohup, stays ignored.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import math
 import os
+import signal
 import sys
 import traceback
 
@@ -264,6 +267,11 @@ def _fail(err: Exception, code: int) -> int:
     return code
 
 
+def _exit_on_signal(signum, _frame) -> None:
+    """Exit by exception, so the solver is killed and its file removed."""
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,6 +281,11 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    previous = {sig: signal.getsignal(sig)
+                for sig in (signal.SIGTERM, signal.SIGHUP)}
+    for sig, handler in previous.items():
+        if handler != signal.SIG_IGN:  # under nohup, SIGHUP stays ignored
+            signal.signal(sig, _exit_on_signal)
     try:
         return args.func(args)
     except (BudgetExceededError, SizeRangeError) as err:
@@ -292,6 +305,9 @@ def main(argv=None) -> int:
     except Exception:  # pragma: no cover - last resort
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

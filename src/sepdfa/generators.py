@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .automata import (
     ThreeValuedDFA,
-    _breadth_first_order,
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
+    canonical_form,
     run,
 )
 from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
@@ -44,10 +44,6 @@ class ParityConfig:
             raise ValueError("parity corpora need at least two colours")
         if self.length <= self.colours:
             raise ValueError("word length must exceed the colour count")
-
-    @property
-    def word_count(self) -> int:
-        return self.colours ** self.length
 
 
 def classify_parity_word(w: Word, colours: int) -> str:
@@ -170,8 +166,11 @@ def gen_random_dfa(size: int, alphabet_size: int = 2,
         accepting = frozenset(q for q in range(size) if rng.randrange(2))
         dfa = ThreeValuedDFA(alphabet_size, size, (0,), transitions,
                              accepting, frozenset(range(size)) - accepting)
-        if len(_breadth_first_order(dfa)) == size:
-            return dfa
+        try:
+            canonical_form(dfa)  # raises if a state is unreachable
+        except ValueError:
+            continue
+        return dfa
 
 
 def _check_request(count: int, max_len: int, alphabet_size: int) -> int:

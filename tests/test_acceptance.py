@@ -17,7 +17,6 @@ from sepdfa.automata import (
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
-    isomorphic,
     minimize_acyclic,
 )
 from sepdfa.encoding import build_formula
@@ -168,7 +167,7 @@ def test_criterion_4_incremental_equals_batch():
         samples = SampleSet(k, positives, frozenset(raw) - positives)
         incremental = build_min_3dfa_incremental(samples)
         batch = minimize_acyclic(build_apta(samples))
-        if not isomorphic(incremental, batch):
+        if incremental != batch:
             failures += 1
     elapsed = time.monotonic() - started
     report(4, failures == 0,

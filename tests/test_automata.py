@@ -1,5 +1,7 @@
 """Acceptor constructions: prefix tree, minimisation, incremental, double DFA."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from sepdfa.automata import (
     build_min_3dfa_incremental,
     canonical_form,
     dump_automaton,
-    isomorphic,
     minimize_acyclic,
     parse_automaton,
     run,
@@ -119,7 +120,18 @@ class TestApta:
 class TestMinimizeAcyclic:
     def test_rejects_cyclic(self):
         a = ThreeValuedDFA(1, 1, (0,), {(0, 0): 0}, frozenset({0}), frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cycle"):
+            minimize_acyclic(a)
+
+    @pytest.mark.parametrize("transitions", [
+        {(1, 0): 2, (2, 0): 2},                   # a loop below state 1
+        {(0, 0): 3, (1, 0): 2, (2, 1): 1},        # 1 and 2 close a cycle
+        {(1, 0): 3, (1, 1): 2, (2, 0): 1},        # beside a leaf edge
+    ])
+    def test_rejects_cycle_reached_from_second_initial(self, transitions):
+        a = ThreeValuedDFA(2, 4, (0, 1), transitions, frozenset({3}),
+                           frozenset())
+        with pytest.raises(ValueError, match="cycle"):
             minimize_acyclic(a)
 
     def test_merges_equal_leaves(self):
@@ -139,8 +151,8 @@ class TestMinimizeAcyclic:
     def test_idempotent(self, s):
         m = minimize_acyclic(build_apta(s))
         again = minimize_acyclic(m)
-        assert isomorphic(m, again)
-        assert again.state_count == m.state_count
+        assert again == m
+        assert list(again.transitions.items()) == list(m.transitions.items())
 
     @given(sample_sets)
     def test_double_dfa_language_preserved(self, s):
@@ -162,16 +174,17 @@ class TestIncremental:
     def test_matches_batch_minimisation(self, s):
         inc = build_min_3dfa_incremental(s)
         batch = minimize_acyclic(build_apta(s))
-        assert isomorphic(inc, batch)
-        # field for field: both number their states breadth first
+        # field for field, stored transition order included: both end in
+        # canonical_form
         assert inc == batch
+        assert list(inc.transitions.items()) == list(batch.transitions.items())
 
     @given(sample_sets)
     def test_peak_live_bounded_by_prefix_count(self, s):
         builder = _IncrementalBuilder()
         for w, label in s.entries():
             builder.add(w, label)
-        builder.finish()
+        builder.finish(s.alphabet_size)
         prefixes = {w[:i] for w in s.positives | s.negatives
                     for i in range(len(w) + 1)} | {()}
         assert builder.peak_live <= len(prefixes)
@@ -268,18 +281,52 @@ class TestReachability:
             assert reachable_states(a) == set(range(a.state_count))
 
 
+def renamed(a, perm, items_order):
+    """a with state q renamed perm[q], transitions stored in a given order."""
+    items = [((perm[q], letter), perm[r])
+             for (q, letter), r in a.transitions.items()]
+    return ThreeValuedDFA(
+        a.alphabet_size, a.state_count, tuple(perm[q] for q in a.initials),
+        dict(items_order(items)), frozenset(perm[q] for q in a.accepting),
+        frozenset(perm[q] for q in a.rejecting))
+
+
 class TestCanonical:
     def test_isomorphic_after_renaming(self):
         a = ThreeValuedDFA(2, 3, (0,), {(0, 0): 1, (0, 1): 2, (1, 0): 2},
                            frozenset({2}), frozenset({1}))
         b = ThreeValuedDFA(2, 3, (0,), {(0, 0): 2, (0, 1): 1, (2, 0): 1},
                            frozenset({1}), frozenset({2}))
-        assert isomorphic(a, b)
+        assert a != b
+        assert canonical_form(a) == canonical_form(b)
 
     def test_not_isomorphic_when_status_differs(self):
         a = ThreeValuedDFA(1, 2, (0,), {(0, 0): 1}, frozenset({1}), frozenset())
         b = ThreeValuedDFA(1, 2, (0,), {(0, 0): 1}, frozenset(), frozenset({1}))
-        assert not isomorphic(a, b)
+        assert canonical_form(a) != canonical_form(b)
+
+    @given(sample_sets, st.randoms(use_true_random=False))
+    def test_shuffled_input_stored_by_state_then_letter(self, s, rnd):
+        for a in (build_apta(s), build_ddfa(s)):
+            perm = list(range(a.state_count))
+            rnd.shuffle(perm)
+            shuffled = renamed(a, perm,
+                               lambda items: rnd.sample(items, len(items)))
+            c = canonical_form(shuffled)
+            assert list(c.transitions) == sorted(c.transitions)
+            assert c == canonical_form(a)
+            again = canonical_form(c)
+            assert list(again.transitions.items()) == list(
+                c.transitions.items())
+            assert again == c
+
+    @given(sample_sets)
+    def test_builders_output_is_canonical(self, s):
+        for a in (minimize_acyclic(build_apta(s)),
+                  build_min_3dfa_incremental(s)):
+            c = canonical_form(a)
+            assert list(c.transitions.items()) == list(a.transitions.items())
+            assert c == a
 
     def test_unreachable_state_rejected(self):
         a = ThreeValuedDFA(1, 2, (0,), {}, frozenset({1}), frozenset())
@@ -291,9 +338,30 @@ class TestCanonical:
         dd = build_ddfa(s)
         c = canonical_form(dd)
         assert c.initials == (0, 1)
-        assert isomorphic(dd, c)
+        assert canonical_form(c) == c
         for w in all_words(3, 3):
             assert run(c, w) == run(dd, w)
+
+
+class TestLargeAlphabet:
+    # Four words over 10^7 letters: the walks read only the transitions
+    # that exist, never the whole declared alphabet per state.
+    samples = SampleSet(10**7, {(1,), (0, 5)}, {(0,), (9_999_999, 3)})
+
+    @pytest.mark.parametrize("build", [
+        lambda s: canonical_form(build_apta(s)),
+        lambda s: minimize_acyclic(build_apta(s)),
+        build_min_3dfa_incremental,
+        build_ddfa,
+    ], ids=["canonical_form", "minimize_acyclic", "min3dfa", "ddfa"])
+    def test_cost_does_not_grow_with_alphabet(self, build):
+        started = time.monotonic()
+        a = build(self.samples)
+        assert time.monotonic() - started < 1.0
+        for w in self.samples.positives:
+            assert run(a, w) == POSITIVE
+        for w in self.samples.negatives:
+            assert run(a, w) == NEGATIVE
 
 
 class TestDumpParse:

@@ -1,5 +1,13 @@
 """Command line behaviour: exit codes, outputs, file round trips."""
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from sepdfa.automata import parse_automaton
@@ -199,6 +207,55 @@ class TestMine:
         slow = fake_solver("sleep 60\n")
         assert main(["mine", samples, "--solver", slow,
                      "--timeout", "0.3"]) == 4
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP])
+    def test_signal_stops_solver_and_removes_formula(self, tmp_path,
+                                                     fake_solver, sig):
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        pid_file = tmp_path / "solver.pid"
+        sleeper = fake_solver(f'echo $$ > "{pid_file}"\nexec sleep 60\n')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, TMPDIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sepdfa.cli", "mine", samples,
+             "--solver", sleeper], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        solver_pid = None
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() or not pid_file.read_text().strip():
+                assert time.monotonic() < deadline, "solver never started"
+                assert proc.poll() is None, "mine ended before its solver"
+                time.sleep(0.05)
+            solver_pid = int(pid_file.read_text())
+            proc.send_signal(sig)
+            status = proc.wait(timeout=30)
+            with pytest.raises(ProcessLookupError):
+                os.kill(solver_pid, 0)
+            assert list(tmp_path.glob("sepdfa-*.cnf")) == []
+            assert status == 128 + sig
+        finally:
+            proc.kill()
+            proc.wait()
+            if solver_pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(solver_pid, signal.SIGKILL)
+
+    def test_ignored_sighup_stays_ignored(self, tmp_path, fake_solver,
+                                          capsys):
+        # the solver hangs up on its parent, this process, and then fails
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        script = fake_solver("kill -HUP $PPID\nexit 1\n")
+        term = signal.getsignal(signal.SIGTERM)
+        hup = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+        try:
+            assert main(["mine", samples, "--solver", script]) == 3
+            assert signal.getsignal(signal.SIGHUP) == signal.SIG_IGN
+            assert signal.getsignal(signal.SIGTERM) == term
+        finally:
+            signal.signal(signal.SIGHUP, hup)
 
     def test_safety_flag(self, tmp_path, solver_arg, capsys):
         samples = write(tmp_path / "s.txt",

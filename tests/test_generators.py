@@ -79,10 +79,6 @@ class TestParityConfig:
         with pytest.raises(ValueError):
             ParityConfig(3, 3)
 
-    def test_word_count(self):
-        assert ParityConfig(2, 3).word_count == 8
-        assert ParityConfig(5, 8).word_count == 5 ** 8
-
 
 class TestGenParity:
     def test_smallest_corpus_exact(self):
