@@ -6,10 +6,10 @@ minimal while samples stream in ascending order, and the double automaton
 that places one minimal acceptor per polarity side by side, each with its
 own initial state.  The three builders take a SampleSet, read its
 entries() in ascending order, and return a ThreeValuedDFA.  Every minimal
-acceptor is numbered by canonical_form alone: breadth first from the
-initial states, letters ascending, transitions stored in that order.  The
-same type holds the DFA decoded from a solver model, a hidden random DFA
-and a parsed dump, whose numbers follow the sample files' rule.
+acceptor is numbered by canonical_form's one rule: breadth first from each
+initial state in turn, letters ascending, transitions stored in that
+order.  The same type holds the DFA decoded from a solver model, a hidden
+random DFA and a parsed dump, whose numbers follow the sample files' rule.
 """
 
 from __future__ import annotations
@@ -99,22 +99,10 @@ def run(a: ThreeValuedDFA, w: Word) -> str | None:
     return outcome
 
 
-def _assemble(alphabet_size: int, children: list[dict[int, int]],
-              status: list[str],
-              initials: tuple[int, ...] = (0,)) -> ThreeValuedDFA:
-    """Acceptor from per-state successor maps and statuses, in that order."""
-    transitions = {(q, a): r for q, kids in enumerate(children)
-                   for a, r in kids.items()}
-    accepting = [q for q, label in enumerate(status) if label == POSITIVE]
-    rejecting = [q for q, label in enumerate(status) if label == NEGATIVE]
-    return ThreeValuedDFA(alphabet_size, len(children), initials, transitions,
-                          frozenset(accepting), frozenset(rejecting))
-
-
 def build_apta(samples: SampleSet) -> ThreeValuedDFA:
     """Prefix-tree acceptor: one state per distinct prefix of the samples."""
     children: list[dict[int, int]] = [{}]
-    status: list[str] = [DONT_CARE]
+    ends: dict[str, set[int]] = {POSITIVE: set(), NEGATIVE: set()}
     for w, label in samples.entries():
         cur = 0
         for a in w:
@@ -123,10 +111,13 @@ def build_apta(samples: SampleSet) -> ThreeValuedDFA:
                 nxt = len(children)
                 children[cur][a] = nxt
                 children.append({})
-                status.append(DONT_CARE)
             cur = nxt
-        status[cur] = label
-    return _assemble(samples.alphabet_size, children, status)
+        ends[label].add(cur)
+    transitions = {(q, a): r for q, kids in enumerate(children)
+                   for a, r in kids.items()}
+    return ThreeValuedDFA(samples.alphabet_size, len(children), (0,),
+                          transitions, frozenset(ends[POSITIVE]),
+                          frozenset(ends[NEGATIVE]))
 
 
 def _successors(a: ThreeValuedDFA) -> list[list[tuple[int, int]]]:
@@ -139,41 +130,48 @@ def _successors(a: ThreeValuedDFA) -> list[list[tuple[int, int]]]:
     return succ
 
 
-def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
-    """Renumber states in breadth-first discovery order, letters ascending.
-
-    The search starts from all initial states at once, which become
-    0 .. len(initials) - 1 in their given order.  Transitions are stored
-    by new state, then letter.  Raises if any state is unreachable from
-    the initial states; callers that tolerate junk states must prune
-    them first.
-    """
-    succ = _successors(a)
-    order = {q: idx for idx, q in enumerate(a.initials)}
-    seq = list(a.initials)
-    for q in seq:  # grows while it is walked: a breadth-first queue
-        for _, r in succ[q]:
-            if r not in order:
-                order[r] = len(seq)
-                seq.append(r)
-    if len(seq) != a.state_count:
+def _numbered(alphabet_size: int, signatures: list[tuple],
+              roots: tuple[int, ...]) -> ThreeValuedDFA:
+    """Acceptor of (status, ((letter, successor), ...)) signatures, one per
+    state, letters ascending, renumbered by canonical_form's rule."""
+    order: dict[int, int] = {}
+    seq: list[int] = []
+    for root in roots:
+        if root not in order:
+            part = [root]
+            order[root] = len(seq)
+            for q in part:  # grows while it is walked: a breadth-first queue
+                for _, r in signatures[q][1]:
+                    if r not in order:
+                        order[r] = len(seq) + len(part)
+                        part.append(r)
+            seq += part
+    if len(seq) != len(signatures):
         raise ValueError("automaton has unreachable states")
     transitions = {(order[q], letter): order[r]
-                   for q in seq for letter, r in succ[q]}
-    accepting = frozenset(order[q] for q in a.accepting)
-    rejecting = frozenset(order[q] for q in a.rejecting)
-    return ThreeValuedDFA(a.alphabet_size, a.state_count,
-                          tuple(range(len(a.initials))), transitions,
-                          accepting, rejecting)
+                   for q in seq for letter, r in signatures[q][1]}
+    statuses = [signatures[q][0] for q in seq]
+    return ThreeValuedDFA(
+        alphabet_size, len(seq), tuple(order[r] for r in roots), transitions,
+        frozenset(i for i, s in enumerate(statuses) if s == POSITIVE),
+        frozenset(i for i, s in enumerate(statuses) if s == NEGATIVE))
 
 
-def _from_register(alphabet_size: int, register: dict[tuple, int],
-                   initials: tuple[int, ...]) -> ThreeValuedDFA:
-    """Canonical acceptor of signatures numbered in insertion order."""
-    signatures = list(register)
-    return canonical_form(_assemble(
-        alphabet_size, [dict(kids) for _, kids in signatures],
-        [status for status, _ in signatures], initials))
+def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
+    """Renumber states breadth first from each initial state in turn.
+
+    The first initial state becomes 0 and the states it reaches follow
+    in discovery order, letters ascending; then the next initial state,
+    unless already numbered, and the states only it reaches.  Parts
+    that share no state are thus numbered on their own, one after the
+    other.  Transitions are stored by new state, then letter.  Raises if
+    any state is unreachable from the initial states; callers that
+    tolerate junk states must prune them first.
+    """
+    succ = _successors(a)
+    return _numbered(a.alphabet_size,
+                     [(a.status(q), kids) for q, kids in enumerate(succ)],
+                     a.initials)
 
 
 def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
@@ -209,8 +207,8 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
                 ready.append(p)
     if len(rep) != len(reached):
         raise ValueError("automaton contains a cycle")
-    return _from_register(a.alphabet_size, register,
-                          tuple(dict.fromkeys(rep[q] for q in a.initials)))
+    return _numbered(a.alphabet_size, list(register),
+                     tuple(dict.fromkeys(rep[q] for q in a.initials)))
 
 
 class _IncrementalBuilder:
@@ -259,28 +257,30 @@ class _IncrementalBuilder:
         self.peak_live = max(self.peak_live,
                              len(self.register) + len(self.stack))
 
-    def finish(self, alphabet_size: int) -> ThreeValuedDFA:
-        """Fold the last word in; the register, renumbered canonically.
+    def finish(self) -> tuple[int, list[tuple]]:
+        """Fold the last word in; return the root and the signatures.
 
-        The register holds the states reachable from the root and
-        nothing else, which canonical_form checks.
+        Signature q is state q's (status, ((letter, successor), ...)),
+        letters ascending, for each state reachable from the root; the
+        builders renumber them by canonical_form's rule.
         """
         root = self._fold(0)
-        return _from_register(alphabet_size, self.register, (root,))
+        return root, list(self.register)
 
 
 def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal three-valued automaton for the samples, built incrementally.
 
-    Equal to minimize_acyclic(build_apta(samples)), as both end in
-    canonical_form, but the working automaton, a register of
+    Equal to minimize_acyclic(build_apta(samples)), as both are numbered
+    by canonical_form's rule, but the working automaton, a register of
     minimised states plus the stacked path of the latest word, never
     grows beyond the number of distinct sample prefixes.
     """
     builder = _IncrementalBuilder()
     for w, label in samples.entries():
         builder.add(w, label)
-    return builder.finish(samples.alphabet_size)
+    root, signatures = builder.finish()
+    return _numbered(samples.alphabet_size, signatures, (root,))
 
 
 def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
@@ -289,21 +289,20 @@ def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
     States 0 .. P - 1 are the minimal acceptor of the positive words with
     initial state 0.  The minimal acceptor of the negative words follows,
     shifted by P, with initial state P; its accepting states are the
-    rejecting ones.  One pass over the entries feeds both builders.
+    rejecting ones.  One pass over the entries feeds both builders, and
+    canonical_form's rule numbers their joined registers at once.
     """
     builders = {POSITIVE: _IncrementalBuilder(),
                 NEGATIVE: _IncrementalBuilder()}
     for w, label in samples.entries():
         builders[label].add(w, label)
-    pos, neg = (builders[label].finish(samples.alphabet_size)
-                for label in (POSITIVE, NEGATIVE))
-    off = pos.state_count
-    transitions = dict(pos.transitions)
-    transitions.update({(q + off, a): r + off
-                        for (q, a), r in neg.transitions.items()})
-    return ThreeValuedDFA(samples.alphabet_size, off + neg.state_count,
-                          (0, off), transitions, pos.accepting,
-                          frozenset(q + off for q in neg.rejecting))
+    pos_root, signatures = builders[POSITIVE].finish()
+    neg_root, negatives = builders[NEGATIVE].finish()
+    off = len(signatures)
+    signatures += [(status, tuple((a, r + off) for a, r in kids))
+                   for status, kids in negatives]
+    return _numbered(samples.alphabet_size, signatures,
+                     (pos_root, neg_root + off))
 
 
 def dump_automaton(a: ThreeValuedDFA) -> str:

@@ -292,7 +292,7 @@ def encode_symmetry_breaking(vm: VarMap, out: array,
         emit(*[vm.p(child, parent) for parent in range(child)])
 
 
-def encode_parity_constraints(vm: VarMap, colours: int, out: array) -> None:
+def encode_parity_constraints(vm: VarMap, out: array) -> None:
     """Pin the candidate into safety (or co-safety) automaton shape.
 
     Letters are parity-game colours.  Colours sharing the parity of the
@@ -303,8 +303,7 @@ def encode_parity_constraints(vm: VarMap, colours: int, out: array) -> None:
     states accept and the sink rejects; when it is odd the roles flip.
     Needs n >= 2 so the sink is distinct from the initial state.
     """
-    if colours != vm.alphabet_size:
-        raise EncodingError("colour count must equal the alphabet size")
+    colours = vm.alphabet_size
     if colours < 2:
         raise EncodingError("parity corpora need at least two colours")
     if vm.n < 2:
@@ -348,7 +347,7 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     if symmetry:
         encode_symmetry_breaking(vm, literals, safety_mode=safety)
     if safety:
-        encode_parity_constraints(vm, acceptor.alphabet_size, literals)
+        encode_parity_constraints(vm, literals)
     return vm, CnfFormula(vm.variable_count, literals)
 
 

@@ -184,7 +184,7 @@ class TestIncremental:
         builder = _IncrementalBuilder()
         for w, label in s.entries():
             builder.add(w, label)
-        builder.finish(s.alphabet_size)
+        builder.finish()
         prefixes = {w[:i] for w in s.positives | s.negatives
                     for i in range(len(w) + 1)} | {()}
         assert builder.peak_live <= len(prefixes)
@@ -323,10 +323,31 @@ class TestCanonical:
     @given(sample_sets)
     def test_builders_output_is_canonical(self, s):
         for a in (minimize_acyclic(build_apta(s)),
-                  build_min_3dfa_incremental(s)):
+                  build_min_3dfa_incremental(s), build_ddfa(s),
+                  minimize_acyclic(build_ddfa(s))):
             c = canonical_form(a)
             assert list(c.transitions.items()) == list(a.transitions.items())
             assert c == a
+
+    def test_second_initial_reached_from_first_keeps_its_number(self):
+        # 2 -> 1 on letter 0 and 2 -> 0 on letter 1: the walk from 2
+        # numbers 0 third, before the second initial state's turn
+        a = ThreeValuedDFA(2, 3, (2, 0), {(1, 0): 0, (2, 1): 0, (2, 0): 1},
+                           frozenset({0}), frozenset({1}))
+        c = canonical_form(a)
+        assert c.initials == (0, 2)
+        assert list(c.transitions.items()) == [((0, 0), 1), ((0, 1), 2),
+                                               ((1, 0), 2)]
+        assert (c.accepting, c.rejecting) == ({2}, {1})
+
+    def test_disjoint_second_part_follows_the_first(self):
+        # parts {3, 2} and {0, 1}: the second initial state becomes 2
+        a = ThreeValuedDFA(1, 4, (3, 0), {(0, 0): 1, (3, 0): 2},
+                           frozenset({2}), frozenset({1}))
+        c = canonical_form(a)
+        assert c.initials == (0, 2)
+        assert list(c.transitions.items()) == [((0, 0), 1), ((2, 0), 3)]
+        assert (c.accepting, c.rejecting) == ({1}, {3})
 
     def test_unreachable_state_rejected(self):
         a = ThreeValuedDFA(1, 2, (0,), {}, frozenset({1}), frozenset())
@@ -336,11 +357,30 @@ class TestCanonical:
     @given(sample_sets)
     def test_double_dfa_renumbered_from_both_initials(self, s):
         dd = build_ddfa(s)
-        c = canonical_form(dd)
-        assert c.initials == (0, 1)
-        assert canonical_form(c) == c
-        for w in all_words(3, 3):
-            assert run(c, w) == run(dd, w)
+        positive_part = build_min_3dfa_incremental(
+            SampleSet(s.alphabet_size, s.positives, set()))
+        assert dd.initials == (0, positive_part.state_count)
+        assert canonical_form(dd) == dd
+
+    @pytest.mark.parametrize("make, build", [
+        (lambda s: s, build_apta),
+        (lambda s: s, build_min_3dfa_incremental),
+        (lambda s: s, build_ddfa),
+        (build_apta, minimize_acyclic),
+        (build_ddfa, canonical_form),
+    ], ids=["apta", "min3dfa", "ddfa", "minimize_acyclic", "canonical_form"])
+    def test_one_construction_per_call(self, monkeypatch, make, build):
+        arg = make(SampleSet(2, {(0,), (1, 0), (1, 1, 0)}, {(1,), (0, 1)}))
+        built = []
+        post_init = ThreeValuedDFA.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ThreeValuedDFA, "__post_init__", counted)
+        build(arg)
+        assert len(built) == 1
 
 
 class TestLargeAlphabet:

@@ -452,7 +452,7 @@ class TestParityConstraints:
     def test_two_colours_n2(self):
         # highest colour 1 is odd: co-safety, initial state rejects
         vm = VarMap(2, 2, 1, True)
-        clauses = clauses_of(encode_parity_constraints, vm, 2)
+        clauses = clauses_of(encode_parity_constraints, vm)
         assert (vm.e(0, 1, 0),) in clauses          # odd colour loops on 0
         assert (-vm.e(0, 0, 0),) in clauses         # even colour must leave
         assert (-vm.e(0, 0, 1),) in clauses         # but no middle exists
@@ -464,7 +464,7 @@ class TestParityConstraints:
     def test_three_colours_middle_disjunction(self):
         # highest colour 2 is even: safety, non-sink states accept
         vm = VarMap(4, 3, 1, True)
-        clauses = clauses_of(encode_parity_constraints, vm, 3)
+        clauses = clauses_of(encode_parity_constraints, vm)
         assert (vm.e(0, 0, 0),) in clauses
         assert (vm.e(0, 2, 0),) in clauses
         assert (vm.e(0, 1, 1), vm.e(0, 1, 2)) in clauses
@@ -475,13 +475,10 @@ class TestParityConstraints:
         assert (-vm.f(3),) in clauses
 
     def test_errors(self):
-        vm = VarMap(3, 2, 1, True)
         with pytest.raises(EncodingError):
-            encode_parity_constraints(vm, 3, array("i"))
+            encode_parity_constraints(VarMap(3, 1, 1, True), array("i"))
         with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(3, 1, 1, True), 1, array("i"))
-        with pytest.raises(EncodingError):
-            encode_parity_constraints(VarMap(1, 2, 1, True), 2, array("i"))
+            encode_parity_constraints(VarMap(1, 2, 1, True), array("i"))
 
 
 def parity_corpus_acceptor(parity_corpus, colours, length):
