@@ -1,13 +1,16 @@
 """Command line interface.
 
 Subcommands: mine, gen-parity, gen-random, verify, stats.  Exit codes: 0
-success, 1 usage error, 2 input parse error, 3 solver failure, 4 solver
+success, 1 usage error or refused value (a size, count or budget out of
+range), 2 unreadable or unparsable input, 3 solver failure, 4 solver
 timeout, 5 verification failure, 6 internal error, 7 no separating DFA of
 the permitted sizes (an exhausted --n-max, one below the lower bound, or
-none of safety shape).  A failed mine prints the attempts made so far
-before the error line.  SIGTERM or SIGHUP stops a running solver,
-removes its temporary file and exits with status 128 plus the signal
-number: 143 or 129.  An ignored SIGHUP, as under nohup, stays ignored.
+none of safety shape).  Every refusal and failure prints one line
+starting with "error: " on stderr; a mine that fails, or is stopped by
+SIGTERM, SIGHUP or Ctrl-C, first prints the attempts it finished.
+SIGTERM or SIGHUP stops a running solver, removes its temporary file and
+exits with status 128 plus the signal number: 143 or 129.  An ignored
+SIGHUP, as under nohup, stays ignored.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ from .automata import AutomatonFormatError, dump_automaton, parse_automaton
 from .encoding import EncodingError
 from .generators import (
     WORD_BUDGET,
-    BudgetExceededError,
     ParityConfig,
     _check_request,
-    format_stats_line,
     gen_parity_samples,
     gen_random_dfa,
     gen_samples_from_dfa,
@@ -37,7 +38,6 @@ from .mining import (
     MODES,
     MiningError,
     NoSeparatorError,
-    SizeRangeError,
     mine_min_dfa,
     verify_separating,
 )
@@ -117,12 +117,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gen_parity(args) -> int:
-    try:
-        cfg = ParityConfig(args.colours, args.length)
-    except ValueError as err:
-        print(f"gen-parity: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    samples = gen_parity_samples(cfg, args.budget)
+    samples = gen_parity_samples(ParityConfig(args.colours, args.length),
+                                 args.budget)
     _write_text(args.out, write_abbadingo(samples))
     print(f"wrote {samples.size} samples "
           f"({len(samples.positives)} positive, "
@@ -137,13 +133,9 @@ def cmd_gen_random(args) -> int:
     max_len = args.max_len
     if max_len is None:
         max_len = 2 * args.dfa_size + 3
-    try:
-        _check_request(count, max_len, 2)  # the draw below may take long
-        dfa = gen_random_dfa(args.dfa_size, 2, args.seed)
-        samples = gen_samples_from_dfa(dfa, count, max_len, seed=args.seed)
-    except ValueError as err:
-        print(f"gen-random: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_request(count, max_len, 2)  # the draw below may take long
+    dfa = gen_random_dfa(args.dfa_size, 2, args.seed)
+    samples = gen_samples_from_dfa(dfa, count, max_len, seed=args.seed)
     _write_text(args.out, write_abbadingo(samples))
     dfa_path = args.dfa_out if args.dfa_out else args.out + ".dfa"
     _write_text(dfa_path, dump_automaton(dfa))
@@ -168,12 +160,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        cfg = ParityConfig(args.colours, args.length)
-    except ValueError as err:
-        print(f"stats: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    print(format_stats_line(parity_stats(cfg, args.budget)))
+    stats = parity_stats(ParityConfig(args.colours, args.length), args.budget)
+    print("\t".join(str(x) for x in stats))
     return EXIT_OK
 
 
@@ -258,13 +246,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fail(err: Exception, code: int) -> int:
-    """Print the attempts an error carries, then the error; return code."""
-    report = getattr(err, "report", None)
-    if report is not None:
-        sys.stdout.write(report.to_text())
-    print(f"error: {err}", file=sys.stderr)
-    return code
+# Exit status by exception type; the first match wins.  Unreadable input
+# is 2; every other ValueError is a refused request, whichever module
+# raised it.
+_EXIT_CODES = (
+    ((SampleError, AutomatonFormatError, OSError, UnicodeError), EXIT_PARSE),
+    (SolverTimeoutError, EXIT_TIMEOUT),
+    (SolverError, EXIT_SOLVER),
+    (ValueError, EXIT_USAGE),
+    (NoSeparatorError, EXIT_NO_SEPARATOR),
+    ((MiningError, EncodingError), EXIT_INTERNAL),
+)
 
 
 def _exit_on_signal(signum, _frame) -> None:
@@ -288,22 +280,18 @@ def main(argv=None) -> int:
             signal.signal(sig, _exit_on_signal)
     try:
         return args.func(args)
-    except (BudgetExceededError, SizeRangeError) as err:
-        return _fail(err, EXIT_USAGE)
-    except (SampleError, AutomatonFormatError, OSError) as err:
-        return _fail(err, EXIT_PARSE)
-    except SolverTimeoutError as err:
-        return _fail(err, EXIT_TIMEOUT)
-    except SolverError as err:
-        return _fail(err, EXIT_SOLVER)
-    except ValueError as err:
-        return _fail(err, EXIT_PARSE)
-    except NoSeparatorError as err:
-        return _fail(err, EXIT_NO_SEPARATOR)
-    except (MiningError, EncodingError) as err:
-        return _fail(err, EXIT_INTERNAL)
-    except Exception:  # pragma: no cover - last resort
-        traceback.print_exc()
+    except BaseException as err:
+        # The attempts a mine finished, whatever stopped it.
+        report = getattr(err, "report", None)
+        if report is not None:
+            sys.stdout.write(report.to_text())
+        if not isinstance(err, Exception):
+            raise  # a signal's SystemExit, or KeyboardInterrupt
+        for types, code in _EXIT_CODES:
+            if isinstance(err, types):
+                print(f"error: {err}", file=sys.stderr)
+                return code
+        traceback.print_exc()  # last resort
         return EXIT_INTERNAL
     finally:
         for sig, handler in previous.items():

@@ -234,6 +234,3 @@ def parity_stats(cfg: ParityConfig, budget: int = WORD_BUDGET) -> tuple:
             build_min_3dfa_incremental(samples).state_count,
             build_ddfa(samples).state_count)
 
-
-def format_stats_line(stats: tuple) -> str:
-    return "\t".join(str(x) for x in stats)

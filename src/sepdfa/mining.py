@@ -16,10 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import automata
-from .automata import ThreeValuedDFA, run
+from .automata import AutomatonFormatError, ThreeValuedDFA, run
 from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
-from .solver import DEFAULT_SOLVER_COMMAND, SolverError, solve
+from .solver import DEFAULT_SOLVER_COMMAND, solve
 
 # Mode -> name of its SampleSet -> ThreeValuedDFA builder in automata.  The
 # name is resolved on each call, so a wrapper bound over the module
@@ -39,10 +39,6 @@ class SizeRangeError(ValueError):
 
 class MiningError(RuntimeError):
     """Mining could not complete; .report holds the attempts so far."""
-
-    def __init__(self, message: str, report: "MiningReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 class NoSeparatorError(MiningError):
@@ -200,17 +196,18 @@ def verify_separating(dfa: ThreeValuedDFA,
                       samples: SampleSet) -> list[tuple[Word, str]]:
     """Sorted (word, label) pairs the DFA classifies wrongly; [] if none.
 
-    Raises ValueError unless dfa is a DFA: one initial state, a
-    transition for every state and letter, and no don't-care state.
+    Raises AutomatonFormatError unless dfa is a DFA over the samples'
+    alphabet: one initial state, a transition for every state and letter,
+    and no don't-care state.
     """
     if len(dfa.initials) != 1:
-        raise ValueError("a DFA has a single initial state")
+        raise AutomatonFormatError("a DFA has a single initial state")
     if len(dfa.transitions) != dfa.state_count * dfa.alphabet_size:
-        raise ValueError("automaton is not complete")
+        raise AutomatonFormatError("automaton is not complete")
     if len(dfa.accepting) + len(dfa.rejecting) != dfa.state_count:
-        raise ValueError("automaton has don't-care states")
+        raise AutomatonFormatError("automaton has don't-care states")
     if dfa.alphabet_size != samples.alphabet_size:
-        raise ValueError(
+        raise AutomatonFormatError(
             f"alphabet mismatch: automaton has {dfa.alphabet_size}, "
             f"samples have {samples.alphabet_size}")
     violations = [(w, label)
@@ -239,10 +236,12 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     SizeRangeError before any work; so does, before any solver call, an
     n_start above the acceptor's size bound when n_max is not given.
     Without n_start, an n_max below the lower bound raises
-    NoSeparatorError before any solver call.  Solver failures propagate
-    with the partial report attached as .report; exhausting n_max
-    (default: the acceptor's size bound) raises MiningError with the same
-    .report, NoSeparatorError when the cap was the user's or safety mode's.
+    NoSeparatorError before any solver call.  Exhausting n_max (default:
+    the acceptor's size bound) raises MiningError, NoSeparatorError when
+    the cap was the user's or safety mode's.  Past the size checks, any
+    exception that leaves the search, a solver failure, a signal's
+    SystemExit or a KeyboardInterrupt alike, carries the partial report
+    as .report.
     """
     floor = 2 if safety else 1
     if n_start is not None and n_start < floor:
@@ -259,10 +258,20 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     acceptor = getattr(automata, builder)(samples)
-    # Not kept: a second acceptor alive through the search slows it.
+    # The bound never comes from the mode's own acceptor.  Each ddfa part
+    # carries one polarity, so every incompatible pair crosses the two
+    # parts and the clique is at most 2 (2 against LB 3 on parity (4,7),
+    # and against LB 4, 6 and 8 on random N = 4, 6 and 8).  An APTA's
+    # bitsets grow with the square of its state count, 30,988 on parity
+    # (4,8).  Not kept: a second acceptor alive through the search slows it.
     lower = len(incompatible_clique(
         acceptor if mode == "min3dfa"
         else getattr(automata, _BUILDERS["min3dfa"])(samples)))
+    bound = upper_bound(acceptor) if n_max is None else n_max
+    if n_start is not None and n_start > bound:
+        raise SizeRangeError(
+            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
+            f"give n_max to search beyond it")
     report = MiningReport(
         mode=mode,
         safety=safety,
@@ -270,55 +279,49 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         acceptor_size=acceptor.state_count,
         lower_bound=lower,
     )
-    bound = upper_bound(acceptor) if n_max is None else n_max
-    if n_start is None:
-        n_start = max(lower - 1, floor)
-        if bound < lower:
-            raise NoSeparatorError(
-                f"no separating DFA up to the requested size {bound}: the "
-                f"search needs at least {lower} states, as {lower} acceptor "
-                f"states are pairwise incompatible", report)
-    elif n_start > bound:
-        raise SizeRangeError(
-            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
-            f"give n_max to search beyond it")
-    n = n_start
-    while n <= bound:
-        started = time.perf_counter()
-        vm, formula = build_formula(n, acceptor, symmetry=symmetry_breaking,
-                                    safety=safety)
-        encode_seconds = time.perf_counter() - started
-        try:
+    try:
+        if n_start is None:
+            n_start = max(lower - 1, floor)
+            if bound < lower:
+                raise NoSeparatorError(
+                    f"no separating DFA up to the requested size {bound}: "
+                    f"the search needs at least {lower} states, as {lower} "
+                    f"acceptor states are pairwise incompatible")
+        for n in range(n_start, bound + 1):
+            started = time.perf_counter()
+            vm, formula = build_formula(n, acceptor,
+                                        symmetry=symmetry_breaking,
+                                        safety=safety)
+            encode_seconds = time.perf_counter() - started
             verdict = solve(formula, solver_command, timeout=timeout)
-        except SolverError as err:
-            err.report = report
-            raise
-        report.attempts.append(SizeAttempt(
-            n=n,
-            outcome=verdict.outcome,
-            variables=formula.variable_count,
-            clauses=formula.clause_count,
-            encode_seconds=encode_seconds,
-            solve_seconds=verdict.wall_time,
-        ))
-        if verdict.outcome == "sat":
-            dfa = decode_model(verdict.model, vm)
-            violations = verify_separating(dfa, samples)
-            if violations:
-                raise MiningError(
-                    f"internal error: mined DFA violates "
-                    f"{len(violations)} samples", report)
-            report.dfa = dfa
-            return report
-        n += 1
-    if n_max is not None:
-        raise NoSeparatorError(
-            f"no separating DFA up to the requested size {bound}", report)
-    if safety:
-        # The completion bound only promises an unconstrained separator.
-        raise NoSeparatorError(
-            f"no safety-shaped separating DFA up to size {bound}; the "
-            f"sample set may admit none of any size", report)
-    raise MiningError(
-        f"no separating DFA up to size {bound}; the bound should have "
-        f"sufficed, so the encoding or solver is at fault", report)
+            report.attempts.append(SizeAttempt(
+                n=n,
+                outcome=verdict.outcome,
+                variables=formula.variable_count,
+                clauses=formula.clause_count,
+                encode_seconds=encode_seconds,
+                solve_seconds=verdict.wall_time,
+            ))
+            if verdict.outcome == "sat":
+                dfa = decode_model(verdict.model, vm)
+                violations = verify_separating(dfa, samples)
+                if violations:
+                    raise MiningError(
+                        f"internal error: mined DFA violates "
+                        f"{len(violations)} samples")
+                report.dfa = dfa
+                return report
+        if n_max is not None:
+            raise NoSeparatorError(
+                f"no separating DFA up to the requested size {bound}")
+        if safety:
+            # The completion bound only promises an unconstrained separator.
+            raise NoSeparatorError(
+                f"no safety-shaped separating DFA up to size {bound}; the "
+                f"sample set may admit none of any size")
+        raise MiningError(
+            f"no separating DFA up to size {bound}; the bound should have "
+            f"sufficed, so the encoding or solver is at fault")
+    except BaseException as err:
+        err.report = report
+        raise

@@ -25,6 +25,46 @@ def write(path, text):
     return str(path)
 
 
+PID_FILE = "solver.pid"
+
+
+def mine_until_signalled(tmp_path, samples, solver, sig):
+    """Run mine in a child process and signal it once its solver has
+    written PID_FILE; return (exit status, stdout).
+
+    Also checks that the solver is gone and no formula file remains.
+    """
+    pid_file = tmp_path / PID_FILE
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepdfa.cli", "mine", samples,
+         "--solver", solver], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    solver_pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text().strip():
+            assert time.monotonic() < deadline, "solver never started"
+            assert proc.poll() is None, "mine ended before its solver"
+            time.sleep(0.05)
+        solver_pid = int(pid_file.read_text())
+        proc.send_signal(sig)
+        out, _ = proc.communicate(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.kill(solver_pid, 0)
+        assert list(tmp_path.glob("sepdfa-*.cnf")) == []
+        return proc.returncode, out
+    finally:
+        proc.kill()
+        proc.communicate()
+        if solver_pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(solver_pid, signal.SIGKILL)
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
@@ -92,6 +132,29 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not ran.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-parity", "--colours", "1", "--length", "3"],
+        ["gen-parity", "--colours", "2", "--length", "3", "--budget", "7"],
+        ["gen-random", "--dfa-size", "0"],
+        ["gen-random", "--dfa-size", "2", "--max-len", "3000000"],
+        ["stats", "--colours", "1", "--length", "3"],
+        ["stats", "--colours", "2", "--length", "3", "--budget", "7"],
+        ["mine", "SAMPLES", "--n-start", "0"],
+    ])
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, argv):
+        # whichever module refuses the value, main() words it alike
+        samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
+        out = str(tmp_path / "out.txt")
+        argv = [samples if a == "SAMPLES" else a for a in argv]
+        if argv[0].startswith("gen-"):
+            argv += ["--out", out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not os.path.exists(out)
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["mine", "--help"]) == 0
@@ -117,6 +180,13 @@ class TestMine:
     def test_malformed_samples(self, tmp_path, capsys):
         samples = write(tmp_path / "bad.txt", "not a header\n")
         assert main(["mine", samples]) == 2
+
+    def test_non_utf8_samples(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, but unreadable input: 2
+        samples = tmp_path / "latin1.txt"
+        samples.write_bytes(b"1 2\n1 1 0\n\xff\n")
+        assert main(["mine", str(samples)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_conflicting_samples(self, tmp_path, capsys):
         samples = write(tmp_path / "conflict.txt", "2 2\n1 1 0\n0 1 0\n")
@@ -212,36 +282,48 @@ class TestMine:
     def test_signal_stops_solver_and_removes_formula(self, tmp_path,
                                                      fake_solver, sig):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
-        pid_file = tmp_path / "solver.pid"
-        sleeper = fake_solver(f'echo $$ > "{pid_file}"\nexec sleep 60\n')
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, TMPDIR=str(tmp_path),
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sepdfa.cli", "mine", samples,
-             "--solver", sleeper], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        solver_pid = None
+        sleeper = fake_solver(f'echo $$ > "{tmp_path / PID_FILE}"\n'
+                              f'exec sleep 60\n')
+        status, _ = mine_until_signalled(tmp_path, samples, sleeper, sig)
+        assert status == 128 + sig
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP])
+    def test_signal_prints_finished_attempts(self, tmp_path, fake_solver,
+                                             sig):
+        # n=1 is unsat; the signal comes while the solver works on n=2
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        called = tmp_path / "called"
+        solver = fake_solver(f"""\
+            if [ ! -e "{called}" ]; then
+                touch "{called}"
+                echo 's UNSATISFIABLE'
+                exit 20
+            fi
+            echo $$ > "{tmp_path / PID_FILE}"
+            exec sleep 60
+            """)
+        status, out = mine_until_signalled(tmp_path, samples, solver, sig)
+        assert status == 128 + sig
+        header, attempt = out.split("lower bound 2\n")
+        assert header == ("mode min3dfa\nsafety off\nsymmetry-breaking on\n"
+                          "acceptor size 3\n")
+        assert attempt.startswith("n=1 unsat ")
+        assert attempt.count("\n") == 1
+
+    def test_ctrl_c_prints_header_then_raises(self, tmp_path, fake_solver,
+                                              capsys):
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        # the pause lets solve() reach its wait, which kills the sleep
+        script = fake_solver("sleep 0.1\nkill -INT $PPID\nexec sleep 60\n")
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            deadline = time.monotonic() + 30
-            while not pid_file.exists() or not pid_file.read_text().strip():
-                assert time.monotonic() < deadline, "solver never started"
-                assert proc.poll() is None, "mine ended before its solver"
-                time.sleep(0.05)
-            solver_pid = int(pid_file.read_text())
-            proc.send_signal(sig)
-            status = proc.wait(timeout=30)
-            with pytest.raises(ProcessLookupError):
-                os.kill(solver_pid, 0)
-            assert list(tmp_path.glob("sepdfa-*.cnf")) == []
-            assert status == 128 + sig
+            with pytest.raises(KeyboardInterrupt):
+                main(["mine", samples, "--solver", script])
         finally:
-            proc.kill()
-            proc.wait()
-            if solver_pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(solver_pid, signal.SIGKILL)
+            signal.signal(signal.SIGINT, previous)
+        assert capsys.readouterr().out == (
+            "mode min3dfa\nsafety off\nsymmetry-breaking on\n"
+            "acceptor size 3\nlower bound 2\n")
 
     def test_ignored_sighup_stays_ignored(self, tmp_path, fake_solver,
                                           capsys):
@@ -346,7 +428,7 @@ class TestGenRandomAndVerify:
                       # refused before the slow draw of a 2000-state DFA
                       ["--dfa-size", "2000"]):
             assert main(["gen-random", *flags, "--out", str(out)]) == 1
-            assert capsys.readouterr().err.startswith("gen-random: ")
+            assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
 
     def test_verify_failure_lists_violations(self, tmp_path, capsys):
@@ -372,6 +454,13 @@ class TestGenRandomAndVerify:
                     "trans 0 0 0\n")
         samples = write(tmp_path / "s.txt", "1 1\n1 1 0\n")
         assert main(["verify", dfa, samples]) == 2
+
+    def test_verify_non_utf8_dump(self, tmp_path, capsys):
+        dfa = tmp_path / "d.dfa"
+        dfa.write_bytes(b"states 1 initial 0 alphabet 1\nstate 0 \xc1\n")
+        samples = write(tmp_path / "s.txt", "1 1\n1 1 0\n")
+        assert main(["verify", str(dfa), samples]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_alphabet_mismatch(self, tmp_path, capsys):
         dfa = write(tmp_path / "d.dfa",

@@ -123,8 +123,8 @@ class TestVarMap:
             vm.t(0, 1)
 
 
-class TestAcceptorFacts:
-    """What the encoder reads off an acceptor: initials, statuses, moves."""
+class TestDoubleAcceptorSeeds:
+    """The product clauses seed both initial states of a double DFA."""
 
     def test_double_dfa_offsets(self):
         dd = build_ddfa(SampleSet(2, {(0,)}, {(1,)}))

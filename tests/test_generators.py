@@ -12,7 +12,6 @@ from sepdfa.generators import (
     BudgetExceededError,
     ParityConfig,
     classify_parity_word,
-    format_stats_line,
     gen_parity_samples,
     gen_random_dfa,
     gen_samples_from_dfa,
@@ -237,8 +236,8 @@ class TestSamplesFromDfa:
 
 class TestStats:
     def test_smallest_corpus_line(self):
-        line = format_stats_line(parity_stats(ParityConfig(2, 3)))
-        assert line == "2\t3\t3\t5\t15\t8\t12"
+        stats = parity_stats(ParityConfig(2, 3))
+        assert stats == (2, 3, 3, 5, 15, 8, 12)
 
     def test_three_colour_line(self):
         stats = parity_stats(ParityConfig(3, 4))

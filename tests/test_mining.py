@@ -414,6 +414,13 @@ class TestIncompatibleClique:
         assert report.minimal_size >= len(clique)
         assert report.lower_bound == len(clique)
 
+    @given(small_sets)
+    @settings(max_examples=60)
+    def test_double_dfa_clique_is_at_most_two(self, samples):
+        # each part has one polarity, so incompatible pairs cross the parts:
+        # a bound from build_ddfa would be useless
+        assert len(incompatible_clique(build_ddfa(samples))) <= 2
+
     def test_unused_letters_cost_nothing(self):
         # the predecessor index holds the transitions that exist, not one
         # entry per letter and state

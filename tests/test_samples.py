@@ -55,7 +55,7 @@ def ascending(*ws):
     return [w for w, _ in SampleSet(3, ws, ()).entries()] == list(ws)
 
 
-class TestLexCompare:
+class TestWordOrder:
     def test_prefix_comes_first(self):
         assert ascending((0,), (0, 0))
         assert not ascending((0, 0), (0,))
