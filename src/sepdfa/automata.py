@@ -76,6 +76,17 @@ class ThreeValuedDFA:
         return DONT_CARE
 
 
+def _check_dfa(a: ThreeValuedDFA) -> None:
+    """Raise AutomatonFormatError unless a is a DFA: one initial state, a
+    transition for every state and letter, and no don't-care state."""
+    if len(a.initials) != 1:
+        raise AutomatonFormatError("a DFA has a single initial state")
+    if len(a.transitions) != a.state_count * a.alphabet_size:
+        raise AutomatonFormatError("automaton is not complete")
+    if len(a.accepting) + len(a.rejecting) != a.state_count:
+        raise AutomatonFormatError("automaton has don't-care states")
+
+
 def run(a: ThreeValuedDFA, w: Word) -> str | None:
     """Classify w with the acceptor, trying each initial state in turn.
 

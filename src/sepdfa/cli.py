@@ -26,7 +26,6 @@ import traceback
 from .automata import AutomatonFormatError, dump_automaton, parse_automaton
 from .encoding import EncodingError
 from .generators import (
-    WORD_BUDGET,
     ParityConfig,
     _check_request,
     gen_parity_samples,
@@ -117,8 +116,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gen_parity(args) -> int:
-    samples = gen_parity_samples(ParityConfig(args.colours, args.length),
-                                 args.budget)
+    samples = gen_parity_samples(ParityConfig(args.colours, args.length))
     _write_text(args.out, write_abbadingo(samples))
     print(f"wrote {samples.size} samples "
           f"({len(samples.positives)} positive, "
@@ -160,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = parity_stats(ParityConfig(args.colours, args.length), args.budget)
+    stats = parity_stats(ParityConfig(args.colours, args.length))
     print("\t".join(str(x) for x in stats))
     return EXIT_OK
 
@@ -202,7 +200,8 @@ def build_parser() -> _Parser:
                       help="first candidate size to try (default: one "
                            "below the lower bound)")
     mine.add_argument("--n-max", type=int, default=None,
-                      help="last candidate size to try")
+                      help="last candidate size to try (default: the "
+                           "min3dfa acceptor's state count plus one)")
     mine.add_argument("--dfa-out", default=None,
                       help="write the learned DFA dump here")
     mine.set_defaults(func=cmd_mine)
@@ -213,8 +212,6 @@ def build_parser() -> _Parser:
     gen_parity.add_argument("--length", type=int, required=True)
     gen_parity.add_argument("--out", required=True,
                             help="sample file to write")
-    gen_parity.add_argument("--budget", type=int, default=WORD_BUDGET,
-                            help="word enumeration budget")
     gen_parity.set_defaults(func=cmd_gen_parity)
 
     gen_random = sub.add_parser("gen-random",
@@ -240,7 +237,6 @@ def build_parser() -> _Parser:
     stats = sub.add_parser("stats", help="parity corpus statistics")
     stats.add_argument("--colours", type=int, required=True)
     stats.add_argument("--length", type=int, required=True)
-    stats.add_argument("--budget", type=int, default=WORD_BUDGET)
     stats.set_defaults(func=cmd_stats)
 
     return parser

@@ -23,13 +23,15 @@ from .automata import (
 from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
 
 
-# Work limit of the corpus generators: parity words enumerated, or letters
-# drawn at most (count times max_len) for a random corpus.
+# Work limits of the corpus generators: parity words enumerated, and
+# letters drawn at most (count times max_len) for a random corpus, where
+# each letter is one rng.randrange call.
 WORD_BUDGET = 100_000_000
+LETTER_BUDGET = 10_000_000
 
 
 class BudgetExceededError(ValueError):
-    """Enumerating the corpus would exceed the word budget."""
+    """Generating the corpus would exceed the word or letter budget."""
 
 
 @dataclass(frozen=True)
@@ -102,24 +104,24 @@ def _parity_step(state: tuple, colour: int) -> tuple:
     return (*since, winning, losing)
 
 
-def gen_parity_samples(cfg: ParityConfig,
-                       budget: int = WORD_BUDGET) -> SampleSet:
+def gen_parity_samples(cfg: ParityConfig) -> SampleSet:
     """Classify every length-cfg.length colour word; drop the don't-cares.
 
     Words are walked depth first on their per-prefix state (_parity_step,
     memoised), so each label costs O(1) rather than classify_parity_word's
     O(L^2), and a prefix that has closed both a winning and a losing cycle
-    is dropped with all its completions.  A request for more than budget
-    words is refused before any is built, with a message that names the
-    count as a power: colours**length may have too many digits to print.
+    is dropped with all its completions.  A request for more than
+    WORD_BUDGET words is refused before any is built, with a message that
+    names the count as a power: colours**length may have too many digits
+    to print.
     """
     count = 1
     for _ in range(cfg.length):
         count *= cfg.colours
-        if count > budget:
+        if count > WORD_BUDGET:
             raise BudgetExceededError(
                 f"{cfg.colours}^{cfg.length} words exceed the budget of "
-                f"{budget}")
+                f"{WORD_BUDGET}")
     colours = range(cfg.colours)
     successors: dict[tuple, list[tuple[int, tuple]]] = {}
 
@@ -177,7 +179,7 @@ def _check_request(count: int, max_len: int, alphabet_size: int) -> int:
     """Refuse a random-corpus request before anything is drawn.
 
     count words of length up to max_len must be distinct, and count times
-    max_len may not exceed WORD_BUDGET letters.  Returns the number of
+    max_len may not exceed LETTER_BUDGET letters.  Returns the number of
     words of length 0..max_len, counted only up to one past count's bit
     length: only whether the pool holds count and 2 * count words
     matters, which with two or more letters it does from there on, and a
@@ -187,10 +189,10 @@ def _check_request(count: int, max_len: int, alphabet_size: int) -> int:
         raise ValueError("count must not be negative")
     if max_len < 0:
         raise ValueError("max_len must not be negative")
-    if count * max_len > WORD_BUDGET:
+    if count * max_len > LETTER_BUDGET:
         raise BudgetExceededError(
             f"{count} words of length up to {max_len} exceed the budget of "
-            f"{WORD_BUDGET} letters")
+            f"{LETTER_BUDGET} letters")
     k = alphabet_size
     span = min(max_len, count.bit_length() + 1)
     pool = max_len + 1 if k == 1 else (k ** (span + 1) - 1) // (k - 1)
@@ -226,9 +228,9 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
     return SampleSet(k, positives, frozenset(words) - positives)
 
 
-def parity_stats(cfg: ParityConfig, budget: int = WORD_BUDGET) -> tuple:
+def parity_stats(cfg: ParityConfig) -> tuple:
     """Corpus statistics: colours, length, sample counts, acceptor sizes."""
-    samples = gen_parity_samples(cfg, budget)
+    samples = gen_parity_samples(cfg)
     return (cfg.colours, cfg.length, len(samples.positives),
             len(samples.negatives), build_apta(samples).state_count,
             build_min_3dfa_incremental(samples).state_count,

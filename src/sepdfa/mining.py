@@ -1,22 +1,24 @@
 """Search for the smallest DFA separating a sample set.
 
-The miner builds a three-valued acceptor for the samples, then asks the
-SAT solver for candidate DFAs of growing size until one exists, starting
-just below the lower bound that a clique of pairwise-incompatible states
-of the minimal three-valued acceptor proves.  Acceptor choice is the
-mode: the raw prefix tree, the incrementally minimised three-valued
-automaton, or the per-polarity double automaton with one initial state
-per polarity.  The decoded DFA is a ThreeValuedDFA too, and it is
-replayed on every sample before it is reported.
+The miner builds the minimal three-valued acceptor of the samples, which
+bounds the search at both ends: a clique of pairwise-incompatible states
+proves the lower bound, and completing the acceptor with a rejecting sink
+gives a separator one state larger.  It then asks the SAT solver for
+candidate DFAs of growing size until one exists.  The mode picks the
+acceptor the formula ties the candidate to, not the sizes: the raw prefix
+tree, the incrementally minimised three-valued automaton, or the
+per-polarity double automaton with one initial state per polarity.  The
+decoded DFA is a ThreeValuedDFA too, and it is replayed on every sample
+before it is reported.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import automata
-from .automata import AutomatonFormatError, ThreeValuedDFA, run
+from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
 from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
 from .solver import DEFAULT_SOLVER_COMMAND, solve
@@ -92,19 +94,6 @@ class MiningReport:
             lines.append(f"minimal size {self.dfa.state_count}")
             lines.append("verified yes")
         return "\n".join(lines) + "\n"
-
-
-def upper_bound(acceptor: ThreeValuedDFA) -> int:
-    """Size at which a separating DFA certainly exists.
-
-    Completing the acceptor with one rejecting sink separates the samples,
-    so the bound is its state count plus one.  For a double automaton only
-    the positive part, the states below the second initial state, needs
-    completing.
-    """
-    if len(acceptor.initials) > 1:
-        return acceptor.initials[1] + 1
-    return acceptor.state_count + 1
 
 
 def _incompatible_sets(acceptor: ThreeValuedDFA) -> list[int]:
@@ -196,16 +185,10 @@ def verify_separating(dfa: ThreeValuedDFA,
                       samples: SampleSet) -> list[tuple[Word, str]]:
     """Sorted (word, label) pairs the DFA classifies wrongly; [] if none.
 
-    Raises AutomatonFormatError unless dfa is a DFA over the samples'
-    alphabet: one initial state, a transition for every state and letter,
-    and no don't-care state.
+    Raises AutomatonFormatError unless dfa is a DFA (automata._check_dfa)
+    over the samples' alphabet.
     """
-    if len(dfa.initials) != 1:
-        raise AutomatonFormatError("a DFA has a single initial state")
-    if len(dfa.transitions) != dfa.state_count * dfa.alphabet_size:
-        raise AutomatonFormatError("automaton is not complete")
-    if len(dfa.accepting) + len(dfa.rejecting) != dfa.state_count:
-        raise AutomatonFormatError("automaton has don't-care states")
+    _check_dfa(dfa)
     if dfa.alphabet_size != samples.alphabet_size:
         raise AutomatonFormatError(
             f"alphabet mismatch: automaton has {dfa.alphabet_size}, "
@@ -225,23 +208,25 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                  n_max: int | None = None) -> MiningReport:
     """Find a smallest separating DFA for the samples.
 
-    Candidate sizes grow one by one from n_start; the first satisfiable
-    size yields the answer.  By default the search starts one below the
-    lower bound of incompatible_clique on the min3dfa acceptor, so the
-    size below the answer is still tried, but never below 1, or 2 in
-    safety mode, where the sink must differ from the initial state.  An
-    explicit n_start is used as given.  Every returned DFA has been
+    Both ends of the size range come from the min3dfa acceptor, whatever
+    the mode, which only picks the acceptor the formula is built on.
+    Sizes grow one by one; the first satisfiable one yields the answer.
+    By default the search starts one below the lower bound of
+    incompatible_clique, never below 1, or 2 in safety mode, where the
+    sink must differ from the initial state; an explicit n_start is used
+    as given.  It ends at n_max, by default the state count plus one:
+    completing the acceptor with a rejecting sink separates the samples.
+    Outside safety mode, letters that no sample uses are left out of the
+    formula and lead to state 0 in the returned DFA, which has been
     re-checked against the samples.  Sizes that cannot be searched, and
     safety mode on an alphabet of fewer than two letters, raise
-    SizeRangeError before any work; so does, before any solver call, an
-    n_start above the acceptor's size bound when n_max is not given.
-    Without n_start, an n_max below the lower bound raises
-    NoSeparatorError before any solver call.  Exhausting n_max (default:
-    the acceptor's size bound) raises MiningError, NoSeparatorError when
-    the cap was the user's or safety mode's.  Past the size checks, any
-    exception that leaves the search, a solver failure, a signal's
-    SystemExit or a KeyboardInterrupt alike, carries the partial report
-    as .report.
+    SizeRangeError before any work; so does an n_start above the bound,
+    before the mode's acceptor is built.  Without n_start, an n_max below
+    the lower bound raises NoSeparatorError before any solver call.
+    Exhausting n_max raises MiningError, NoSeparatorError when the cap
+    was the user's or safety mode's.  Past the size checks, any exception
+    that leaves the search, a solver failure, a signal's SystemExit or a
+    KeyboardInterrupt alike, carries the partial report as .report.
     """
     floor = 2 if safety else 1
     if n_start is not None and n_start < floor:
@@ -257,21 +242,23 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     builder = _BUILDERS.get(mode)
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    acceptor = getattr(automata, builder)(samples)
-    # The bound never comes from the mode's own acceptor.  Each ddfa part
-    # carries one polarity, so every incompatible pair crosses the two
-    # parts and the clique is at most 2 (2 against LB 3 on parity (4,7),
-    # and against LB 4, 6 and 8 on random N = 4, 6 and 8).  An APTA's
-    # bitsets grow with the square of its state count, 30,988 on parity
-    # (4,8).  Not kept: a second acceptor alive through the search slows it.
-    lower = len(incompatible_clique(
-        acceptor if mode == "min3dfa"
-        else getattr(automata, _BUILDERS["min3dfa"])(samples)))
-    bound = upper_bound(acceptor) if n_max is None else n_max
+    acceptor = getattr(automata, _BUILDERS["min3dfa"])(samples)
+    lower = len(incompatible_clique(acceptor))
+    bound = acceptor.state_count + 1 if n_max is None else n_max
     if n_start is not None and n_start > bound:
         raise SizeRangeError(
-            f"n_start {n_start} exceeds the acceptor's size bound {bound}; "
+            f"n_start {n_start} exceeds the size bound {bound}; "
             f"give n_max to search beyond it")
+    # Letters no sample uses are left out of the formula, but safety mode
+    # keeps every colour: its shape clauses pin them all.
+    used = (range(samples.alphabet_size) if safety
+            else sorted({a for _, a in acceptor.transitions}) or [0])
+    letter = {a: i for i, a in enumerate(used)}
+    if mode != "min3dfa":
+        acceptor = getattr(automata, builder)(samples)  # drops the min3dfa
+    if len(used) < samples.alphabet_size:
+        acceptor = replace(acceptor, alphabet_size=len(used), transitions={
+            (q, letter[a]): r for (q, a), r in acceptor.transitions.items()})
     report = MiningReport(
         mode=mode,
         safety=safety,
@@ -304,6 +291,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             ))
             if verdict.outcome == "sat":
                 dfa = decode_model(verdict.model, vm)
+                k = samples.alphabet_size  # unused letters lead to state 0
+                dfa = replace(dfa, alphabet_size=k, transitions={
+                    (q, a): dfa.transitions[q, letter[a]] if a in letter
+                    else 0 for q in range(dfa.state_count) for a in range(k)})
                 violations = verify_separating(dfa, samples)
                 if violations:
                     raise MiningError(

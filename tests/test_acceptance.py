@@ -139,7 +139,7 @@ def test_criterion_3_safety_minimal_sizes(solver_cmd, safety_reports,
         if not below or below[0].outcome != "unsat":
             failures.append(f"({c},{l}): no unsat verdict at {expected - 1}")
     if run_extended:
-        samples = gen_parity_samples(ParityConfig(5, 11), budget=50_000_000)
+        samples = gen_parity_samples(ParityConfig(5, 11))
         checked += 1
         if (len(samples.positives), len(samples.negatives)) != \
                 (9_375_269, 1_009_941):

@@ -47,6 +47,14 @@ class TestThreeValuedDFA:
         with pytest.raises(ValueError):
             ThreeValuedDFA(1, 2, initials, {}, frozenset(), frozenset())
 
+    def test_bad_sizes_rejected(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            ThreeValuedDFA(1, 0, (0,), {}, frozenset(), frozenset())
+        with pytest.raises(ValueError, match="status state 1 out of range"):
+            ThreeValuedDFA(1, 1, (0,), {}, frozenset({1}), frozenset())
+        with pytest.raises(ValueError, match="status state -1 out of range"):
+            ThreeValuedDFA(1, 1, (0,), {}, frozenset(), frozenset({-1}))
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             ThreeValuedDFA(1, 1, (0,), {}, frozenset({0}), frozenset({0}))
@@ -445,6 +453,12 @@ class TestDumpParse:
     def test_malformed_rejected(self, text):
         with pytest.raises(AutomatonFormatError):
             parse_automaton(text)
+
+    def test_unknown_line_kind_rejected(self):
+        with pytest.raises(AutomatonFormatError,
+                           match="bad line: 'edge 0 0 0'"):
+            parse_automaton(
+                "states 1 initial 0 alphabet 1\nstate 0 A\nedge 0 0 0\n")
 
     def test_huge_declared_state_count_is_cheap(self):
         # the count is compared before any per-state list is built

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sepdfa.automata import parse_automaton
+from sepdfa import mining
+from sepdfa.automata import ThreeValuedDFA, parse_automaton
 from sepdfa.cli import main
 from sepdfa.samples import parse_abbadingo
 
@@ -101,7 +102,7 @@ class TestUsageErrors:
                      *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: n_start 10 exceeds the acceptor's size bound 4; "
+            "error: n_start 10 exceeds the size bound 4; "
             "give n_max to search beyond it\n")
         assert captured.out == ""
         assert not ran.exists()
@@ -134,11 +135,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["gen-parity", "--colours", "1", "--length", "3"],
-        ["gen-parity", "--colours", "2", "--length", "3", "--budget", "7"],
+        ["gen-parity", "--colours", "2", "--length", "27"],
         ["gen-random", "--dfa-size", "0"],
         ["gen-random", "--dfa-size", "2", "--max-len", "3000000"],
         ["stats", "--colours", "1", "--length", "3"],
-        ["stats", "--colours", "2", "--length", "3", "--budget", "7"],
+        ["stats", "--colours", "2", "--length", "27"],
         ["mine", "SAMPLES", "--n-start", "0"],
     ])
     def test_refusal_is_one_error_line(self, tmp_path, capsys, argv):
@@ -247,6 +248,28 @@ class TestMine:
         assert "No such file or directory" in captured.err
         assert not ran.exists()
         assert not dfa_out.parent.exists()
+
+    def test_mined_dfa_violating_samples_is_internal_error(
+            self, tmp_path, solver_arg, capsys, monkeypatch):
+        # a decoded DFA that rejects everything mislabels the positive word
+        def reject_all(model, vm):
+            return ThreeValuedDFA(
+                vm.alphabet_size, 1, (0,),
+                {(0, a): 0 for a in range(vm.alphabet_size)},
+                frozenset(), frozenset({0}))
+
+        monkeypatch.setattr(mining, "decode_model", reject_all)
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        dfa_out = tmp_path / "result.dfa"
+        assert main(["mine", samples, "--solver", solver_arg,
+                     "--dfa-out", str(dfa_out)]) == 6
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: internal error: mined DFA violates 1 samples\n")
+        assert "\nn=1 unsat " in captured.out
+        assert "\nn=2 sat " in captured.out
+        assert "verified yes" not in captured.out
+        assert not dfa_out.exists()
 
     @pytest.mark.parametrize("existing", [None, "old dump\n"])
     def test_failed_mine_leaves_dfa_out_as_found(self, tmp_path, fake_solver,
@@ -382,8 +405,7 @@ class TestGenParity:
     def test_budget_exceeded(self, tmp_path, capsys):
         out = tmp_path / "corpus.txt"
         # the large counts have too many digits to print: named as powers
-        for flags, count in ((["--colours", "2", "--length", "3",
-                               "--budget", "7"], "2^3"),
+        for flags, count in ((["--colours", "2", "--length", "27"], "2^27"),
                              (["--colours", "2", "--length", "20000"],
                               "2^20000"),
                              (["--colours", "1000000", "--length", "1000001"],
@@ -423,10 +445,12 @@ class TestGenRandomAndVerify:
                       # 50 distinct words from the 3 of length <= 1
                       ["--dfa-size", "2", "--max-len", "1",
                        "--sample-count", "50"],
-                      # 100 * 300000 letters exceed the word budget
+                      # 100 * 3000000 letters exceed the letter budget
                       ["--dfa-size", "2", "--max-len", "3000000"],
                       # refused before the slow draw of a 2000-state DFA
-                      ["--dfa-size", "2000"]):
+                      ["--dfa-size", "2000"],
+                      # 50 * 316 words of up to 635 letters: over 10^7
+                      ["--dfa-size", "316"]):
             assert main(["gen-random", *flags, "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
@@ -485,8 +509,7 @@ class TestStats:
         assert main(["stats", "--colours", "3", "--length", "3"]) == 1
 
     def test_budget_exceeded(self, capsys):
-        for flags, count in ((["--colours", "2", "--length", "3",
-                               "--budget", "7"], "2^3"),
+        for flags, count in ((["--colours", "2", "--length", "27"], "2^27"),
                              (["--colours", "10", "--length", "5000"],
                               "10^5000")):
             assert main(["stats", *flags]) == 1

@@ -117,6 +117,12 @@ class TestVarMap:
             with pytest.raises(EncodingError):
                 vm.d_row(p)
 
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(EncodingError, match="candidate size"):
+            VarMap(0, 1, 1, False)
+        with pytest.raises(EncodingError, match="alphabet size"):
+            VarMap(1, 0, 1, False)
+
     def test_symmetry_vars_gated(self):
         vm = VarMap(2, 1, 1, False)
         with pytest.raises(EncodingError):
@@ -237,6 +243,12 @@ class TestProductClauses:
         acceptor = build_apta(SampleSet(1, {(0,)}, set()))
         vm = VarMap(2, 1, 3, False)
         with pytest.raises(EncodingError):
+            encode_product(vm, acceptor, array("i"))
+
+    def test_vm_alphabet_mismatch_rejected(self):
+        acceptor = build_apta(SampleSet(2, {(0,)}, set()))
+        vm = VarMap(2, 1, acceptor.state_count, False)
+        with pytest.raises(EncodingError, match="alphabet mismatch"):
             encode_product(vm, acceptor, array("i"))
 
 

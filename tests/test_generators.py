@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdfa.generators import (
+    LETTER_BUDGET,
     WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
@@ -16,6 +17,7 @@ from sepdfa.generators import (
     gen_random_dfa,
     gen_samples_from_dfa,
     parity_stats,
+    _check_request,
 )
 from sepdfa.automata import dump_automaton, run
 from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE, write_abbadingo
@@ -116,9 +118,9 @@ class TestGenParity:
         assert s.negatives == negatives
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            gen_parity_samples(ParityConfig(2, 3), budget=7)
-        assert gen_parity_samples(ParityConfig(2, 3), budget=8).size == 8
+        # 2^27 words exceed WORD_BUDGET; refused before any is built
+        with pytest.raises(BudgetExceededError, match=r"^2\^27 words"):
+            gen_parity_samples(ParityConfig(2, 27))
 
 
 class TestRandomDfa:
@@ -225,6 +227,19 @@ class TestSamplesFromDfa:
             gen_samples_from_dfa(dfa, 1, WORD_BUDGET + 1)
         # no letters are drawn, however long the words might have been
         assert gen_samples_from_dfa(dfa, 0, 10 ** 12).size == 0
+
+    def test_letter_budget(self):
+        # random draws have a budget of their own, far below WORD_BUDGET
+        assert LETTER_BUDGET == 10 ** 7
+        _check_request(100, 100_000, 2)
+        with pytest.raises(BudgetExceededError,
+                           match="exceed the budget of 10000000 letters"):
+            _check_request(100, 100_001, 2)
+        # the largest default gen-random request: 50 * 315 words of up to
+        # 2 * 315 + 3 letters
+        _check_request(50 * 315, 2 * 315 + 3, 2)
+        with pytest.raises(BudgetExceededError):
+            _check_request(50 * 316, 2 * 316 + 3, 2)
 
     @given(st.integers(0, 7), st.integers(0, 100))
     @settings(max_examples=25)

@@ -16,6 +16,7 @@ from sepdfa.automata import (
     build_min_3dfa_incremental,
     run,
 )
+from sepdfa.encoding import VarMap
 from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.mining import (
     MODES,
@@ -27,7 +28,6 @@ from sepdfa.mining import (
     _incompatible_sets,
     incompatible_clique,
     mine_min_dfa,
-    upper_bound,
     verify_separating,
 )
 from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet, parse_abbadingo
@@ -106,26 +106,19 @@ class TestUpperBound:
     @given(small_sets)
     @settings(max_examples=30)
     def test_completion_construction_witnesses_bound(self, samples):
-        # completing the prefix tree with a rejecting sink must separate
-        apta = build_apta(samples)
-        bound = upper_bound(apta)
-        assert bound == apta.state_count + 1
-        sink = apta.state_count
+        # completing the min3dfa acceptor with a rejecting sink separates
+        # the samples, so the search never needs more than its states + 1
+        acceptor = build_min_3dfa_incremental(samples)
+        sink = acceptor.state_count
         table = {}
-        for q in range(apta.state_count):
+        for q in range(acceptor.state_count):
             for a in range(samples.alphabet_size):
-                table[(q, a)] = apta.transitions.get((q, a), sink)
+                table[(q, a)] = acceptor.transitions.get((q, a), sink)
         for a in range(samples.alphabet_size):
             table[(sink, a)] = sink
-        completed = dfa(samples.alphabet_size, bound, table, apta.accepting)
+        completed = dfa(samples.alphabet_size, sink + 1, table,
+                        acceptor.accepting)
         assert not verify_separating(completed, samples)
-
-    @given(small_sets)
-    @settings(max_examples=30)
-    def test_ddfa_bound_uses_positive_part(self, samples):
-        positives = SampleSet(samples.alphabet_size, samples.positives, set())
-        pos = build_min_3dfa_incremental(positives)
-        assert upper_bound(build_ddfa(samples)) == pos.state_count + 1
 
 
 class TestMining:
@@ -171,6 +164,59 @@ class TestMining:
             return
         report = mine_min_dfa(samples, solver_command=solver_cmd)
         assert report.minimal_size == expected
+
+    @given(small_sets, st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_modes_try_the_same_sizes(self, solver_cmd, samples, safety,
+                                      data):
+        # both bounds come from the min3dfa acceptor, so the mode changes
+        # neither the sizes tried, nor their outcomes, nor what is refused
+        m = build_min_3dfa_incremental(samples).state_count
+        n_start = data.draw(st.none() | st.integers(2 if safety else 1,
+                                                    m + 3))
+        results = []
+        for mode in MODES:
+            try:
+                report = mine_min_dfa(samples, mode, safety=safety,
+                                      n_start=n_start,
+                                      solver_command=solver_cmd)
+                result = [report.minimal_size]
+            except (MiningError, SizeRangeError) as err:
+                report = getattr(err, "report", None)  # none on a refusal
+                result = [type(err), str(err)]
+            if report is not None:
+                result.append([(a.n, a.outcome) for a in report.attempts])
+            results.append(result)
+        assert results[0] == results[1] == results[2]
+
+    def test_unused_letters_are_not_encoded(self, solver_cmd):
+        # letters 0 and 5 of 10^5: the formulas are those of two letters,
+        # and the other letters lead to state 0 in the DFA returned
+        wide = parse_abbadingo("2 100000\n1 1 0\n0 1 5\n")
+        narrow = SampleSet(2, {(0,)}, {(1,)})
+        for mode in MODES:
+            report = mine_min_dfa(wide, mode, solver_command=solver_cmd)
+            expected = mine_min_dfa(narrow, mode, solver_command=solver_cmd)
+            assert [(a.n, a.outcome, a.variables, a.clauses)
+                    for a in report.attempts] == [
+                (a.n, a.outcome, a.variables, a.clauses)
+                for a in expected.attempts]
+            got = report.dfa
+            assert got.alphabet_size == 100_000
+            assert not verify_separating(got, wide)
+            assert {got.transitions[q, a] for q in range(got.state_count)
+                    for a in range(100_000) if a not in (0, 5)} == {0}
+
+    def test_safety_encodes_every_colour(self, solver_cmd):
+        # colour 2 labels no sample, but the safety shape pins it
+        samples = SampleSet(3, {(0,)}, {(1, 1)})
+        report = mine_min_dfa(samples, safety=True,
+                              solver_command=solver_cmd)
+        acceptor = build_min_3dfa_incremental(samples)
+        assert [a.variables for a in report.attempts] == [
+            VarMap(a.n, 3, acceptor.state_count, True).variable_count
+            for a in report.attempts]
+        assert not verify_separating(report.dfa, samples)
 
     def test_unknown_mode(self, solver_cmd):
         with pytest.raises(ValueError):
@@ -226,6 +272,18 @@ class TestMining:
         with pytest.raises(MiningError, match="at fault") as exc:
             mine_min_dfa(samples, n_start=4, solver_command=[unsat])
         assert [a.n for a in exc.value.report.attempts] == [4]
+
+    def test_n_start_refused_before_mode_build(self, monkeypatch):
+        # the bound comes from the min3dfa acceptor, built first
+        def no_build(samples):
+            raise AssertionError("mode acceptor built")
+
+        for name in ("build_apta", "build_ddfa"):
+            monkeypatch.setattr(automata, name, no_build)
+        for mode in ("apta", "ddfa"):
+            with pytest.raises(SizeRangeError, match="size bound 4"):
+                mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}), mode, n_start=5,
+                             solver_command=["no-solver"])
 
     def test_n_max_exhaustion(self, solver_cmd):
         # an explicit n_start searches below the lower bound of 3 as asked

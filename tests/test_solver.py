@@ -233,6 +233,12 @@ class TestFindSolver:
         liar = fake_solver('echo "s UNSATISFIABLE"\nexit 20\n')
         assert find_solver(candidates=[[liar]]) is None
 
+    def test_failing_candidate_skipped(self, fake_solver, monkeypatch):
+        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
+        broken = fake_solver("exit 3\n", "broken")
+        good = fake_solver('echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
+        assert find_solver(candidates=[[broken], [good]]) == [good]
+
     def test_env_override(self, fake_solver, monkeypatch):
         good = fake_solver('echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
         monkeypatch.setenv("SEPDFA_SOLVER", good)
