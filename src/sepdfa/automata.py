@@ -14,6 +14,7 @@ random DFA and a parsed dump, whose numbers follow the sample files' rule.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 from .samples import (DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word,
@@ -320,13 +321,17 @@ def dump_automaton(a: ThreeValuedDFA) -> str:
     """Line-oriented text dump: header, status per state, transitions."""
     if len(a.initials) != 1:
         raise ValueError("the dump format holds a single initial state")
-    lines = [f"states {a.state_count} initial {a.initials[0]} "
-             f"alphabet {a.alphabet_size}"]
+    # One text buffer and a sorted list of the keys, not of the items:
+    # a dump of millions of transitions holds no copy of them.
+    out = io.StringIO()
+    out.write(f"states {a.state_count} initial {a.initials[0]} "
+              f"alphabet {a.alphabet_size}\n")
     for q in range(a.state_count):
-        lines.append(f"state {q} {_STATUS_CODES[a.status(q)]}")
-    for (q, letter), r in sorted(a.transitions.items()):
-        lines.append(f"trans {q} {letter} {r}")
-    return "\n".join(lines) + "\n"
+        out.write(f"state {q} {_STATUS_CODES[a.status(q)]}\n")
+    transitions = a.transitions
+    for key in sorted(transitions):
+        out.write(f"trans {key[0]} {key[1]} {transitions[key]}\n")
+    return out.getvalue()
 
 
 def _numbers(fields: list[str], line: str) -> tuple[int, ...]:

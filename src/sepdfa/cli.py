@@ -46,6 +46,7 @@ from .solver import (
     MAX_TIMEOUT,
     SolverError,
     SolverTimeoutError,
+    _check_timeout,
 )
 
 EXIT_OK = 0
@@ -164,16 +165,15 @@ def cmd_stats(args) -> int:
 
 
 def _seconds(text: str) -> float:
-    """A positive number of seconds up to MAX_TIMEOUT, for argparse's type=."""
+    """A timeout that solve() accepts, for argparse's type=."""
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not 0 < value <= MAX_TIMEOUT:  # also false for nan
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number of seconds, at most "
-            f"{MAX_TIMEOUT}, got {text!r}")
-    return value
+        value = math.nan  # refused below, like every other non-number
+    try:
+        return _check_timeout(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err}, got {text!r}") from None
 
 
 def build_parser() -> _Parser:

@@ -21,7 +21,7 @@ from . import automata
 from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
 from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
-from .solver import DEFAULT_SOLVER_COMMAND, solve
+from .solver import DEFAULT_SOLVER_COMMAND, _check_timeout, solve
 
 # Mode -> name of its SampleSet -> ThreeValuedDFA builder in automata.  The
 # name is resolved on each call, so a wrapper bound over the module
@@ -75,6 +75,9 @@ class MiningReport:
 
     @property
     def minimal_size(self) -> int | None:
+        """The verified DFA's size, proven minimal or not (to_text says
+        which): perfbench/test_refsolver.py reads it after pinning
+        n_start = n_max = n."""
         return self.dfa.state_count if self.dfa is not None else None
 
     def to_text(self) -> str:
@@ -91,7 +94,16 @@ class MiningReport:
                 f"clauses={att.clauses} encode={att.encode_seconds:.3f}s "
                 f"time={att.solve_seconds:.3f}s")
         if self.dfa is not None:
-            lines.append(f"minimal size {self.dfa.state_count}")
+            # Minimal when the lower bound, or safety mode's two states,
+            # already demands n states, or n - 1 was refuted.
+            n = self.dfa.state_count
+            if n <= max(self.lower_bound, 2 if self.safety else 1) or any(
+                    att.n == n - 1 and att.outcome == "unsat"
+                    for att in self.attempts):
+                lines.append(f"minimal size {n}")
+            else:
+                lines.append(f"separating size {n}")
+                lines.append(f"minimality not shown: n={n - 1} not tried")
             lines.append("verified yes")
         return "\n".join(lines) + "\n"
 
@@ -220,7 +232,8 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     formula and lead to state 0 in the returned DFA, which has been
     re-checked against the samples.  Sizes that cannot be searched, and
     safety mode on an alphabet of fewer than two letters, raise
-    SizeRangeError before any work; so does an n_start above the bound,
+    SizeRangeError before any work, and a timeout that solve() refuses
+    raises ValueError; an n_start above the bound raises SizeRangeError
     before the mode's acceptor is built.  Without n_start, an n_max below
     the lower bound raises NoSeparatorError before any solver call.
     Exhausting n_max raises MiningError, NoSeparatorError when the cap
@@ -239,6 +252,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         raise SizeRangeError(
             f"safety mode needs an alphabet of at least 2 letters (parity "
             f"colours); the samples have {samples.alphabet_size}")
+    _check_timeout(timeout)
     builder = _BUILDERS.get(mode)
     if builder is None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")

@@ -6,7 +6,7 @@ and must answer with SAT-competition output, an "s" status line plus "v"
 value lines, and exit status 10 for satisfiable or 20 for unsatisfiable.
 Both channels are cross-checked, and satisfying models are checked
 against the literal buffer before anyone gets to rely on them.  A timeout
-is at most MAX_TIMEOUT seconds.
+is a finite positive number of seconds, at most MAX_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import contextlib
 import os
 import re
 import shlex
-import shutil
 import signal
 import subprocess
 import tempfile
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,6 +98,16 @@ def _kill_process_tree(proc: subprocess.Popen) -> None:
         proc.kill()
 
 
+def _check_timeout(timeout: float | None) -> float | None:
+    """Return timeout, or raise ValueError unless it is None or a finite
+    positive number of seconds up to MAX_TIMEOUT."""
+    if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:  # nan too
+        raise ValueError(
+            f"the solver timeout must be a finite positive number of "
+            f"seconds, at most the longest wait of {MAX_TIMEOUT}")
+    return timeout
+
+
 def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOLVER_COMMAND,
           timeout: float | None = None) -> SolverVerdict:
     """Run the solver on the formula and return its checked verdict.
@@ -108,16 +116,14 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     appended to the command line.  On timeout the whole solver process
     group is killed and SolverTimeoutError is raised; on any other
     exception during the wait, KeyboardInterrupt included, it is killed
-    and the exception propagates.  A timeout above MAX_TIMEOUT raises
-    ValueError before anything is written or run.
+    and the exception propagates.  A timeout that _check_timeout refuses
+    raises ValueError before anything is written or run.
     """
     command = (shlex.split(solver_command) if isinstance(solver_command, str)
                else list(solver_command))
     if not command:
         raise SolverError("empty solver command")
-    if timeout is not None and timeout > MAX_TIMEOUT:
-        raise ValueError(f"solver timeout {timeout} exceeds the longest "
-                         f"wait of {MAX_TIMEOUT} seconds")
+    _check_timeout(timeout)
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -176,37 +182,3 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     if not formula.satisfied_by(assignment):
         raise SolverError("model does not satisfy the formula")
     return SolverVerdict("sat", assignment, wall_time)
-
-
-_PROBE_CANDIDATES: tuple[tuple[str, ...], ...] = (
-    ("cadical",),
-    ("kissat",),
-    ("cryptominisat5",),
-    ("glucose", "-model"),
-    ("splr", "-C", "-q", "-r", "-"),
-)
-
-
-def find_solver(candidates: Sequence[Sequence[str]] | None = None) -> list[str] | None:
-    """First working solver command, or None.
-
-    The SEPDFA_SOLVER environment variable, when set, is tried first.
-    Each candidate must solve a one-variable probe formula correctly.
-    """
-    probes: list[list[str]] = []
-    env = os.environ.get("SEPDFA_SOLVER")
-    if env:
-        probes.append(shlex.split(env))
-    probes.extend(list(c) for c in (
-        _PROBE_CANDIDATES if candidates is None else candidates))
-    probe_formula = CnfFormula(1, array("i", (1, 0)))
-    for command in probes:
-        if not command or shutil.which(command[0]) is None:
-            continue
-        try:
-            verdict = solve(probe_formula, command, timeout=10)
-        except SolverError:
-            continue
-        if verdict.outcome == "sat" and verdict.model == {1: True}:
-            return command
-    return None

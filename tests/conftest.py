@@ -1,17 +1,22 @@
-"""Shared fixtures: solver discovery, fake solver scripts, cached corpora."""
+"""Shared fixtures: the suite's solver, fake solver scripts, cached corpora."""
 
 import os
-import shutil
+import shlex
 import stat
-import subprocess
+import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sepdfa.encoding import CnfFormula
 from sepdfa.generators import ParityConfig, gen_parity_samples
-from sepdfa.solver import find_solver
+from sepdfa.solver import SolverError, solve
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+import refsolver  # noqa: E402
 
 settings.register_profile(
     "sepdfa",
@@ -21,33 +26,25 @@ settings.register_profile(
 settings.load_profile("sepdfa")
 
 
-REFSOLVER_SOURCE = Path(__file__).parent.parent / "perfbench" / "refsolver.c"
-
-
 @pytest.fixture(scope="session")
 def solver_cmd(tmp_path_factory):
-    """Command for a working DIMACS solver, or skip.
+    """The solver command every solver test runs, or skip.
 
-    With none installed, the C reference solver in perfbench/ is compiled
-    with gcc into a session temp directory, probed like the others, and
-    named by SEPDFA_SOLVER for the rest of the session, as the README does.
+    The command in SEPDFA_SOLVER when it is set, otherwise the benchmark's
+    reference solver, compiled by perfbench/refsolver.py into a session
+    temp directory.  It must solve a one-variable formula first.
     """
-    command = find_solver()
-    if command is not None:
-        yield command
-        return
-    if shutil.which("gcc") is not None and REFSOLVER_SOURCE.is_file():
-        binary = tmp_path_factory.mktemp("refsolver") / "refsolver"
-        built = subprocess.run(
-            ["gcc", "-O2", "-std=c99", "-o", str(binary),
-             str(REFSOLVER_SOURCE)], capture_output=True)
-        if built.returncode == 0:
-            command = find_solver([[str(binary)]])
-    if command is None:
-        pytest.skip("no working SAT solver available")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("SEPDFA_SOLVER", str(binary))
-        yield command
+    command = shlex.split(os.environ.get("SEPDFA_SOLVER", ""))
+    try:
+        if not command:
+            command = [refsolver.build(str(tmp_path_factory.mktemp("bin")))]
+        verdict = solve(CnfFormula(1, array("i", (1, 0))), command,
+                        timeout=10)
+    except (refsolver.BuildError, SolverError) as err:
+        pytest.skip(f"no working SAT solver: {err}")
+    if verdict.outcome != "sat":
+        pytest.skip(f"solver {command} calls a one-variable formula unsat")
+    return command
 
 
 @pytest.fixture

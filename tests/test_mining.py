@@ -48,17 +48,22 @@ def dfa(k, n, table, accepting):
 
 
 def brute_force_minimal_size(samples, limit=4):
-    """Smallest n admitting a separating DFA, by direct enumeration."""
+    """Smallest n admitting a separating DFA, by direct enumeration.
+
+    A transition table has a separating labelling exactly when no state
+    ends both a positive and a negative word, so only tables are tried.
+    """
     k = samples.alphabet_size
     for n in range(1, limit + 1):
-        keys = [(i, a) for i in range(n) for a in range(k)]
-        for targets in itertools.product(range(n), repeat=len(keys)):
-            table = dict(zip(keys, targets))
-            for bits in itertools.product((False, True), repeat=n):
-                candidate = dfa(k, n, table,
-                                (i for i in range(n) if bits[i]))
-                if not verify_separating(candidate, samples):
-                    return n
+        for targets in itertools.product(range(n), repeat=n * k):
+            def end(word):
+                q = 0
+                for a in word:
+                    q = targets[q * k + a]
+                return q
+            if not ({end(w) for w in samples.positives}
+                    & {end(w) for w in samples.negatives}):
+                return n
     return None
 
 
@@ -337,6 +342,25 @@ class TestMining:
             mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}), solver_command=[slow],
                          timeout=0.3)
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"),
+                                         float("inf")])
+    def test_bad_timeout_refused_before_any_build(self, fake_solver,
+                                                  tmp_path, monkeypatch,
+                                                  timeout):
+        def no_build(samples):
+            raise AssertionError("acceptor built")
+
+        for name in ("build_apta", "build_min_3dfa_incremental",
+                     "build_ddfa"):
+            monkeypatch.setattr(automata, name, no_build)
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        with pytest.raises(ValueError,
+                           match="finite positive number of seconds"):
+            mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
+                         solver_command=[script], timeout=timeout)
+        assert not ran.exists()
+
     def test_always_unsat_solver_exhausts_bound(self, fake_solver):
         # the completion bound proves a solution exists, so a solver
         # that keeps answering unsat is exposed as faulty
@@ -384,6 +408,35 @@ class TestReportText:
         assert "acceptor size 3\nlower bound 2\nn=1 unsat" in text
         assert "minimal size 2" in text
         assert "verified yes" in text
+
+    def test_n_start_above_the_minimum_claims_none(self, solver_cmd):
+        # n=2 is never tried, so nothing shows that 3 states are needed
+        report = mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}), n_start=3,
+                              solver_command=solver_cmd)
+        text = report.to_text()
+        assert "minimal size" not in text
+        assert text.endswith("separating size 3\n"
+                             "minimality not shown: n=2 not tried\n"
+                             "verified yes\n")
+        assert report.minimal_size == 3
+
+    @pytest.mark.parametrize("n, safety, lower, tried, shown", [
+        (3, False, 3, [], True),  # the lower bound needs 3 states
+        (3, False, 2, [(2, "unsat")], True),  # n=2 refuted
+        (3, False, 2, [], False),
+        (3, True, 1, [], False),
+        (2, True, 1, [], True),  # safety mode needs 2 states
+    ])
+    def test_minimal_only_when_shown(self, n, safety, lower, tried, shown):
+        sink = dfa(2, n, {(q, a): n - 1 for q in range(n) for a in range(2)},
+                   {0})
+        attempts = [SizeAttempt(m, outcome, 1, 1, 0.0, 0.0)
+                    for m, outcome in tried + [(n, "sat")]]
+        text = MiningReport("min3dfa", safety, True, n, lower, attempts,
+                            sink).to_text()
+        assert (f"minimal size {n}\n" in text) == shown
+        assert (f"separating size {n}\n" in text) == (not shown)
+        assert text.endswith("verified yes\n")
 
     def test_attempt_line_shows_encode_time(self, solver_cmd):
         report = MiningReport("apta", False, True, 3, 2, [

@@ -15,7 +15,6 @@ from sepdfa.solver import (
     MAX_TIMEOUT,
     SolverError,
     SolverTimeoutError,
-    find_solver,
     parse_solver_output,
     solve,
 )
@@ -191,6 +190,21 @@ class TestSolveWithFakeSolver:
         assert solve(SAT_2VAR, [script], timeout=MAX_TIMEOUT).outcome == "sat"
         assert ran.exists()
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"),
+                                         float("inf")])
+    def test_timeout_refused_up_front(self, fake_solver, tmp_path,
+                                      monkeypatch, timeout):
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        ran = tmp_path / "ran"
+        script = fake_solver(f'touch "{ran}"\nexit 1\n')
+        with pytest.raises(ValueError,
+                           match="finite positive number of seconds"):
+            solve(SAT_2VAR, [script], timeout=timeout)
+        assert not ran.exists()
+        assert not any(temp_dir.iterdir())
+
     def test_interrupt_kills_solver(self, fake_solver, tmp_path,
                                     monkeypatch):
         # the solver has a session of its own, so Ctrl-C never reaches it
@@ -218,28 +232,3 @@ class TestSolveWithFakeSolver:
             'grep -q "p cnf 2 2" "$1" || exit 4\n'
             'echo "s SATISFIABLE"\necho "v 1 2 0"\nexit 10\n')
         assert solve(SAT_2VAR, [script]).outcome == "sat"
-
-
-class TestFindSolver:
-    def test_finds_something_here(self, solver_cmd):
-        assert find_solver() is not None
-
-    def test_no_candidates(self, monkeypatch):
-        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
-        assert find_solver(candidates=[["no-such-solver-abc"]]) is None
-
-    def test_rejects_wrong_probe_answer(self, fake_solver, monkeypatch):
-        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
-        liar = fake_solver('echo "s UNSATISFIABLE"\nexit 20\n')
-        assert find_solver(candidates=[[liar]]) is None
-
-    def test_failing_candidate_skipped(self, fake_solver, monkeypatch):
-        monkeypatch.delenv("SEPDFA_SOLVER", raising=False)
-        broken = fake_solver("exit 3\n", "broken")
-        good = fake_solver('echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
-        assert find_solver(candidates=[[broken], [good]]) == [good]
-
-    def test_env_override(self, fake_solver, monkeypatch):
-        good = fake_solver('echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
-        monkeypatch.setenv("SEPDFA_SOLVER", good)
-        assert find_solver(candidates=[]) == [good]
