@@ -2,28 +2,41 @@
 
 A candidate DFA with n states is described by transition variables
 e(i, a, j), acceptance variables f(i) and product-reachability variables
-d(p, i) that tie the candidate to a three-valued acceptor, one row per
-acceptor state.  Two optional groups are layered on top:
+d(p, i) that tie the candidate to a three-valued acceptor, one for each
+acceptor state p.  Two optional groups are layered on top:
 breadth-first-tree symmetry breaking over auxiliary variables t(i, j),
 p(child, parent) and m(i, a, j), and shape constraints that force the
 candidate into safety or co-safety form for parity corpora.
 
+Variable ids come in one block per candidate state k, holding every
+variable whose largest candidate state is k, so the ids of size n are
+those of size n + 1 up to n + 1's last block.  Clauses are grouped the
+same way: the block of k holds every determinism, product and symmetry
+clause whose largest candidate state is k, and it is the same clause at
+every size that has k.  Only the tail depends on n: the at-least-one row
+of each (state, letter) pair and the safety shape, whose sink is n - 1.
+A formula is therefore grown, not rebuilt: build_formula cuts the tail
+off, appends the new blocks and writes the new tail.
+
 Each encoder appends its clauses to one flat array('i') of literals, each
-clause closed by a 0 as in DIMACS; emit_dimacs streams it in chunks of
-about _CHUNK literals.  The product clauses, nearly the whole formula on a
-prefix tree, are filled column by column: a zeroed block of at most
-_CHUNK literals takes one clause slot at a time, by strided slices over
-every transition in the block.
+clause closed by a 0, as in DIMACS.  The product clauses, nearly the whole
+formula on a prefix tree, are filled column by column: a zeroed block of
+at most _CHUNK literals takes one clause slot at a time, by strided slices
+over every transition in the block.  emit_dimacs formats the literals in
+chunks of about _CHUNK, and formats the part a formula keeps as it grows
+only once per DimacsCache.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import re
+import shutil
+import tempfile
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, TextIO
+from dataclasses import InitVar, dataclass, field
+from typing import BinaryIO, Mapping
 
 from .automata import ThreeValuedDFA
 
@@ -44,33 +57,54 @@ class CnfFormula:
 
     Variables are the 1-based integers up to variable_count; a literal is
     a variable or its negation.  literals holds the clauses in order, each
-    closed by a 0, and no clause is empty.
+    closed by a 0, and no clause is empty.  literals[:stable], which ends
+    on a clause end, is what every larger size of a formula grown by
+    build_formula keeps; the rest is the tail of this size.  A formula
+    grown from base shares base's buffer, and only literals[base.stable:]
+    are checked and counted here: base checked the part before.
     """
 
     variable_count: int
     literals: array
+    stable: int = 0
+    base: InitVar[CnfFormula | None] = None
+    clause_count: int = field(init=False)
+    # Clauses in literals[:stable], which a formula grown from this one
+    # does not count again.
+    _stable_clauses: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        lits = self.literals
+    def __post_init__(self, base: CnfFormula | None) -> None:
+        lits, stable = self.literals, self.stable
+        start, before = 0, 0
+        if base is not None:
+            if base.literals is not lits:
+                raise EncodingError("a grown formula shares its base's buffer")
+            if base.variable_count > self.variable_count:
+                raise EncodingError("a grown formula lost variables")
+            start, before = base.stable, base._stable_clauses
         if self.variable_count < 0:
             raise EncodingError("negative variable count")
-        if lits and lits[-1] != 0:
+        if not start <= stable <= len(lits) or (stable and lits[stable - 1]):
+            raise EncodingError("stable part does not end on a clause end")
+        segment = lits[start:] if start else lits
+        if segment and segment[-1] != 0:
             raise EncodingError("last clause is not closed by 0")
-        for lit in (min(lits, default=0), max(lits, default=0)):
+        for lit in (min(segment, default=0), max(segment, default=0)):
             if abs(lit) > self.variable_count:
                 raise EncodingError(f"literal {lit} out of range")
-        # A clause is empty where a 0 opens the buffer or follows a 0; two
-        # zero literals in a row are zero bytes from a literal boundary on.
-        width = lits.itemsize
-        pair = re.compile(bytes(2 * width)).search(lits)
+        # A clause is empty where a 0 opens the segment (which follows a
+        # clause end) or follows a 0; two zero literals in a row are zero
+        # bytes from a literal boundary on.
+        width = segment.itemsize
+        pair = re.compile(bytes(2 * width)).search(segment)
         while pair and pair.start() % width:
-            pair = pair.re.search(lits, pair.start() + 1)
-        if pair or (lits and lits[0] == 0):
+            pair = pair.re.search(segment, pair.start() + 1)
+        if pair or (segment and segment[0] == 0):
             raise EncodingError("empty clause")
-
-    @cached_property
-    def clause_count(self) -> int:
-        return self.literals.count(0)
+        count = before + segment.count(0)
+        object.__setattr__(self, "clause_count", count)
+        object.__setattr__(self, "_stable_clauses",
+                           count - lits[stable:].count(0))
 
     def satisfied_by(self, model: Mapping[int, bool]) -> bool:
         """Whether the model, which assigns every variable, makes every
@@ -85,11 +119,14 @@ class CnfFormula:
 
 
 class VarMap:
-    """Fixed variable layout for one (candidate size, acceptor) pair.
+    """Variable layout for one (candidate size, acceptor) pair.
 
-    Ids are contiguous from 1 in the order: all e, then f, then d (one row
-    of n per acceptor state), then, when symmetry breaking is enabled, t,
-    p and m.
+    Ids are contiguous from 1, one block per candidate state k = 0..n-1
+    in turn, so every id of size n means the same at every larger size.
+    Block k holds: e(i, a, k) for i < k, then e(k, a, j) for j <= k, the
+    letters of each state pair in a row; f(k); d(p, k) for every acceptor
+    state p; and, when symmetry breaking is enabled, t(i, k), then
+    p(k, i), then m(i, a, k) for i < k.
     """
 
     def __init__(self, n: int, alphabet_size: int, acceptor_state_count: int,
@@ -102,145 +139,169 @@ class VarMap:
         self.alphabet_size = alphabet_size
         self.acceptor_state_count = acceptor_state_count
         self.symmetry = symmetry
-        self._base_f = n * alphabet_size * n
-        self._base_d = self._base_f + n
-        self._base_t = self._base_d + acceptor_state_count * n
-        pairs = n * (n - 1) // 2  # node pairs (i, j) with i < j
-        self._base_p = self._base_t + pairs
-        self._base_m = self._base_p + pairs
-        self.variable_count = (self._base_m + pairs * alphabet_size
-                               if symmetry else self._base_t)
+        self.variable_count = self._before(n)
+
+    def _before(self, k: int) -> int:
+        """Number of ids in the blocks of the states below k."""
+        ids = self.alphabet_size * k * k + k * (1 + self.acceptor_state_count)
+        if self.symmetry:
+            ids += (2 + self.alphabet_size) * k * (k - 1) // 2
+        return ids
+
+    def _f(self, k: int) -> int:
+        """f(k), the first id of block k past its e variables."""
+        return self._before(k) + (2 * k + 1) * self.alphabet_size + 1
 
     def e(self, i: int, a: int, j: int) -> int:
         """Candidate moves from state i to state j on letter a."""
         if not (0 <= i < self.n and 0 <= j < self.n
                 and 0 <= a < self.alphabet_size):
             raise EncodingError(f"e({i}, {a}, {j}) out of range")
-        return 1 + (i * self.alphabet_size + a) * self.n + j
+        k = max(i, j)
+        pair = i if i < k else k + j  # (i, k) for i < k, then (k, j)
+        return 1 + self._before(k) + pair * self.alphabet_size + a
 
     def f(self, i: int) -> int:
         """Candidate state i is accepting."""
         if not 0 <= i < self.n:
             raise EncodingError(f"f({i}) out of range")
-        return 1 + self._base_f + i
+        return self._f(i)
 
     def d(self, p: int, i: int) -> int:
         """Acceptor state p and candidate state i are reached together."""
         if not (0 <= p < self.acceptor_state_count and 0 <= i < self.n):
             raise EncodingError(f"d({p}, {i}) out of range")
-        return 1 + self._base_d + p * self.n + i
+        return self._f(i) + 1 + p
 
-    def e_row(self, i: int, a: int) -> range:
+    def e_row(self, i: int, a: int) -> list[int]:
         """e(i, a, j) for j = 0..n-1: the targets of state i on letter a."""
-        first = self.e(i, a, 0)
-        return range(first, first + self.n)
+        return [self.e(i, a, j) for j in range(self.n)]
 
-    def d_row(self, p: int) -> range:
+    def d_row(self, p: int) -> list[int]:
         """d(p, i) for i = 0..n-1: acceptor state p's row."""
-        first = self.d(p, 0)
-        return range(first, first + self.n)
+        return [self.d(p, i) for i in range(self.n)]
 
-    def _pair(self, i: int, j: int) -> int:
-        """Index of the node pair (i, j), i < j, among the symmetry pairs."""
+    def _symmetry_ids(self, i: int, j: int) -> int:
+        """The id before node j's symmetry variables, for the pair i < j."""
         if not self.symmetry:
             raise EncodingError("symmetry variables are disabled")
         if not 0 <= i < j < self.n:
             raise EncodingError(f"node pair ({i}, {j}) out of range")
-        return j * (j - 1) // 2 + i
+        return self._f(j) + self.acceptor_state_count
 
     def t(self, i: int, j: int) -> int:
         """Some letter moves the candidate from state i to state j (i < j)."""
-        return 1 + self._base_t + self._pair(i, j)
+        return self._symmetry_ids(i, j) + 1 + i
 
     def p(self, child: int, parent: int) -> int:
         """Candidate state child has tree parent `parent` (parent < child)."""
-        return 1 + self._base_p + self._pair(parent, child)
+        return self._symmetry_ids(parent, child) + 1 + child + parent
 
     def m(self, i: int, a: int, j: int) -> int:
         """Letter a is the smallest letter moving state i to state j (i < j)."""
         if not 0 <= a < self.alphabet_size:
             raise EncodingError(f"m({i}, {a}, {j}) letter out of range")
-        return 1 + self._base_m + self._pair(i, j) * self.alphabet_size + a
+        return (self._symmetry_ids(i, j) + 1 + 2 * j
+                + i * self.alphabet_size + a)
 
 
-def encode_dfa_shape(vm: VarMap, out: array) -> None:
-    """Determinism and completeness of the candidate transition function."""
+def encode_dfa_shape(vm: VarMap, out: array, since: int = 0) -> None:
+    """Determinism and completeness of the candidate transition function.
+
+    Appends the at-most-one clauses that size vm.n has and size `since`
+    lacks, block by block, then the at-least-one row of every state and
+    letter, which holds at size vm.n only.
+    """
+    for k in range(since, vm.n):
+        for i in range(k + 1):
+            for a in range(vm.alphabet_size):
+                row = [vm.e(i, a, j) for j in range(k + 1)]
+                if i == k:
+                    pairs = itertools.combinations(row, 2)
+                else:
+                    pairs = ((x, row[k]) for x in row[:k])
+                for x, y in pairs:
+                    out.extend((-x, -y, 0))
     for i in range(vm.n):
         for a in range(vm.alphabet_size):
-            row = vm.e_row(i, a)
-            for x, y in itertools.combinations(row, 2):
-                out.extend((-x, -y, 0))
-            out.extend(row)
+            out.extend(vm.e_row(i, a))
             out.append(0)
 
 
-def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array) -> None:
+def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
+                   since: int = 0) -> None:
     """Tie the candidate to the acceptor.
 
-    Product pairs seed at the initial states and follow the acceptor's
-    transitions in the order they are stored; candidate states paired with
-    an accepting acceptor state must accept, those paired with a rejecting
-    one must reject.  Clauses are filled column by column, by strided
-    slices that each store one clause slot of many clauses, so the
+    Appends the product clauses that size vm.n has and size `since` lacks:
+    the seeds at the initial states (with since = 0), then for each new
+    candidate state k in turn, the acceptance clauses of k and the
+    transition clauses whose largest candidate state is k, following the
+    acceptor's transitions in the order they are stored.  Candidate states
+    paired with an accepting acceptor state must accept, those paired with
+    a rejecting one must reject.  Clauses are filled column by column, by
+    strided slices that each store one clause slot of many clauses, so the
     interpreted work grows with transitions times n, not times n².
     """
     if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
     if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
-    n = vm.n
-    d_first = vm.d_row(0).start  # d(p, i) is d_first + p*n + i
-    for q0 in acceptor.initials:
-        out.extend((vm.d(q0, 0), 0))
-    # Clauses -d(p, i) ±f(i) for each status state p in order, then i.
-    # Clause (p, i) starts at 3(kn + i) for the k-th state p, so one slice
-    # of stride 3n stores -d(p, i) for every p; the f row repeats.
-    f_row = [vm.f(i) for i in range(n)]
-    for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
-        rows = [-d_first - p * n for p in sorted(states)]
-        block = array("i", [0]) * (3 * n * len(rows))
-        for i in range(n):
-            block[3 * i::3 * n] = array("i", [row - i for row in rows])
-        block[1::3] = array("i", [sign * var for var in f_row]) * len(rows)
-        out.extend(block)
-    # Transition (p, a) -> r gives the clauses -d(p, i) -e(i, a, j) d(r, j)
-    # for i, then j, in 0..n-1: 4n² literals per transition, in stored
-    # order.  One block, zeroed once, is refilled for each run of
-    # transitions: at most _CHUNK literals unless one transition alone is
-    # more (a fresh block per run raised peak RSS).  Clause (i, j) of each
-    # transition in the run starts at 4(in + j) modulo 4n², so one slice of
-    # stride 4n² stores its -d(p, i) (one array per i) or its d(r, j) (one
-    # array per j) for the whole run.  The -e column depends on the letter
-    # only; it is built once per formula and stored by one slice per
-    # transition.  No slice touches the closing 0s, so they stay.
-    columns = [array("i", [-var for i in range(n) for var in vm.e_row(i, a)])
-               for a in range(vm.alphabet_size)]
+    if since == 0:
+        for q0 in acceptor.initials:
+            out.extend((vm.d(q0, 0), 0))
+    status = ((sorted(acceptor.accepting), 1),
+              (sorted(acceptor.rejecting), -1))
     transitions = acceptor.transitions
-    sources = [-d_first - p * n for p, _ in transitions]  # -d(p, 0)
+    sources = [p for p, _ in transitions]
     letters = [a for _, a in transitions]
-    targets = [d_first + r * n for r in transitions.values()]  # d(r, 0)
-    width = 4 * n * n
-    step = max(1, _CHUNK // width)
-    block = array("i", [0]) * (width * min(step, len(letters)))
-    for start in range(0, len(letters), step):
-        run = slice(start, start + step)
-        froms, tos = sources[run], targets[run]
-        del block[width * len(froms):]  # only the last run can be shorter
-        for i in range(n):
-            lits = array("i", [base - i for base in froms])
-            for j in range(n):
-                block[4 * (i * n + j)::width] = lits
-        for j in range(n):
-            lits = array("i", [base + j for base in tos])
-            for i in range(n):
-                block[4 * (i * n + j) + 2::width] = lits
-        for t, a in enumerate(letters[run]):
-            block[t * width + 1:(t + 1) * width:4] = columns[a]
-        out.extend(block)
+    targets = list(transitions.values())
+    k_letters = vm.alphabet_size
+    rows = vm.d_row(0)  # d(p, i) is rows[i] + p
+    for k in range(since, vm.n):
+        # Clauses -d(p, k) ±f(k) for each status state p in order.
+        for states, sign in status:
+            block = array("i", [0]) * (3 * len(states))
+            block[0::3] = array("i", [-rows[k] - p for p in states])
+            block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
+            out.extend(block)
+        # Transition (p, a) -> r gives the clauses -d(p, i) -e(i, a, j)
+        # d(r, j) for the 2k + 1 state pairs (i, j) whose larger state is k,
+        # in the order of their e ids: (i, k) for i < k, then (k, j) for
+        # j <= k.  Pair s of each transition in a run starts at 4s modulo
+        # the width, so one slice of stride `width` stores its -d(p, i) or
+        # its d(r, j) for the whole run.  The -e ids of pair s are
+        # e(0, 0, k) + s*K + a, one column per letter, stored by one slice
+        # per transition.  One block, zeroed once, is refilled for each run
+        # of transitions: at most _CHUNK literals unless one transition
+        # alone is more (a fresh block per run raised peak RSS).  No slice
+        # touches the closing 0s, so they stay.
+        pairs = 2 * k + 1
+        first_e = vm.e(0, 0, k)
+        columns = [array("i", range(-first_e - a, -first_e - a - pairs
+                                    * k_letters, -k_letters))
+                   for a in range(k_letters)]
+        width = 4 * pairs
+        step = max(1, _CHUNK // width)
+        block = array("i", [0]) * (width * min(step, len(letters)))
+        for start in range(0, len(letters), step):
+            run = slice(start, start + step)
+            froms, tos = sources[run], targets[run]
+            del block[width * len(froms):]  # only the last run can be shorter
+            lits = [array("i", [-row - p for p in froms])
+                    for row in rows[:k + 1]]
+            for s in range(pairs):
+                block[4 * s::width] = lits[min(s, k)]
+            lits = [array("i", [row + r for r in tos]) for row in rows[:k + 1]]
+            for s in range(pairs):
+                block[4 * s + 2::width] = lits[k if s < k else s - k]
+            for t, a in enumerate(letters[run]):
+                block[t * width + 1:(t + 1) * width:4] = columns[a]
+            out.extend(block)
 
 
 def encode_symmetry_breaking(vm: VarMap, out: array,
-                             safety_mode: bool = False) -> None:
+                             safety_mode: bool = False,
+                             since: int = 0) -> None:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
@@ -250,17 +311,20 @@ def encode_symmetry_breaking(vm: VarMap, out: array,
     and force sibling edges into ascending letter order.  In safety mode
     every clause mentioning the sink node n-1 is dropped, because the sink
     shape clauses pin its edges in ways a breadth-first numbering of the
-    remaining nodes cannot always satisfy.
+    remaining nodes cannot always satisfy.  Appends the clauses that size
+    vm.n has and size `since` lacks, node by node: those of node j are the
+    clauses whose largest node is j.
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
     k = vm.alphabet_size
     nodes = vm.n - 1 if safety_mode else vm.n
+    first = max(since - 1, 0) if safety_mode else since
 
     def emit(*lits: int) -> None:
         out.extend(lits + (0,))
 
-    for j in range(nodes):
+    for j in range(first, nodes):
         for i in range(j):
             # p(j, i) holds iff i is the smallest node with an edge into j.
             emit(-vm.p(j, i), vm.t(i, j))
@@ -278,18 +342,19 @@ def encode_symmetry_breaking(vm: VarMap, out: array,
                     emit(-vm.m(i, a, j), -vm.e(i, b, j))
                 emit(vm.m(i, a, j), -vm.e(i, a, j),
                      *[vm.e(i, b, j) for b in range(a)])
-            if j + 1 < nodes:
-                # Children of one parent appear in ascending letter order.
-                for b in range(k):
-                    for a in range(b):
-                        emit(-vm.p(j, i), -vm.p(j + 1, i),
-                             -vm.m(i, b, j), -vm.m(i, a, j + 1))
-                # Parents are assigned in ascending node order.
-                for kk in range(i):
-                    emit(-vm.p(j, i), -vm.p(j + 1, kk))
-    # Every node except the root has a parent.
-    for child in range(1, nodes):
-        emit(*[vm.p(child, parent) for parent in range(child)])
+        prev = j - 1
+        for i in range(prev):
+            # Children of one parent appear in ascending letter order.
+            for b in range(k):
+                for a in range(b):
+                    emit(-vm.p(prev, i), -vm.p(j, i),
+                         -vm.m(i, b, prev), -vm.m(i, a, j))
+            # Parents are assigned in ascending node order.
+            for kk in range(i):
+                emit(-vm.p(prev, i), -vm.p(j, kk))
+        # Every node except the root has a parent.
+        if j:
+            emit(*[vm.p(j, parent) for parent in range(j)])
 
 
 def encode_parity_constraints(vm: VarMap, out: array) -> None:
@@ -338,30 +403,100 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
 
 
 def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
-                  safety: bool = False) -> tuple[VarMap, CnfFormula]:
-    """Assemble the full formula for one candidate size."""
+                  safety: bool = False,
+                  base: tuple[VarMap, CnfFormula] | None = None
+                  ) -> tuple[VarMap, CnfFormula]:
+    """The formula of candidate size n, grown one candidate state at a time.
+
+    Without base it grows from nothing.  base is what this function
+    returned for a smaller size, the same acceptor and the same options:
+    its buffer is cut back to its stable part and grown in place, so
+    base's formula no longer describes its size, and only the literals
+    past its stable part are checked.  The formula of size n is the same
+    either way.
+    """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
-    literals = array("i")
-    encode_dfa_shape(vm, literals)
-    encode_product(vm, acceptor, literals)
-    if symmetry:
-        encode_symmetry_breaking(vm, literals, safety_mode=safety)
+    size, formula, literals = 0, None, array("i")
+    if base is not None:
+        base_vm, formula = base
+        if not (base_vm.n < n and base_vm.symmetry == symmetry
+                and base_vm.acceptor_state_count == acceptor.state_count):
+            raise EncodingError(
+                "a formula grows only to a larger size of its acceptor")
+        size, literals = base_vm.n, formula.literals
+    stable = 0 if formula is None else formula.stable
+    for size in range(size + 1, n + 1):
+        grown = VarMap(size, acceptor.alphabet_size, acceptor.state_count,
+                       symmetry)
+        del literals[stable:]
+        encode_product(grown, acceptor, literals, since=size - 1)
+        if symmetry:
+            encode_symmetry_breaking(grown, literals, safety_mode=safety,
+                                     since=size - 1)
+        encode_dfa_shape(grown, literals, since=size - 1)
+        # The at-least-one rows, size * k clauses of size literals and a
+        # closing 0 each, end encode_dfa_shape's output and open the tail.
+        stable = len(literals) - size * acceptor.alphabet_size * (size + 1)
     if safety:
         encode_parity_constraints(vm, literals)
-    return vm, CnfFormula(vm.variable_count, literals)
+    return vm, CnfFormula(vm.variable_count, literals, stable, formula)
 
 
-def emit_dimacs(formula: CnfFormula, handle: TextIO) -> None:
-    """Write DIMACS CNF text into handle in chunks ending on clause ends."""
-    lits = formula.literals
-    handle.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
-    start = 0
-    while start < len(lits):
-        end = lits.index(0, min(start + _CHUNK, len(lits) - 1)) + 1
-        text = ("%d " * (end - start)) % tuple(lits[start:end])
+class DimacsCache:
+    """DIMACS text of the stable part of one mine's growing formula.
+
+    emit_dimacs formats each literal of the stable part into it once and
+    copies the text into every later file of the same buffer.  The text
+    lives in an anonymous temporary file, which leaves nothing behind once
+    closed, or when the process dies.
+    """
+
+    def __init__(self) -> None:
+        self.file = tempfile.TemporaryFile()
+        self.literals: array | None = None  # the buffer the text comes from
+        self.formatted = 0  # the text is that of literals[:formatted]
+
+    def close(self) -> None:
+        self.file.close()
+
+
+def _write_clauses(lits: array, start: int, stop: int,
+                   handle: BinaryIO) -> None:
+    """Write lits[start:stop], whole clauses, as DIMACS lines in chunks."""
+    while start < stop:
+        end = lits.index(0, min(start + _CHUNK, stop) - 1, stop) + 1
+        text = b"%d " * (end - start) % tuple(lits[start:end])
         # Only a clause-closing 0 prints as a whole " 0 " token.
-        handle.write(text.replace(" 0 ", " 0\n"))
+        handle.write(text.replace(b" 0 ", b" 0\n"))
         start = end
+
+
+def emit_dimacs(formula: CnfFormula, handle: BinaryIO,
+                cache: DimacsCache | None = None) -> None:
+    """Write DIMACS CNF bytes into handle.
+
+    With a cache, the stable part's text is copied from it, after the
+    stable literals it lacks are formatted into it; the tail is formatted
+    afresh.  A cache that holds another buffer's text is started again.
+    """
+    lits = formula.literals
+    handle.write(b"p cnf %d %d\n" % (formula.variable_count,
+                                     formula.clause_count))
+    start = 0
+    if cache is not None:
+        start = formula.stable
+        text = cache.file
+        if cache.literals is not lits or cache.formatted > start:
+            text.seek(0)
+            text.truncate()
+            cache.formatted = 0
+        cache.literals = None  # a write that fails leaves partial text
+        text.seek(0, os.SEEK_END)
+        _write_clauses(lits, cache.formatted, start, text)
+        cache.literals, cache.formatted = lits, start
+        text.seek(0)
+        shutil.copyfileobj(text, handle)
+    _write_clauses(lits, start, len(lits), handle)
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> ThreeValuedDFA:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import automata
 from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
-from .encoding import build_formula, decode_model
+from .encoding import DimacsCache, build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
 from .solver import DEFAULT_SOLVER_COMMAND, _check_timeout, solve
 
@@ -59,7 +59,7 @@ class SizeAttempt:
     outcome: str  # "sat" or "unsat"
     variables: int
     clauses: int
-    encode_seconds: float  # wall time of build_formula
+    encode_seconds: float  # wall time of build_formula growing to size n
     solve_seconds: float
 
 
@@ -222,7 +222,8 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
 
     Both ends of the size range come from the min3dfa acceptor, whatever
     the mode, which only picks the acceptor the formula is built on.
-    Sizes grow one by one; the first satisfiable one yields the answer.
+    Sizes grow one by one, and one formula grows with them; the first
+    satisfiable size yields the answer.
     By default the search starts one below the lower bound of
     incompatible_clique, never below 1, or 2 in safety mode, where the
     sink must differ from the initial state; an explicit n_start is used
@@ -280,6 +281,9 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         acceptor_size=acceptor.state_count,
         lower_bound=lower,
     )
+    # One formula grows through the sizes; the DIMACS text of the part every
+    # larger size keeps is formatted once, into this cache.
+    grown, cache = None, DimacsCache()
     try:
         if n_start is None:
             n_start = max(lower - 1, floor)
@@ -290,11 +294,12 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                     f"acceptor states are pairwise incompatible")
         for n in range(n_start, bound + 1):
             started = time.perf_counter()
-            vm, formula = build_formula(n, acceptor,
-                                        symmetry=symmetry_breaking,
-                                        safety=safety)
+            grown = build_formula(n, acceptor, symmetry=symmetry_breaking,
+                                  safety=safety, base=grown)
             encode_seconds = time.perf_counter() - started
-            verdict = solve(formula, solver_command, timeout=timeout)
+            vm, formula = grown
+            verdict = solve(formula, solver_command, timeout=timeout,
+                            cache=cache)
             report.attempts.append(SizeAttempt(
                 n=n,
                 outcome=verdict.outcome,
@@ -330,3 +335,5 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     except BaseException as err:
         err.report = report
         raise
+    finally:
+        cache.close()

@@ -1,7 +1,8 @@
 """Bridge to an external DIMACS SAT solver subprocess.
 
 The solver is a black box: it gets the path of a temporary DIMACS CNF
-file, streamed from the formula's literal buffer, as its last argument
+file, streamed from the formula's literal buffer (the part a growing
+formula keeps copied from a DimacsCache), as its last argument
 and must answer with SAT-competition output, an "s" status line plus "v"
 value lines, and exit status 10 for satisfiable or 20 for unsatisfiable.
 Both channels are cross-checked, and satisfying models are checked
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .encoding import CnfFormula, emit_dimacs
+from .encoding import CnfFormula, DimacsCache, emit_dimacs
 
 DEFAULT_SOLVER_COMMAND = "cadical"
 # The longest timeout, in seconds, that solve() accepts: waiting for the
@@ -109,15 +110,18 @@ def _check_timeout(timeout: float | None) -> float | None:
 
 
 def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOLVER_COMMAND,
-          timeout: float | None = None) -> SolverVerdict:
+          timeout: float | None = None,
+          cache: DimacsCache | None = None) -> SolverVerdict:
     """Run the solver on the formula and return its checked verdict.
 
-    The DIMACS text is streamed into a temporary file whose path is
-    appended to the command line.  On timeout the whole solver process
-    group is killed and SolverTimeoutError is raised; on any other
-    exception during the wait, KeyboardInterrupt included, it is killed
-    and the exception propagates.  A timeout that _check_timeout refuses
-    raises ValueError before anything is written or run.
+    The DIMACS text is streamed into a temporary file, by emit_dimacs with
+    the given cache, whose path is appended to the command line.  On
+    timeout the whole solver process group is killed and
+    SolverTimeoutError is raised; on any other exception during the wait,
+    KeyboardInterrupt included, it is killed and the exception propagates.
+    Output that is not UTF-8 text raises SolverError once the solver has
+    exited.  A timeout that _check_timeout refuses raises ValueError
+    before anything is written or run.
     """
     command = (shlex.split(solver_command) if isinstance(solver_command, str)
                else list(solver_command))
@@ -126,8 +130,8 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     _check_timeout(timeout)
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
-        with os.fdopen(fd, "w") as handle:
-            emit_dimacs(formula, handle)
+        with os.fdopen(fd, "wb") as handle:
+            emit_dimacs(formula, handle, cache)
         started = time.monotonic()
         try:
             proc = subprocess.Popen(
@@ -135,7 +139,6 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
                 start_new_session=True,
             )
         except FileNotFoundError:
@@ -163,11 +166,15 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
 
     outcome = {10: "sat", 20: "unsat"}.get(proc.returncode)
     if outcome is None:
-        detail = (stderr or stdout or "").strip().splitlines()
-        tail = detail[-1] if detail else "no output"
+        detail = (stderr or stdout).decode(errors="replace").strip()
+        tail = detail.splitlines()[-1] if detail else "no output"
         raise SolverError(
             f"solver exited with status {proc.returncode}: {tail}")
-    printed, assignment = parse_solver_output(stdout)
+    try:
+        text = stdout.decode()
+    except UnicodeDecodeError as err:
+        raise SolverError(f"solver output is not UTF-8 text: {err}") from None
+    printed, assignment = parse_solver_output(text)
     if printed != outcome:
         raise SolverError(
             f"status line says {printed} but exit code says {outcome}")

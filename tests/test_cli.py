@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,11 +34,14 @@ def mine_until_signalled(tmp_path, samples, solver, sig):
     """Run mine in a child process and signal it once its solver has
     written PID_FILE; return (exit status, stdout).
 
-    Also checks that the solver is gone and no formula file remains.
+    Also checks that the solver is gone and that the mine left nothing in
+    its TMPDIR, neither a formula file nor a cache.
     """
     pid_file = tmp_path / PID_FILE
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    env = dict(os.environ, TMPDIR=str(temp_dir),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
@@ -56,7 +60,7 @@ def mine_until_signalled(tmp_path, samples, solver, sig):
         out, _ = proc.communicate(timeout=30)
         with pytest.raises(ProcessLookupError):
             os.kill(solver_pid, 0)
-        assert list(tmp_path.glob("sepdfa-*.cnf")) == []
+        assert list(temp_dir.iterdir()) == []
         return proc.returncode, out
     finally:
         proc.kill()
@@ -294,6 +298,38 @@ class TestMine:
         captured = capsys.readouterr()
         assert captured.out.startswith("mode min3dfa\n")
         assert captured.err.startswith("error: solver exited with status 1")
+
+    def test_undecodable_solver_output(self, tmp_path, fake_solver, capsys):
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        bad = fake_solver("printf 's SATISFIABLE\\nv 1 \\377 0\\n'\n"
+                          "exit 10\n")
+        assert main(["mine", samples, "--solver", bad]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mode min3dfa\n")
+        assert "lower bound 2\n" in captured.out
+        assert captured.err.startswith("error: solver output is not UTF-8")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("solver,code", [
+        ("sat", 0),
+        ("echo 's UNSATISFIABLE'\nexit 20\n", 7),
+        ("exit 1\n", 3),
+    ])
+    def test_mine_leaves_temp_dir_empty(self, tmp_path, fake_solver,
+                                        solver_arg, monkeypatch, capsys,
+                                        solver, code):
+        # neither the solver's formula file nor the cache of its text
+        # outlives a finished or a failed mine
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")
+        command = solver_arg if solver == "sat" else fake_solver(solver)
+        assert main(["mine", samples, "--solver", command, "--n-start", "1",
+                     "--n-max", "2"]) == code
+        # the failing solver stops the mine at n=1, the others reach n=2
+        assert ("\nn=2 " in capsys.readouterr().out) == (code != 3)
+        assert list(temp_dir.iterdir()) == []
 
     def test_timeout(self, tmp_path, fake_solver, capsys):
         samples = write(tmp_path / "s.txt", "2 2\n1 1 0\n0 1 1\n")

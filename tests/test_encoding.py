@@ -5,6 +5,7 @@ import io
 import itertools
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from sepdfa.encoding import (
     encode_symmetry_breaking,
 )
 from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
+from sepdfa.mining import NoSeparatorError, mine_min_dfa
 from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
 
@@ -44,10 +46,10 @@ def clauses_of(encoder, *args, **kwargs):
     return clauses
 
 
-def dimacs_text(formula):
-    handle = io.StringIO()
-    emit_dimacs(formula, handle)
-    return handle.getvalue()
+def dimacs_text(formula, cache=None):
+    handle = io.BytesIO()
+    emit_dimacs(formula, handle, cache)
+    return handle.getvalue().decode()
 
 
 def clause_satisfied(clause, assignment):
@@ -90,12 +92,14 @@ class TestVarMap:
         assert vm.variable_count == expected
 
     def test_frozen_ids(self):
+        # block 0: e(0, a, 0), f(0), d(p, 0); block 1: e(0, a, 1),
+        # e(1, a, 0), e(1, a, 1), f(1), d(p, 1), t(0, 1), p(1, 0), m(0, a, 1)
         vm = VarMap(2, 2, 3, True)
         assert vm.e(0, 0, 0) == 1
-        assert vm.e(0, 0, 1) == 2
-        assert vm.e(1, 1, 1) == 8
-        assert vm.f(0) == 9
-        assert vm.d(0, 0) == 11
+        assert vm.e(0, 0, 1) == 7
+        assert vm.e(1, 1, 1) == 12
+        assert vm.f(0) == 3
+        assert vm.d(0, 0) == 4
         assert vm.d(2, 1) == 16
         assert vm.t(0, 1) == 17
         assert vm.p(1, 0) == 18
@@ -253,29 +257,37 @@ class TestProductClauses:
 
 
 def reference_shape(vm):
-    """encode_dfa_shape's buffer, one scalar accessor call per literal."""
+    """encode_dfa_shape's buffer, one scalar accessor call per literal:
+    the at-most-one pairs block by block, then the at-least-one rows."""
     n, out = vm.n, []
+    for k in range(n):
+        for i in range(k + 1):
+            for a in range(vm.alphabet_size):
+                for j in range(k + 1):
+                    for jj in range(j + 1, k + 1):
+                        if max(i, jj) == k:
+                            out += (-vm.e(i, a, j), -vm.e(i, a, jj), 0)
     for i in range(n):
         for a in range(vm.alphabet_size):
-            for j in range(n):
-                for jj in range(j + 1, n):
-                    out += (-vm.e(i, a, j), -vm.e(i, a, jj), 0)
             out += [vm.e(i, a, j) for j in range(n)] + [0]
     return out
 
 
 def reference_product(vm, acceptor):
-    """encode_product's buffer, one scalar accessor call per literal."""
+    """encode_product's buffer, one scalar accessor call per literal: the
+    seeds, then per candidate state k its acceptance clauses and, per
+    transition, the state pairs whose larger state is k."""
     n, out = vm.n, []
     for q0 in acceptor.initials:
         out += (vm.d(q0, 0), 0)
-    for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
-        for p in sorted(states):
-            for i in range(n):
-                out += (-vm.d(p, i), sign * vm.f(i), 0)
-    for (p, a), r in acceptor.transitions.items():
-        for i in range(n):
-            for j in range(n):
+    for k in range(n):
+        for states, sign in ((acceptor.accepting, 1),
+                             (acceptor.rejecting, -1)):
+            for p in sorted(states):
+                out += (-vm.d(p, k), sign * vm.f(k), 0)
+        pairs = [(i, k) for i in range(k)] + [(k, j) for j in range(k + 1)]
+        for (p, a), r in acceptor.transitions.items():
+            for i, j in pairs:
                 out += (-vm.d(p, i), -vm.e(i, a, j), vm.d(r, j), 0)
     return out
 
@@ -533,31 +545,307 @@ class TestBuildFormula:
         assert all(ln.endswith(" 0") for ln in lines[1:])
 
 
+class ParentVarMap:
+    """The layout before ids were stable across sizes, as a reference: ids
+    from 1 in the order all e, then f, then d (one row of n per acceptor
+    state), then t, p and m."""
+
+    def __init__(self, n, alphabet_size, acceptor_state_count, symmetry):
+        self.n, self.alphabet_size = n, alphabet_size
+        self.acceptor_state_count = acceptor_state_count
+        self.symmetry = symmetry
+        pairs = n * (n - 1) // 2
+        self.base_f = n * alphabet_size * n
+        self.base_d = self.base_f + n
+        self.base_t = self.base_d + acceptor_state_count * n
+        self.base_p = self.base_t + pairs
+        self.base_m = self.base_p + pairs
+        self.variable_count = (self.base_m + pairs * alphabet_size
+                               if symmetry else self.base_t)
+
+    def e(self, i, a, j):
+        return 1 + (i * self.alphabet_size + a) * self.n + j
+
+    def f(self, i):
+        return 1 + self.base_f + i
+
+    def d(self, p, i):
+        return 1 + self.base_d + p * self.n + i
+
+    def t(self, i, j):
+        return 1 + self.base_t + j * (j - 1) // 2 + i
+
+    def p(self, child, parent):
+        return 1 + self.base_p + child * (child - 1) // 2 + parent
+
+    def m(self, i, a, j):
+        return (1 + self.base_m + (j * (j - 1) // 2 + i) * self.alphabet_size
+                + a)
+
+
+def parent_shape(vm):
+    n, out = vm.n, []
+    for i in range(n):
+        for a in range(vm.alphabet_size):
+            for j in range(n):
+                for jj in range(j + 1, n):
+                    out += (-vm.e(i, a, j), -vm.e(i, a, jj), 0)
+            out += [vm.e(i, a, j) for j in range(n)] + [0]
+    return out
+
+
+def parent_product(vm, acceptor):
+    n, out = vm.n, []
+    for q0 in acceptor.initials:
+        out += (vm.d(q0, 0), 0)
+    for states, sign in ((acceptor.accepting, 1), (acceptor.rejecting, -1)):
+        for p in sorted(states):
+            for i in range(n):
+                out += (-vm.d(p, i), sign * vm.f(i), 0)
+    for (p, a), r in acceptor.transitions.items():
+        for i in range(n):
+            for j in range(n):
+                out += (-vm.d(p, i), -vm.e(i, a, j), vm.d(r, j), 0)
+    return out
+
+
+def parent_symmetry(vm, safety_mode):
+    k, out = vm.alphabet_size, []
+    nodes = vm.n - 1 if safety_mode else vm.n
+
+    def emit(*lits):
+        out.extend(lits + (0,))
+
+    for j in range(nodes):
+        for i in range(j):
+            emit(-vm.p(j, i), vm.t(i, j))
+            for kk in range(i):
+                emit(-vm.p(j, i), -vm.t(kk, j))
+            emit(vm.p(j, i), -vm.t(i, j), *[vm.t(kk, j) for kk in range(i)])
+            emit(-vm.t(i, j), *[vm.e(i, a, j) for a in range(k)])
+            for a in range(k):
+                emit(vm.t(i, j), -vm.e(i, a, j))
+            for a in range(k):
+                emit(-vm.m(i, a, j), vm.e(i, a, j))
+                for b in range(a):
+                    emit(-vm.m(i, a, j), -vm.e(i, b, j))
+                emit(vm.m(i, a, j), -vm.e(i, a, j),
+                     *[vm.e(i, b, j) for b in range(a)])
+            if j + 1 < nodes:
+                for b in range(k):
+                    for a in range(b):
+                        emit(-vm.p(j, i), -vm.p(j + 1, i),
+                             -vm.m(i, b, j), -vm.m(i, a, j + 1))
+                for kk in range(i):
+                    emit(-vm.p(j, i), -vm.p(j + 1, kk))
+    for child in range(1, nodes):
+        emit(*[vm.p(child, parent) for parent in range(child)])
+    return out
+
+
+def parent_formula(n, acceptor, symmetry, safety):
+    """(variable count, literals) of the formula before ids were stable
+    across sizes: shape, product, symmetry and safety clauses in turn."""
+    vm = ParentVarMap(n, acceptor.alphabet_size, acceptor.state_count,
+                      symmetry)
+    literals = parent_shape(vm) + parent_product(vm, acceptor)
+    if symmetry:
+        literals += parent_symmetry(vm, safety)
+    if safety:
+        # encode_parity_constraints reads only vm.n, alphabet_size, e and f
+        literals += clauses_literals(encode_parity_constraints, vm)
+    return vm, literals
+
+
+def clauses_literals(encoder, *args):
+    out = array("i")
+    encoder(*args, out)
+    return out.tolist()
+
+
+def renaming(old, new):
+    """Parent id -> stable id, accessor by accessor."""
+    n, k = new.n, new.alphabet_size
+    ids = {}
+    for i, a, j in itertools.product(range(n), range(k), range(n)):
+        ids[old.e(i, a, j)] = new.e(i, a, j)
+    for i in range(n):
+        ids[old.f(i)] = new.f(i)
+        for p in range(new.acceptor_state_count):
+            ids[old.d(p, i)] = new.d(p, i)
+    if new.symmetry:
+        for j in range(n):
+            for i in range(j):
+                ids[old.t(i, j)] = new.t(i, j)
+                ids[old.p(j, i)] = new.p(j, i)
+                for a in range(k):
+                    ids[old.m(i, a, j)] = new.m(i, a, j)
+    assert sorted(ids) == list(range(1, old.variable_count + 1))
+    return ids
+
+
+def clause_multiset(literals, rename=None):
+    clauses, clause = Counter(), []
+    for lit in literals:
+        if lit == 0:
+            clauses[tuple(clause)] += 1
+            clause = []
+        elif rename is None:
+            clause.append(lit)
+        else:
+            clause.append(rename[lit] if lit > 0 else -rename[-lit])
+    return clauses
+
+
+def layout_acceptor(corpus, mode, parity_corpus):
+    samples = (parity_corpus(3, 4) if corpus == "parity" else
+               gen_samples_from_dfa(gen_random_dfa(3, 2, 7), 40, 7, seed=7))
+    return acceptor_for(samples, mode)
+
+
+LAYOUT_CASES = [(corpus, mode, safety, symmetry)
+                for corpus in ("parity", "random")
+                for mode in ("apta", "min3dfa", "ddfa")
+                for safety in (False, True)
+                for symmetry in (False, True)]
+
+
+# sha256 of the DIMACS text the parent layout gave for each GOLDEN_DIMACS
+# key: parent_formula must reproduce it, which pins it as the parent's
+# formula, id for id and clause for clause.
+PARENT_DIMACS = {
+    ('parity', 'apta', 2, True):
+        "d99582ea2d4529e268109cbd9660e7e6c2432d6e6f32b48af82d4147082c4701",
+    ('parity', 'apta', 3, True):
+        "fba9b57cfb9be0ae2630076811bee4f109e842607994b16321133501c60c6125",
+    ('random', 'apta', 3, True):
+        "1ca57f0114f80fe99e65b075c63df6e970c5fb0ffab0c3aa9c908aa94fe4a49f",
+    ('random', 'apta', 3, False):
+        "5fa81eb28d7493b1ecf0a7a121b40826b75134da74f67eb8ae187abcee654f99",
+    ('random', 'apta', 4, True):
+        "d12ed6fb14f23dfb27e737c009a4df8b7b93683c61ede9f4d19061d1a7e6e3f8",
+    ('random', 'apta', 4, False):
+        "75f59b7f41461c86ee35df276cd141aa7c69546bd4ea8013964b43a6ca0ad1b8",
+    ('parity', 'min3dfa', 2, True):
+        "0af797711884ebf57d517ae75f6e4068145f45031635e721d590a9297cbe4711",
+    ('parity', 'min3dfa', 3, True):
+        "847c49a68150f035cc332ee95d87b1cfe71f0b647ffad334be69649707be629c",
+    ('random', 'min3dfa', 3, True):
+        "b027ed6ae5879f0e3c67bb2b8e343743ee4a0031fa3f18c74ffe4f8f734fd785",
+    ('random', 'min3dfa', 3, False):
+        "ae082806a5b5c20a7226a1628f6eebd2abc5ffef1ed4e65ca4835a13e2b40ea6",
+    ('random', 'min3dfa', 4, True):
+        "4f1d76ccc5cc0d252971363cb67d2c80e9d4081396e42b5ec1779021421928ae",
+    ('random', 'min3dfa', 4, False):
+        "bf7c1493e001fea1571fb3155fe01d5230fac40c3fc54383210ac7636be08e8d",
+    ('parity', 'ddfa', 2, True):
+        "bab47d565b4245bcbfa1fd49881fa711448acb378ab1bee111e31c095b09f22f",
+    ('parity', 'ddfa', 3, True):
+        "4323d79ccc62fecb3d726177f8f33280581f9bd6f056f78c2f1f21751f7a1589",
+    ('random', 'ddfa', 3, True):
+        "1f88e0b70ab963577b10db1db60f484948abb1ebdbee2b7a8017efc4e66d0f5e",
+    ('random', 'ddfa', 3, False):
+        "1f7859aa137194a8566f7e4f3fe9b27225a78c352514adcb5141bd713f363bc4",
+    ('random', 'ddfa', 4, True):
+        "8cb66bbfb62402d363f1493c11360f9c50716a7b6de962673bc3e2b1d114241c",
+    ('random', 'ddfa', 4, False):
+        "0409ddaa41c11feae4254aed3ea69bccd3acf68734350169b0d6f32f09365d7c",
+    ('random', 'apta', 8, True):
+        "267ae93de9f75ab82ac67ded1643be2a65dc5306dfcf66425217fef986e30b4e",
+}
+
+
+def parent_dimacs(n, acceptor, symmetry, safety):
+    vm, literals = parent_formula(n, acceptor, symmetry, safety)
+    lines, clause = [f"p cnf {vm.variable_count} {literals.count(0)}"], []
+    for lit in literals:
+        clause.append(str(lit))
+        if lit == 0:
+            lines.append(" ".join(clause))
+            clause = []
+    return "\n".join(lines) + "\n"
+
+
+class TestStableLayout:
+    @pytest.mark.parametrize("corpus,mode,n,symmetry", sorted(PARENT_DIMACS))
+    def test_parent_reference_is_exact(self, parity_corpus, corpus, mode, n,
+                                       symmetry):
+        samples = (parity_corpus(3, 5) if corpus == "parity"
+                   else random_corpus())
+        text = parent_dimacs(n, acceptor_for(samples, mode), symmetry,
+                             corpus == "parity")
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == PARENT_DIMACS[(corpus, mode, n, symmetry)])
+
+    @pytest.mark.parametrize("corpus,mode,safety,symmetry", LAYOUT_CASES)
+    def test_matches_parent_formula(self, parity_corpus, corpus, mode,
+                                    safety, symmetry):
+        # every size's formula is the parent's up to a renaming of the
+        # variables and an order of the clauses
+        acceptor = layout_acceptor(corpus, mode, parity_corpus)
+        for n in range(2 if safety else 1, 6):
+            vm, formula = build_formula(n, acceptor, symmetry=symmetry,
+                                        safety=safety)
+            old, literals = parent_formula(n, acceptor, symmetry, safety)
+            assert formula.variable_count == old.variable_count
+            assert formula.clause_count == literals.count(0)
+            assert (clause_multiset(formula.literals)
+                    == clause_multiset(literals, renaming(old, vm)))
+
+    @pytest.mark.parametrize("corpus,mode,safety,symmetry", LAYOUT_CASES)
+    def test_growing_appends_only(self, parity_corpus, corpus, mode, safety,
+                                  symmetry):
+        # growing leaves the buffer as it was up to the tail, and gives the
+        # formula built from nothing
+        acceptor = layout_acceptor(corpus, mode, parity_corpus)
+        grown = build_formula(2, acceptor, symmetry=symmetry, safety=safety)
+        for n in range(3, 6):
+            kept = grown[1].literals[:grown[1].stable]
+            grown = build_formula(n, acceptor, symmetry=symmetry,
+                                  safety=safety, base=grown)
+            _, fresh = build_formula(n, acceptor, symmetry=symmetry,
+                                     safety=safety)
+            formula = grown[1]
+            assert formula.literals[:len(kept)] == kept
+            assert formula.stable > len(kept)
+            assert formula.literals == fresh.literals
+            assert formula.stable == fresh.stable
+            assert formula.clause_count == fresh.clause_count
+            assert dimacs_text(formula) == dimacs_text(fresh)
+
+    def test_growing_refuses_other_sizes_and_layouts(self, parity_corpus):
+        acceptor = layout_acceptor("random", "apta", parity_corpus)
+        base = build_formula(3, acceptor)
+        for n, symmetry in ((3, True), (2, True), (4, False)):
+            with pytest.raises(EncodingError, match="larger size"):
+                build_formula(n, acceptor, symmetry=symmetry, base=base)
+
+
 # sha256 of the DIMACS text per (corpus, mode, n, symmetry breaking).  The
 # parity corpus is (3, 5) with the safety shape; the random one holds 200
 # words up to length 11 labelled by gen_random_dfa(4, 2, 101).  Any change
 # to variable numbering or clause order shows up here.
 GOLDEN_DIMACS = {
-    ("parity", "apta", 2, True): "d99582ea2d4529e268109cbd9660e7e6c2432d6e6f32b48af82d4147082c4701",
-    ("parity", "apta", 3, True): "fba9b57cfb9be0ae2630076811bee4f109e842607994b16321133501c60c6125",
-    ("random", "apta", 3, True): "1ca57f0114f80fe99e65b075c63df6e970c5fb0ffab0c3aa9c908aa94fe4a49f",
-    ("random", "apta", 3, False): "5fa81eb28d7493b1ecf0a7a121b40826b75134da74f67eb8ae187abcee654f99",
-    ("random", "apta", 4, True): "d12ed6fb14f23dfb27e737c009a4df8b7b93683c61ede9f4d19061d1a7e6e3f8",
-    ("random", "apta", 4, False): "75f59b7f41461c86ee35df276cd141aa7c69546bd4ea8013964b43a6ca0ad1b8",
-    ("parity", "min3dfa", 2, True): "0af797711884ebf57d517ae75f6e4068145f45031635e721d590a9297cbe4711",
-    ("parity", "min3dfa", 3, True): "847c49a68150f035cc332ee95d87b1cfe71f0b647ffad334be69649707be629c",
-    ("random", "min3dfa", 3, True): "b027ed6ae5879f0e3c67bb2b8e343743ee4a0031fa3f18c74ffe4f8f734fd785",
-    ("random", "min3dfa", 3, False): "ae082806a5b5c20a7226a1628f6eebd2abc5ffef1ed4e65ca4835a13e2b40ea6",
-    ("random", "min3dfa", 4, True): "4f1d76ccc5cc0d252971363cb67d2c80e9d4081396e42b5ec1779021421928ae",
-    ("random", "min3dfa", 4, False): "bf7c1493e001fea1571fb3155fe01d5230fac40c3fc54383210ac7636be08e8d",
-    ("parity", "ddfa", 2, True): "bab47d565b4245bcbfa1fd49881fa711448acb378ab1bee111e31c095b09f22f",
-    ("parity", "ddfa", 3, True): "4323d79ccc62fecb3d726177f8f33280581f9bd6f056f78c2f1f21751f7a1589",
-    ("random", "ddfa", 3, True): "1f88e0b70ab963577b10db1db60f484948abb1ebdbee2b7a8017efc4e66d0f5e",
-    ("random", "ddfa", 3, False): "1f7859aa137194a8566f7e4f3fe9b27225a78c352514adcb5141bd713f363bc4",
-    ("random", "ddfa", 4, True): "8cb66bbfb62402d363f1493c11360f9c50716a7b6de962673bc3e2b1d114241c",
-    ("random", "ddfa", 4, False): "0409ddaa41c11feae4254aed3ea69bccd3acf68734350169b0d6f32f09365d7c",
+    ("parity", "apta", 2, True): "232e7309affffabdd8d6911077a9762c8ad62159ed9f11b63b7bcaab7d681066",
+    ("parity", "apta", 3, True): "eac304f04fe105f6960f42f423cf11544963f8b28c21284d01fa8ab3daf92948",
+    ("random", "apta", 3, True): "b6179ca1d2d7ad2266c691d2581f83f2c17bc62fb2276f03b3a353cf197e9304",
+    ("random", "apta", 3, False): "5c75436283314247abaade394294d60ac1a5ca08e007bb071b32231c904bc2a5",
+    ("random", "apta", 4, True): "f8504d3310ceef999751e7885f8f5ab5c934a8ea80dc1a76aa4e60587cf01977",
+    ("random", "apta", 4, False): "2956850b852c235a2f7190c281b1181ea56ddb0d930b282a6f040faf92b7f7db",
+    ("parity", "min3dfa", 2, True): "55bd46d146ec21fd21cc56475d7612f07b3fc00ee2e7e9d6a8ab5fac8d9877bb",
+    ("parity", "min3dfa", 3, True): "abb58593b2f36a85f0d812018cf7ca2e990750d53a5e6e69e17144610fe8e136",
+    ("random", "min3dfa", 3, True): "ddba804e602cc371916c4e8acb70c1bd06f795f0dbe1101517b859c4fa780205",
+    ("random", "min3dfa", 3, False): "c61c7fa9d6a4fe2bbd98491e01754f5e8db78b2a8219c1d8657e897e8b070542",
+    ("random", "min3dfa", 4, True): "d5d128d94f24959b857ae190d002a0682dc96524c98b9ed6165c2b347d202c68",
+    ("random", "min3dfa", 4, False): "78ddc599cfcd66ae27fedb0a529235eacfb81ba8378ff927cdac8c0ef47d9660",
+    ("parity", "ddfa", 2, True): "24f9ab9d3b1a7c5bdf3821a1bc79750d1a154753af89aaf5cf9079307141b667",
+    ("parity", "ddfa", 3, True): "fe9d1f567c2679affb959bec943e9d821e24c6aa9f48675f6f77fd1fc9d40eb2",
+    ("random", "ddfa", 3, True): "53979c89f6fa7c113fe77d2e481f73423efc857680ef19fb94ab0eeabbb4a4bb",
+    ("random", "ddfa", 3, False): "8bbe732e7f3f233ce98773515b63fdacebb9ff937b1f2b38cddcb5a17a4a2fc6",
+    ("random", "ddfa", 4, True): "914f621f80e3cd44679a231e3887506500875a56158c99f914168c8654dde3f7",
+    ("random", "ddfa", 4, False): "89ea1c2a41d36b1827e851ce4cc2d9dd319738c5a7b021cdc1900cf0ce59249f",
     # 256 literals per transition's product block
-    ("random", "apta", 8, True): "267ae93de9f75ab82ac67ded1643be2a65dc5306dfcf66425217fef986e30b4e",
+    ("random", "apta", 8, True): "8d340de897b5a2046811138857bdc8eaa8a8da2599bdc6a7162a944c085307ee",
 }
 
 
@@ -569,12 +857,12 @@ def acceptor_for(samples, mode):
     return build_ddfa(samples)
 
 
+def random_corpus():
+    return gen_samples_from_dfa(gen_random_dfa(4, 2, 101), 200, 11, seed=101)
+
+
 def golden_formula(parity_corpus, corpus, mode, n, symmetry):
-    if corpus == "parity":
-        samples = parity_corpus(3, 5)
-    else:
-        samples = gen_samples_from_dfa(gen_random_dfa(4, 2, 101), 200,
-                                       11, seed=101)
+    samples = parity_corpus(3, 5) if corpus == "parity" else random_corpus()
     _, formula = build_formula(n, acceptor_for(samples, mode),
                                symmetry=symmetry, safety=corpus == "parity")
     return formula
@@ -601,6 +889,23 @@ class TestGoldenDimacs:
         seen = copy.read_bytes()
         assert seen == dimacs_text(formula).encode()
         assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
+        # A mine grows one formula over n = 2..4 and copies each size's
+        # cached text, with a seam where the formatted tail begins: every
+        # file equals that size's formula built from nothing.
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        script = fake_solver(
+            f'cp "$1" "{copies}/$(ls "{copies}" | wc -l | tr -d " ").cnf"\n'
+            f'echo "s UNSATISFIABLE"\nexit 20\n', name="copier")
+        with pytest.raises(NoSeparatorError):
+            mine_min_dfa(random_corpus(), "apta", solver_command=[script],
+                         n_start=2, n_max=4)
+        for index, n in enumerate((2, 3, 4)):
+            seen = (copies / f"{index}.cnf").read_bytes()
+            formula = golden_formula(parity_corpus, "random", "apta", n, True)
+            assert formula.stable > 0
+            assert seen == dimacs_text(formula).encode()
+        assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
 
 
 class TestCnfFormula:
@@ -625,6 +930,61 @@ class TestCnfFormula:
 
     def test_dimacs_of_empty_formula(self):
         assert dimacs_text(CnfFormula(3, array("i"))) == "p cnf 3 0\n"
+
+    def test_grown_formula_checks_the_new_segment(self):
+        lits = array("i", (1, -2, 0, 2, 0))
+        base = CnfFormula(2, lits, stable=3)
+        lits.extend((3, 0))
+        grown = CnfFormula(3, lits, stable=5, base=base)
+        assert grown.clause_count == 3
+        assert CnfFormula(3, lits, 7, base=grown).clause_count == 3
+        for appended, stable, message in (((0,), 5, "empty clause"),
+                                          ((4, 0), 5, "out of range"),
+                                          ((1,), 5, "not closed"),
+                                          ((1, 0), 6, "clause end")):
+            lits = array("i", (1, -2, 0, 2, 0))
+            base = CnfFormula(2, lits, stable=3)
+            lits.extend(appended)
+            with pytest.raises(EncodingError, match=message):
+                CnfFormula(3, lits, stable, base=base)
+
+    def test_grown_formula_shares_the_buffer(self):
+        base = CnfFormula(2, array("i", (1, 0)), stable=2)
+        with pytest.raises(EncodingError, match="buffer"):
+            CnfFormula(2, array("i", (1, 0, 2, 0)), 2, base=base)
+        with pytest.raises(EncodingError, match="lost variables"):
+            CnfFormula(1, base.literals, 2, base=base)
+
+    def test_cache_restarts_for_another_buffer(self, parity_corpus):
+        acceptor = layout_acceptor("random", "min3dfa", parity_corpus)
+        formulas = [build_formula(n, acceptor)[1] for n in (3, 2, 4)]
+        cache = encoding.DimacsCache()
+        try:
+            for formula in formulas:
+                assert formula.stable > 0
+                assert dimacs_text(formula, cache) == dimacs_text(formula)
+        finally:
+            cache.close()
+
+    def test_cache_restarts_after_a_failed_write(self, parity_corpus,
+                                                 monkeypatch):
+        _, formula = build_formula(
+            3, layout_acceptor("random", "min3dfa", parity_corpus))
+        write = encoding._write_clauses
+
+        def failing(lits, start, stop, handle):
+            handle.write(b"1 -2 ")
+            raise OSError("no space left")
+
+        cache = encoding.DimacsCache()
+        try:
+            monkeypatch.setattr(encoding, "_write_clauses", failing)
+            with pytest.raises(OSError):
+                dimacs_text(formula, cache)
+            monkeypatch.setattr(encoding, "_write_clauses", write)
+            assert dimacs_text(formula, cache) == dimacs_text(formula)
+        finally:
+            cache.close()
 
 
 class TestDecodeModel:

@@ -134,6 +134,16 @@ class TestSolveWithFakeSolver:
         with pytest.raises(SolverError, match="status 3"):
             solve(SAT_2VAR, [script])
 
+    def test_undecodable_output(self, fake_solver, tmp_path):
+        # a byte that is not UTF-8 is a solver failure, reported once the
+        # solver has exited
+        done = tmp_path / "done"
+        script = fake_solver(f"printf 's SATISFIABLE\\nv 1 \\377 0\\n'\n"
+                             f'touch "{done}"\nexit 10\n')
+        with pytest.raises(SolverError, match="not UTF-8"):
+            solve(SAT_2VAR, [script])
+        assert done.exists()
+
     def test_incomplete_model(self, fake_solver):
         script = fake_solver('echo "s SATISFIABLE"\necho "v 2 0"\nexit 10\n')
         with pytest.raises(SolverError, match="unassigned"):
