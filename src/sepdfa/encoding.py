@@ -14,15 +14,26 @@ those of size n + 1 up to n + 1's last block.  Clauses are grouped the
 same way: the block of k holds every determinism, product and symmetry
 clause whose largest candidate state is k, and it is the same clause at
 every size that has k.  Only the tail depends on n: the at-least-one row
-of each (state, letter) pair and the safety shape, whose sink is n - 1.
-A formula is therefore grown, not rebuilt: build_formula cuts the tail
-off, appends the new blocks and writes the new tail.
+of each (state, letter) pair and, in safety mode, the block of the sink
+n - 1 and the safety shape.  A formula is therefore grown, not rebuilt:
+build_formula cuts the tail off, appends the new blocks (in safety mode
+the old sink's block again, as a block below the sink) and writes the new
+tail.
+
+In safety mode the shape's unit clauses fix many e and all f variables.
+The product clauses are written with those values, closed under
+determinism: a clause that one makes true is left out, a literal that
+one makes false is left out of its clause, and an acceptance clause whose
+f(k) is fixed against it is the unit -d(p, k).  The units and the
+at-most-one clauses that imply the values stay, so each size keeps its
+models.  A block below the sink uses only the values that hold at every
+larger size, so that it is the same at every size that keeps it.
 
 Each encoder appends its clauses to one flat array('i') of literals, each
 clause closed by a 0, as in DIMACS.  The product clauses, nearly the whole
-formula on a prefix tree, are filled column by column: a zeroed block of
-at most _CHUNK literals takes one clause slot at a time, by strided slices
-over every transition in the block.  emit_dimacs formats the literals in
+formula on a prefix tree, are filled column by column: a block of at most
+_CHUNK literals takes one clause slot at a time, by strided slices over
+every transition in the block.  emit_dimacs formats the literals in
 chunks of about _CHUNK, and formats the part a formula keeps as it grows
 only once per DimacsCache.
 """
@@ -35,7 +46,9 @@ import re
 import shutil
 import tempfile
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 from typing import BinaryIO, Mapping
 
 from .automata import ThreeValuedDFA
@@ -101,10 +114,10 @@ class CnfFormula:
             pair = pair.re.search(segment, pair.start() + 1)
         if pair or (segment and segment[0] == 0):
             raise EncodingError("empty clause")
-        count = before + segment.count(0)
-        object.__setattr__(self, "clause_count", count)
-        object.__setattr__(self, "_stable_clauses",
-                           count - lits[stable:].count(0))
+        kept = before + lits[start:stable].count(0)
+        object.__setattr__(self, "clause_count",
+                           kept + lits[stable:].count(0))
+        object.__setattr__(self, "_stable_clauses", kept)
 
     def satisfied_by(self, model: Mapping[int, bool]) -> bool:
         """Whether the model, which assigns every variable, makes every
@@ -126,11 +139,12 @@ class VarMap:
     Block k holds: e(i, a, k) for i < k, then e(k, a, j) for j <= k, the
     letters of each state pair in a row; f(k); d(p, k) for every acceptor
     state p; and, when symmetry breaking is enabled, t(i, k), then
-    p(k, i), then m(i, a, k) for i < k.
+    p(k, i), then m(i, a, k) for i < k.  safety records whether the
+    formula holds the safety shape, which adds no variables.
     """
 
     def __init__(self, n: int, alphabet_size: int, acceptor_state_count: int,
-                 symmetry: bool):
+                 symmetry: bool, safety: bool = False):
         if n < 1:
             raise EncodingError("candidate size must be at least 1")
         if alphabet_size < 1:
@@ -139,6 +153,7 @@ class VarMap:
         self.alphabet_size = alphabet_size
         self.acceptor_state_count = acceptor_state_count
         self.symmetry = symmetry
+        self.safety = safety
         self.variable_count = self._before(n)
 
     def _before(self, k: int) -> int:
@@ -228,75 +243,157 @@ def encode_dfa_shape(vm: VarMap, out: array, since: int = 0) -> None:
             out.append(0)
 
 
+class _Transitions:
+    """An acceptor as encode_product reads it, once per build_formula call.
+
+    facts maps a variable to the value the formula's shape fixes for it.
+    Without facts the transitions keep their stored order, in one span of
+    mixed letters.  With facts a letter's clauses take a layout of their
+    own, so the transitions are sorted by letter, stored order within a
+    letter, in one span per letter.  The d literals of each candidate
+    state's row are made on first use and kept for every later block.
+    """
+
+    def __init__(self, acceptor: ThreeValuedDFA,
+                 facts: Mapping[int, bool] | None = None):
+        self.facts = facts or {}
+        self.status = ((sorted(acceptor.accepting), 1),
+                       (sorted(acceptor.rejecting), -1))
+        keys = list(acceptor.transitions)
+        if self.facts:
+            keys.sort(key=itemgetter(1))
+        self.sources = [p for p, _ in keys]
+        self.letters = [a for _, a in keys]
+        self.targets = [acceptor.transitions[key] for key in keys]
+        # (start, stop, the letters of the transitions in between)
+        present = sorted(set(self.letters))
+        if not self.facts:
+            self.spans = [(0, len(keys), present)] if keys else []
+        else:
+            self.spans = [(bisect_left(self.letters, a),
+                           bisect_right(self.letters, a), [a])
+                          for a in present]
+        self._leaving: dict[int, array] = {}
+        self._entering: dict[int, array] = {}
+
+    def leaving(self, vm: VarMap, i: int) -> array:
+        """-d(p, i) for the source p of each transition, in order."""
+        if i not in self._leaving:
+            first = -vm.d(0, i)
+            self._leaving[i] = array("i", [first - p for p in self.sources])
+        return self._leaving[i]
+
+    def entering(self, vm: VarMap, j: int) -> array:
+        """d(r, j) for the target r of each transition, in order."""
+        if j not in self._entering:
+            first = vm.d(0, j)
+            self._entering[j] = array("i", [first + r for r in self.targets])
+        return self._entering[j]
+
+
+def _clause_layout(facts: Mapping[int, bool], first_e: int, k: int,
+                   alphabet_size: int, a: int) -> tuple[array, list]:
+    """One transition's clauses -d(p, i) -e(i, a, j) d(r, j) in block k.
+
+    The state pairs (i, j) whose larger state is k come in the order of
+    their e ids, e(0, 0, k) + s*K + a for pair s: (i, k) for i < k, then
+    (k, j) for j <= k.  A pair whose e the facts make false has no clause;
+    one whose e they make true has no -e.  Returns the pattern, which
+    holds each -e and closing 0 in place and 0 for each d, and the slots
+    (offset of -d(p, i), i, offset of d(r, j), j).
+    """
+    pattern, slots = array("i"), []
+    for s in range(2 * k + 1):
+        e = first_e + s * alphabet_size + a
+        fixed = facts.get(e)
+        if fixed is False:
+            continue
+        i, j = (s, k) if s < k else (k, s - k)
+        at = len(pattern)
+        if fixed:
+            slots.append((at, i, at + 1, j))
+            pattern.extend((0, 0, 0))
+        else:
+            slots.append((at, i, at + 2, j))
+            pattern.extend((0, -e, 0, 0))
+    return pattern, slots
+
+
 def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
-                   since: int = 0) -> None:
+                   since: int = 0, table: _Transitions | None = None) -> None:
     """Tie the candidate to the acceptor.
 
     Appends the product clauses that size vm.n has and size `since` lacks:
     the seeds at the initial states (with since = 0), then for each new
     candidate state k in turn, the acceptance clauses of k and the
-    transition clauses whose largest candidate state is k, following the
-    acceptor's transitions in the order they are stored.  Candidate states
-    paired with an accepting acceptor state must accept, those paired with
-    a rejecting one must reject.  Clauses are filled column by column, by
-    strided slices that each store one clause slot of many clauses, so the
-    interpreted work grows with transitions times n, not times n².
+    transition clauses whose largest candidate state is k, in the order of
+    table's spans.  Candidate states paired with an accepting acceptor
+    state must accept, those paired with a rejecting one must reject.
+    table is the acceptor read with the values the formula's shape fixes;
+    without one it is read here, with none fixed.  A clause that a fixed
+    value makes true is left out, and so is a literal that one makes
+    false.  Clauses are filled column by column, by strided slices that
+    each store one clause slot of many clauses, so the interpreted work
+    grows with transitions times n, not times n².
     """
     if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
     if acceptor.alphabet_size != vm.alphabet_size:
         raise EncodingError("alphabet mismatch between acceptor and variables")
+    if table is None:
+        table = _Transitions(acceptor)
+    facts = table.facts
     if since == 0:
         for q0 in acceptor.initials:
             out.extend((vm.d(q0, 0), 0))
-    status = ((sorted(acceptor.accepting), 1),
-              (sorted(acceptor.rejecting), -1))
-    transitions = acceptor.transitions
-    sources = [p for p, _ in transitions]
-    letters = [a for _, a in transitions]
-    targets = list(transitions.values())
-    k_letters = vm.alphabet_size
-    rows = vm.d_row(0)  # d(p, i) is rows[i] + p
     for k in range(since, vm.n):
-        # Clauses -d(p, k) ±f(k) for each status state p in order.
-        for states, sign in status:
-            block = array("i", [0]) * (3 * len(states))
-            block[0::3] = array("i", [-rows[k] - p for p in states])
-            block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
+        # Clauses -d(p, k) ±f(k) for each status state p in order; a fixed
+        # f(k) leaves out those it makes true and cuts the others to -d(p, k).
+        fixed = facts.get(vm.f(k))
+        first_d = -vm.d(0, k)
+        for states, sign in table.status:
+            if fixed == (sign > 0):
+                continue
+            width = 3 if fixed is None else 2
+            block = array("i", [0]) * (width * len(states))
+            block[0::width] = array("i", [first_d - p for p in states])
+            if fixed is None:
+                block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
             out.extend(block)
-        # Transition (p, a) -> r gives the clauses -d(p, i) -e(i, a, j)
-        # d(r, j) for the 2k + 1 state pairs (i, j) whose larger state is k,
-        # in the order of their e ids: (i, k) for i < k, then (k, j) for
-        # j <= k.  Pair s of each transition in a run starts at 4s modulo
-        # the width, so one slice of stride `width` stores its -d(p, i) or
-        # its d(r, j) for the whole run.  The -e ids of pair s are
-        # e(0, 0, k) + s*K + a, one column per letter, stored by one slice
-        # per transition.  One block, zeroed once, is refilled for each run
-        # of transitions: at most _CHUNK literals unless one transition
-        # alone is more (a fresh block per run raised peak RSS).  No slice
-        # touches the closing 0s, so they stay.
-        pairs = 2 * k + 1
+        # A span's transitions share one layout of width literals each, so
+        # one slice of stride `width` stores a slot's -d(p, i) or d(r, j)
+        # for a whole run of them.  The patterns go in first: one repeated
+        # pattern for a one-letter span, one pattern per transition where
+        # letters mix.  A run is at most _CHUNK literals unless one
+        # transition alone is more (filling a whole span at once raised
+        # peak RSS); a mixed span refills one block.
         first_e = vm.e(0, 0, k)
-        columns = [array("i", range(-first_e - a, -first_e - a - pairs
-                                    * k_letters, -k_letters))
-                   for a in range(k_letters)]
-        width = 4 * pairs
-        step = max(1, _CHUNK // width)
-        block = array("i", [0]) * (width * min(step, len(letters)))
-        for start in range(0, len(letters), step):
-            run = slice(start, start + step)
-            froms, tos = sources[run], targets[run]
-            del block[width * len(froms):]  # only the last run can be shorter
-            lits = [array("i", [-row - p for p in froms])
-                    for row in rows[:k + 1]]
-            for s in range(pairs):
-                block[4 * s::width] = lits[min(s, k)]
-            lits = [array("i", [row + r for r in tos]) for row in rows[:k + 1]]
-            for s in range(pairs):
-                block[4 * s + 2::width] = lits[k if s < k else s - k]
-            for t, a in enumerate(letters[run]):
-                block[t * width + 1:(t + 1) * width:4] = columns[a]
-            out.extend(block)
+        for start, stop, letters in table.spans:
+            layouts = {a: _clause_layout(facts, first_e, k, vm.alphabet_size,
+                                         a) for a in letters}
+            pattern, slots = layouts[letters[0]]
+            width = len(pattern)
+            if not width:
+                continue
+            leaving = {i: table.leaving(vm, i) for _, i, _, _ in slots}
+            entering = {j: table.entering(vm, j) for _, _, _, j in slots}
+            step = max(1, _CHUNK // width)
+            block = array("i")
+            for run in range(start, stop, step):
+                end = min(run + step, stop)
+                if len(letters) == 1:
+                    block = pattern * (end - run)
+                else:
+                    if len(block) != width * (end - run):
+                        block = array("i", [0]) * (width * (end - run))
+                    for t, a in enumerate(table.letters[run:end]):
+                        block[t * width:(t + 1) * width] = layouts[a][0]
+                froms = {i: row[run:end] for i, row in leaving.items()}
+                tos = {j: row[run:end] for j, row in entering.items()}
+                for src, i, dst, j in slots:
+                    block[src::width] = froms[i]
+                    block[dst::width] = tos[j]
+                out.extend(block)
 
 
 def encode_symmetry_breaking(vm: VarMap, out: array,
@@ -311,20 +408,19 @@ def encode_symmetry_breaking(vm: VarMap, out: array,
     and force sibling edges into ascending letter order.  In safety mode
     every clause mentioning the sink node n-1 is dropped, because the sink
     shape clauses pin its edges in ways a breadth-first numbering of the
-    remaining nodes cannot always satisfy.  Appends the clauses that size
-    vm.n has and size `since` lacks, node by node: those of node j are the
-    clauses whose largest node is j.
+    remaining nodes cannot always satisfy.  Appends the clauses of the
+    nodes from `since` on, node by node: those of node j are the clauses
+    whose largest node is j.
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
     k = vm.alphabet_size
     nodes = vm.n - 1 if safety_mode else vm.n
-    first = max(since - 1, 0) if safety_mode else since
 
     def emit(*lits: int) -> None:
         out.extend(lits + (0,))
 
-    for j in range(first, nodes):
+    for j in range(since, nodes):
         for i in range(j):
             # p(j, i) holds iff i is the smallest node with an edge into j.
             emit(-vm.p(j, i), vm.t(i, j))
@@ -361,12 +457,14 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
     """Pin the candidate into safety (or co-safety) automaton shape.
 
     Letters are parity-game colours.  Colours sharing the parity of the
-    highest colour loop on the initial state; opponent colours move off
-    it.  State n-1 is an absorbing sink, the highest colour resets every
-    non-sink state to the initial state, and opponent colours never loop
-    on a non-sink state.  When the highest colour is even all non-sink
-    states accept and the sink rejects; when it is odd the roles flip.
-    Needs n >= 2 so the sink is distinct from the initial state.
+    highest colour loop on the initial state and never enter the sink
+    from another state; opponent colours move off the initial state to a
+    middle state, neither it nor the sink.  State n-1 is an absorbing
+    sink, the highest colour resets every non-sink state to the initial
+    state, and opponent colours never loop on a non-sink state.  When the
+    highest colour is even all non-sink states accept and the sink
+    rejects; when it is odd the roles flip.  Needs n >= 2 so the sink is
+    distinct from the initial state.
     """
     colours = vm.alphabet_size
     if colours < 2:
@@ -402,6 +500,48 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
     out.extend((-accept * vm.f(sink), 0))
 
 
+def _shape_facts(vm: VarMap) -> dict[int, bool]:
+    """The values the safety shape fixes at size vm.n, by variable.
+
+    These are the unit clauses encode_parity_constraints writes, closed
+    under determinism: a true e(i, a, j) makes every other e(i, a, j')
+    false.  The at-most-one clauses and the units stay in the formula, so
+    every model of it takes these values.
+    """
+    shape = array("i")
+    encode_parity_constraints(vm, shape)
+    facts, start = {}, 0
+    for end, lit in enumerate(shape):
+        if lit == 0:
+            if end == start + 1:
+                facts[abs(shape[start])] = shape[start] > 0
+            start = end + 1
+    for i in range(vm.n):
+        for a in range(vm.alphabet_size):
+            row = vm.e_row(i, a)
+            if any(facts.get(e) for e in row):
+                for e in row:
+                    facts.setdefault(e, False)
+    return facts
+
+
+def _safety_facts(vm: VarMap) -> dict[int, bool]:
+    """The fixed values the product clauses of size vm.n are written with.
+
+    The sink's block, in the tail, takes every value the shape fixes at
+    size n.  A block below the sink is kept by every larger size, so it
+    takes only the values that size n + 1 fixes alike: at n = 3 the
+    middle-state clause of each opponent colour is the unit e(0, a, 1),
+    which size 4 does not share.
+    """
+    facts = _shape_facts(vm)
+    larger = _shape_facts(VarMap(vm.n + 1, vm.alphabet_size,
+                                 vm.acceptor_state_count, vm.symmetry))
+    sink = vm._before(vm.n - 1)  # the last id below the sink's block
+    return {var: value for var, value in facts.items()
+            if var > sink or larger.get(var) == value}
+
+
 def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                   safety: bool = False,
                   base: tuple[VarMap, CnfFormula] | None = None
@@ -413,30 +553,41 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     its buffer is cut back to its stable part and grown in place, so
     base's formula no longer describes its size, and only the literals
     past its stable part are checked.  The formula of size n is the same
-    either way.
+    either way.  With safety, the sink's block is part of the tail, and
+    the product clauses leave out what the shape's fixed values decide.
     """
-    vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
-    size, formula, literals = 0, None, array("i")
+    vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
+                safety)
+    first, formula, literals = 0, None, array("i")
     if base is not None:
         base_vm, formula = base
         if not (base_vm.n < n and base_vm.symmetry == symmetry
+                and base_vm.safety == safety
+                and base_vm.alphabet_size == acceptor.alphabet_size
                 and base_vm.acceptor_state_count == acceptor.state_count):
             raise EncodingError(
-                "a formula grows only to a larger size of its acceptor")
-        size, literals = base_vm.n, formula.literals
-    stable = 0 if formula is None else formula.stable
-    for size in range(size + 1, n + 1):
-        grown = VarMap(size, acceptor.alphabet_size, acceptor.state_count,
+                "a formula grows only to a larger size of its acceptor, "
+                "with the same options")
+        # Every block of base is stable but, with safety, its sink's.
+        first = base_vm.n - 1 if safety else base_vm.n
+        literals = formula.literals
+    stable = end = 0 if formula is None else formula.stable
+    table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
+    for k in range(first, n):
+        grown = VarMap(k + 1, acceptor.alphabet_size, acceptor.state_count,
                        symmetry)
-        del literals[stable:]
-        encode_product(grown, acceptor, literals, since=size - 1)
+        sink = safety and k == n - 1
+        del literals[end:]
+        encode_product(grown, acceptor, literals, since=k, table=table)
         if symmetry:
-            encode_symmetry_breaking(grown, literals, safety_mode=safety,
-                                     since=size - 1)
-        encode_dfa_shape(grown, literals, since=size - 1)
-        # The at-least-one rows, size * k clauses of size literals and a
-        # closing 0 each, end encode_dfa_shape's output and open the tail.
-        stable = len(literals) - size * acceptor.alphabet_size * (size + 1)
+            encode_symmetry_breaking(grown, literals, safety_mode=sink,
+                                     since=k)
+        encode_dfa_shape(grown, literals, since=k)
+        # The at-least-one rows, (k + 1) * K clauses of k + 1 literals and
+        # a closing 0 each, end encode_dfa_shape's output and the block.
+        end = len(literals) - (k + 1) * acceptor.alphabet_size * (k + 2)
+        if not sink:
+            stable = end
     if safety:
         encode_parity_constraints(vm, literals)
     return vm, CnfFormula(vm.variable_count, literals, stable, formula)

@@ -6,6 +6,7 @@ import itertools
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -519,9 +520,9 @@ class TestBuildFormula:
         vm2, f2 = build_formula(2, acceptor)
         assert (f2.variable_count, f2.clause_count) == (30, 72)
         _, f_safe = build_formula(3, acceptor, safety=True)
-        assert f_safe.clause_count == 163
+        assert f_safe.clause_count == 94
         _, f2_safe = build_formula(2, acceptor, safety=True)
-        assert f2_safe.clause_count == 71
+        assert f2_safe.clause_count == 39
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_clause_count_bounds(self, parity_corpus, n):
@@ -663,6 +664,59 @@ def clauses_literals(encoder, *args):
     return out.tolist()
 
 
+def shape_units(n, colours):
+    """What the safety shape's unit clauses fix at size n, closed under
+    determinism, by variable name: ("e", i, a, j) or ("f", i)."""
+    vm = ParentVarMap(n, colours, 1, False)
+    names = {vm.f(i): ("f", i) for i in range(n)}
+    for i, a, j in itertools.product(range(n), range(colours), range(n)):
+        names[vm.e(i, a, j)] = ("e", i, a, j)
+    fixed = {}
+    for clause in clause_multiset(
+            clauses_literals(encode_parity_constraints, vm)):
+        if len(clause) == 1:
+            fixed[names[abs(clause[0])]] = clause[0] > 0
+    for i, a in itertools.product(range(n), range(colours)):
+        row = [("e", i, a, j) for j in range(n)]
+        if any(fixed.get(name) for name in row):
+            for name in row:
+                fixed.setdefault(name, False)
+    return fixed
+
+
+def prune(literals, fixed):
+    """Clause by clause: drop those with a literal fixed true, and from the
+    others every literal fixed false."""
+    out, clause = [], []
+    for lit in literals:
+        if lit:
+            clause.append(lit)
+            continue
+        if not any(fixed.get(abs(x)) == (x > 0) for x in clause):
+            out += [x for x in clause if abs(x) not in fixed] + [0]
+        clause = []
+    return out
+
+
+def pruned_parent_formula(n, acceptor, symmetry):
+    """parent_formula in safety mode, with its product clauses pruned by
+    the shape's fixed values: all of them on the sink's variables, and on
+    the others those that size n + 1 fixes alike."""
+    vm, literals = parent_formula(n, acceptor, symmetry, True)
+    colours, sink = acceptor.alphabet_size, n - 1
+    now, larger = shape_units(n, colours), shape_units(n + 1, colours)
+    ids = {("f", i): vm.f(i) for i in range(n)}
+    for i, a, j in itertools.product(range(n), range(colours), range(n)):
+        ids[("e", i, a, j)] = vm.e(i, a, j)
+    fixed = {ids[name]: value for name, value in now.items()
+             if sink in name[1::2] or larger.get(name) == value}
+    product = parent_product(vm, acceptor)
+    start = len(parent_shape(vm))
+    assert literals[start:start + len(product)] == product
+    literals[start:start + len(product)] = prune(product, fixed)
+    return vm, literals
+
+
 def renaming(old, new):
     """Parent id -> stable id, accessor by accessor."""
     n, k = new.n, new.alphabet_size
@@ -697,9 +751,14 @@ def clause_multiset(literals, rename=None):
     return clauses
 
 
+# (colours, length) of each parity corpus the layout tests use
+LAYOUT_PARITY = {"parity": (3, 4), "parity23": (2, 3), "parity35": (3, 5)}
+
+
 def layout_acceptor(corpus, mode, parity_corpus):
-    samples = (parity_corpus(3, 4) if corpus == "parity" else
-               gen_samples_from_dfa(gen_random_dfa(3, 2, 7), 40, 7, seed=7))
+    samples = (parity_corpus(*LAYOUT_PARITY[corpus]) if corpus != "random"
+               else gen_samples_from_dfa(gen_random_dfa(3, 2, 7), 40, 7,
+                                         seed=7))
     return acceptor_for(samples, mode)
 
 
@@ -708,6 +767,10 @@ LAYOUT_CASES = [(corpus, mode, safety, symmetry)
                 for mode in ("apta", "min3dfa", "ddfa")
                 for safety in (False, True)
                 for symmetry in (False, True)]
+LAYOUT_CASES += [(corpus, mode, True, symmetry)
+                 for corpus in ("parity23", "parity35")
+                 for mode in ("apta", "min3dfa", "ddfa")
+                 for symmetry in (False, True)]
 
 
 # sha256 of the DIMACS text the parent layout gave for each GOLDEN_DIMACS
@@ -781,12 +844,15 @@ class TestStableLayout:
     def test_matches_parent_formula(self, parity_corpus, corpus, mode,
                                     safety, symmetry):
         # every size's formula is the parent's up to a renaming of the
-        # variables and an order of the clauses
+        # variables and an order of the clauses; with safety, after its
+        # product clauses are pruned by the shape's fixed values
         acceptor = layout_acceptor(corpus, mode, parity_corpus)
         for n in range(2 if safety else 1, 6):
             vm, formula = build_formula(n, acceptor, symmetry=symmetry,
                                         safety=safety)
-            old, literals = parent_formula(n, acceptor, symmetry, safety)
+            old, literals = (pruned_parent_formula(n, acceptor, symmetry)
+                             if safety else
+                             parent_formula(n, acceptor, symmetry, False))
             assert formula.variable_count == old.variable_count
             assert formula.clause_count == literals.count(0)
             assert (clause_multiset(formula.literals)
@@ -819,6 +885,102 @@ class TestStableLayout:
         for n, symmetry in ((3, True), (2, True), (4, False)):
             with pytest.raises(EncodingError, match="larger size"):
                 build_formula(n, acceptor, symmetry=symmetry, base=base)
+        # the safety flag and the alphabet must match too
+        acceptor = layout_acceptor("parity35", "min3dfa", parity_corpus)
+        wider = replace(acceptor, alphabet_size=acceptor.alphabet_size + 1)
+        for safety in (False, True):
+            base = build_formula(2, acceptor, safety=not safety)
+            with pytest.raises(EncodingError, match="larger size"):
+                build_formula(4, acceptor, safety=safety, base=base)
+            base = build_formula(2, acceptor, safety=safety)
+            with pytest.raises(EncodingError, match="larger size"):
+                build_formula(4, wider, safety=safety, base=base)
+
+
+def shaped_dfas(n, colours):
+    """(transitions, accepting) of every n-state DFA of the shape that
+    encode_parity_constraints' docstring states."""
+    sink, highest = n - 1, colours - 1
+    targets = {}
+    for i, a in itertools.product(range(n), range(colours)):
+        if i == sink:
+            targets[i, a] = [sink]
+        elif a == highest or (i == 0 and a % 2 == highest % 2):
+            targets[i, a] = [0]
+        elif a % 2 == highest % 2:
+            targets[i, a] = range(sink)
+        elif i == 0:
+            targets[i, a] = range(1, sink)
+        else:
+            targets[i, a] = [j for j in range(n) if j != i]
+    accepting = frozenset(range(sink) if highest % 2 == 0 else [sink])
+    for choice in itertools.product(*targets.values()):
+        yield dict(zip(targets, choice)), accepting
+
+
+def separates(transitions, accepting, samples):
+    for words, label in ((samples.positives, True),
+                         (samples.negatives, False)):
+        for word in words:
+            q = 0
+            for a in word:
+                q = transitions[q, a]
+            if (q in accepting) != label:
+                return False
+    return True
+
+
+@st.composite
+def colour_sets(draw):
+    colours = draw(st.integers(2, 3))
+    words = st.lists(st.integers(0, colours - 1), max_size=5).map(tuple)
+    positives = draw(st.sets(words, max_size=6))
+    negatives = draw(st.sets(words, max_size=6))
+    return SampleSet(colours, positives, negatives - positives)
+
+
+def non_sink_reachable(transitions, n):
+    """Whether state 0 reaches every state below the sink n - 1."""
+    seen, todo = {0}, [0]
+    while todo:
+        q = todo.pop()
+        for (p, _), r in transitions.items():
+            if p == q and r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen >= set(range(n - 1))
+
+
+class TestSafetyVerdicts:
+    @given(colour_sets(),
+           st.sampled_from([build_apta, build_min_3dfa_incremental,
+                            build_ddfa]))
+    @settings(max_examples=40)
+    def test_match_shaped_enumeration(self, solver_cmd, samples, builder):
+        # The pruned formula of each size is satisfiable exactly when some
+        # DFA of the safety shape separates the samples, and its models
+        # decode to such a DFA.  Symmetry breaking numbers the states below
+        # the sink breadth first, so it also needs them all reachable; the
+        # smallest separator has them all reachable, or a smaller size
+        # would do, so the minimum is the same either way.
+        acceptor = builder(samples)
+        colours = samples.alphabet_size
+        for n in (2, 3, 4):
+            shaped = [(transitions, accepting)
+                      for transitions, accepting in shaped_dfas(n, colours)
+                      if separates(transitions, accepting, samples)]
+            for symmetry in (False, True):
+                expected = [(transitions, accepting)
+                            for transitions, accepting in shaped
+                            if not symmetry
+                            or non_sink_reachable(transitions, n)]
+                vm, formula = build_formula(n, acceptor, symmetry=symmetry,
+                                            safety=True)
+                verdict = solve(formula, solver_cmd)
+                assert verdict.outcome == ("sat" if expected else "unsat")
+                if expected:
+                    dfa = decode_model(verdict.model, vm)
+                    assert (dict(dfa.transitions), dfa.accepting) in expected
 
 
 # sha256 of the DIMACS text per (corpus, mode, n, symmetry breaking).  The
@@ -826,20 +988,20 @@ class TestStableLayout:
 # words up to length 11 labelled by gen_random_dfa(4, 2, 101).  Any change
 # to variable numbering or clause order shows up here.
 GOLDEN_DIMACS = {
-    ("parity", "apta", 2, True): "232e7309affffabdd8d6911077a9762c8ad62159ed9f11b63b7bcaab7d681066",
-    ("parity", "apta", 3, True): "eac304f04fe105f6960f42f423cf11544963f8b28c21284d01fa8ab3daf92948",
+    ("parity", "apta", 2, True): "516b0c5b2d1c403d8867d2805b70651d29652302c31b9cffd22ccca51e61570d",
+    ("parity", "apta", 3, True): "3e5c595dd97653384cd1de51bcd4a186ea8edb9a7609f8d8efa05b5a9eabbb1c",
     ("random", "apta", 3, True): "b6179ca1d2d7ad2266c691d2581f83f2c17bc62fb2276f03b3a353cf197e9304",
     ("random", "apta", 3, False): "5c75436283314247abaade394294d60ac1a5ca08e007bb071b32231c904bc2a5",
     ("random", "apta", 4, True): "f8504d3310ceef999751e7885f8f5ab5c934a8ea80dc1a76aa4e60587cf01977",
     ("random", "apta", 4, False): "2956850b852c235a2f7190c281b1181ea56ddb0d930b282a6f040faf92b7f7db",
-    ("parity", "min3dfa", 2, True): "55bd46d146ec21fd21cc56475d7612f07b3fc00ee2e7e9d6a8ab5fac8d9877bb",
-    ("parity", "min3dfa", 3, True): "abb58593b2f36a85f0d812018cf7ca2e990750d53a5e6e69e17144610fe8e136",
+    ("parity", "min3dfa", 2, True): "61b665716a2e12254da1bba9c55093e49f0abfd2f24c70e27eada06a94388fd7",
+    ("parity", "min3dfa", 3, True): "c31f1fa50d2744c1b2c81defd6a7db43b6a7a9e2e88cdffa3213a247dc176fb0",
     ("random", "min3dfa", 3, True): "ddba804e602cc371916c4e8acb70c1bd06f795f0dbe1101517b859c4fa780205",
     ("random", "min3dfa", 3, False): "c61c7fa9d6a4fe2bbd98491e01754f5e8db78b2a8219c1d8657e897e8b070542",
     ("random", "min3dfa", 4, True): "d5d128d94f24959b857ae190d002a0682dc96524c98b9ed6165c2b347d202c68",
     ("random", "min3dfa", 4, False): "78ddc599cfcd66ae27fedb0a529235eacfb81ba8378ff927cdac8c0ef47d9660",
-    ("parity", "ddfa", 2, True): "24f9ab9d3b1a7c5bdf3821a1bc79750d1a154753af89aaf5cf9079307141b667",
-    ("parity", "ddfa", 3, True): "fe9d1f567c2679affb959bec943e9d821e24c6aa9f48675f6f77fd1fc9d40eb2",
+    ("parity", "ddfa", 2, True): "1f34138875622d1b03c01d75500769b7c610dee3d5195197b637aab2ab36ccff",
+    ("parity", "ddfa", 3, True): "787afb0eb9e6deec297fbe7a1a8e68d6716c0510c4fb6af1a16727c81a5c2bb8",
     ("random", "ddfa", 3, True): "53979c89f6fa7c113fe77d2e481f73423efc857680ef19fb94ab0eeabbb4a4bb",
     ("random", "ddfa", 3, False): "8bbe732e7f3f233ce98773515b63fdacebb9ff937b1f2b38cddcb5a17a4a2fc6",
     ("random", "ddfa", 4, True): "914f621f80e3cd44679a231e3887506500875a56158c99f914168c8654dde3f7",
