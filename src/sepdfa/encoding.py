@@ -31,11 +31,14 @@ larger size, so that it is the same at every size that keeps it.
 
 Each encoder appends its clauses to one flat array('i') of literals, each
 clause closed by a 0, as in DIMACS.  The product clauses, nearly the whole
-formula on a prefix tree, are filled column by column: a block of at most
-_CHUNK literals takes one clause slot at a time, by strided slices over
-every transition in the block.  emit_dimacs formats the literals in
-chunks of about _CHUNK, and formats the part a formula keeps as it grows
-only once per DimacsCache.
+formula on a prefix tree, are filled column by column: the transitions
+are read letter by letter, a letter's clauses in a block share one
+layout, and a run of at most _CHUNK literals takes one clause slot at a
+time, by strided slices over every transition in the run.  The same
+layout serves every mode; the safety shape's values only leave clauses
+and literals out of it.  emit_dimacs formats the literals in chunks of
+about _CHUNK, and formats the part a formula keeps as it grows only once
+per DimacsCache.
 """
 
 from __future__ import annotations
@@ -192,10 +195,6 @@ class VarMap:
         """e(i, a, j) for j = 0..n-1: the targets of state i on letter a."""
         return [self.e(i, a, j) for j in range(self.n)]
 
-    def d_row(self, p: int) -> list[int]:
-        """d(p, i) for i = 0..n-1: acceptor state p's row."""
-        return [self.d(p, i) for i in range(self.n)]
-
     def _symmetry_ids(self, i: int, j: int) -> int:
         """The id before node j's symmetry variables, for the pair i < j."""
         if not self.symmetry:
@@ -246,12 +245,12 @@ def encode_dfa_shape(vm: VarMap, out: array, since: int = 0) -> None:
 class _Transitions:
     """An acceptor as encode_product reads it, once per build_formula call.
 
-    facts maps a variable to the value the formula's shape fixes for it.
-    Without facts the transitions keep their stored order, in one span of
-    mixed letters.  With facts a letter's clauses take a layout of their
-    own, so the transitions are sorted by letter, stored order within a
-    letter, in one span per letter.  The d literals of each candidate
-    state's row are made on first use and kept for every later block.
+    The transitions are sorted by letter, stored order within a letter,
+    in one span per letter: a letter's clauses in a block share one
+    layout.  facts maps a variable to the value the formula's shape fixes
+    for it, which leaves clauses and literals out of that layout.  The d
+    literals of each candidate state's row are made on first use and kept
+    for every later block.
     """
 
     def __init__(self, acceptor: ThreeValuedDFA,
@@ -259,20 +258,13 @@ class _Transitions:
         self.facts = facts or {}
         self.status = ((sorted(acceptor.accepting), 1),
                        (sorted(acceptor.rejecting), -1))
-        keys = list(acceptor.transitions)
-        if self.facts:
-            keys.sort(key=itemgetter(1))
+        keys = sorted(acceptor.transitions, key=itemgetter(1))
         self.sources = [p for p, _ in keys]
-        self.letters = [a for _, a in keys]
         self.targets = [acceptor.transitions[key] for key in keys]
-        # (start, stop, the letters of the transitions in between)
-        present = sorted(set(self.letters))
-        if not self.facts:
-            self.spans = [(0, len(keys), present)] if keys else []
-        else:
-            self.spans = [(bisect_left(self.letters, a),
-                           bisect_right(self.letters, a), [a])
-                          for a in present]
+        letters = [a for _, a in keys]
+        # (start, stop, letter) of each letter's transitions
+        self.spans = [(bisect_left(letters, a), bisect_right(letters, a), a)
+                      for a in sorted(set(letters))]
         self._leaving: dict[int, array] = {}
         self._entering: dict[int, array] = {}
 
@@ -326,8 +318,8 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
     Appends the product clauses that size vm.n has and size `since` lacks:
     the seeds at the initial states (with since = 0), then for each new
     candidate state k in turn, the acceptance clauses of k and the
-    transition clauses whose largest candidate state is k, in the order of
-    table's spans.  Candidate states paired with an accepting acceptor
+    transition clauses whose largest candidate state is k, letter by
+    letter.  Candidate states paired with an accepting acceptor
     state must accept, those paired with a rejecting one must reject.
     table is the acceptor read with the values the formula's shape fixes;
     without one it is read here, with none fixed.  A clause that a fixed
@@ -360,34 +352,25 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
             if fixed is None:
                 block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
             out.extend(block)
-        # A span's transitions share one layout of width literals each, so
-        # one slice of stride `width` stores a slot's -d(p, i) or d(r, j)
-        # for a whole run of them.  The patterns go in first: one repeated
-        # pattern for a one-letter span, one pattern per transition where
-        # letters mix.  A run is at most _CHUNK literals unless one
-        # transition alone is more (filling a whole span at once raised
-        # peak RSS); a mixed span refills one block.
+        # A letter's transitions share one layout of width literals each:
+        # its pattern, repeated once per transition, holds the -e literals
+        # and closing 0s, and one slice of stride `width` stores a slot's
+        # -d(p, i) or d(r, j) for a whole run of transitions.  A run is at
+        # most _CHUNK literals unless one transition alone is more (filling
+        # a whole span at once raised peak RSS).
         first_e = vm.e(0, 0, k)
-        for start, stop, letters in table.spans:
-            layouts = {a: _clause_layout(facts, first_e, k, vm.alphabet_size,
-                                         a) for a in letters}
-            pattern, slots = layouts[letters[0]]
+        for start, stop, a in table.spans:
+            pattern, slots = _clause_layout(facts, first_e, k,
+                                            vm.alphabet_size, a)
             width = len(pattern)
             if not width:
                 continue
             leaving = {i: table.leaving(vm, i) for _, i, _, _ in slots}
             entering = {j: table.entering(vm, j) for _, _, _, j in slots}
             step = max(1, _CHUNK // width)
-            block = array("i")
             for run in range(start, stop, step):
                 end = min(run + step, stop)
-                if len(letters) == 1:
-                    block = pattern * (end - run)
-                else:
-                    if len(block) != width * (end - run):
-                        block = array("i", [0]) * (width * (end - run))
-                    for t, a in enumerate(table.letters[run:end]):
-                        block[t * width:(t + 1) * width] = layouts[a][0]
+                block = pattern * (end - run)
                 froms = {i: row[run:end] for i, row in leaving.items()}
                 tos = {j: row[run:end] for j, row in entering.items()}
                 for src, i, dst, j in slots:
@@ -396,31 +379,26 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
                 out.extend(block)
 
 
-def encode_symmetry_breaking(vm: VarMap, out: array,
-                             safety_mode: bool = False,
-                             since: int = 0) -> None:
+def encode_symmetry_breaking(vm: VarMap, out: array, since: int = 0) -> None:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
     says some letter joins i to j, p(j, i) picks the smallest such i as
     j's tree parent, m(i, a, j) marks the smallest letter joining i to j.
     Ordering clauses then make consecutive states take consecutive parents
-    and force sibling edges into ascending letter order.  In safety mode
-    every clause mentioning the sink node n-1 is dropped, because the sink
-    shape clauses pin its edges in ways a breadth-first numbering of the
-    remaining nodes cannot always satisfy.  Appends the clauses of the
-    nodes from `since` on, node by node: those of node j are the clauses
-    whose largest node is j.
+    and force sibling edges into ascending letter order.  Appends the
+    clauses of the nodes from `since` on, node by node: those of node j
+    are the clauses whose largest node is j, so the clauses of size n - 1
+    are those of size n without node n - 1's.
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
     k = vm.alphabet_size
-    nodes = vm.n - 1 if safety_mode else vm.n
 
     def emit(*lits: int) -> None:
         out.extend(lits + (0,))
 
-    for j in range(since, nodes):
+    for j in range(since, vm.n):
         for i in range(j):
             # p(j, i) holds iff i is the smallest node with an edge into j.
             emit(-vm.p(j, i), vm.t(i, j))
@@ -553,7 +531,8 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     its buffer is cut back to its stable part and grown in place, so
     base's formula no longer describes its size, and only the literals
     past its stable part are checked.  The formula of size n is the same
-    either way.  With safety, the sink's block is part of the tail, and
+    either way.  With safety, the sink's block is part of the tail, holds
+    no symmetry clauses (they number only the states below the sink), and
     the product clauses leave out what the shape's fixed values decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
@@ -579,9 +558,8 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         sink = safety and k == n - 1
         del literals[end:]
         encode_product(grown, acceptor, literals, since=k, table=table)
-        if symmetry:
-            encode_symmetry_breaking(grown, literals, safety_mode=sink,
-                                     since=k)
+        if symmetry and not sink:
+            encode_symmetry_breaking(grown, literals, since=k)
         encode_dfa_shape(grown, literals, since=k)
         # The at-least-one rows, (k + 1) * K clauses of k + 1 literals and
         # a closing 0 each, end encode_dfa_shape's output and the block.

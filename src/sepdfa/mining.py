@@ -238,9 +238,11 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     before the mode's acceptor is built.  Without n_start, an n_max below
     the lower bound raises NoSeparatorError before any solver call.
     Exhausting n_max raises MiningError, NoSeparatorError when the cap
-    was the user's or safety mode's.  Past the size checks, any exception
-    that leaves the search, a solver failure, a signal's SystemExit or a
-    KeyboardInterrupt alike, carries the partial report as .report.
+    was the user's or safety mode's; after an explicit n_start, its
+    message names the sizes searched and claims nothing of smaller ones.
+    Past the size checks, any exception that leaves the search, a solver
+    failure, a signal's SystemExit or a KeyboardInterrupt alike, carries
+    the partial report as .report.
     """
     floor = 2 if safety else 1
     if n_start is not None and n_start < floor:
@@ -286,13 +288,13 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     grown, cache = None, DimacsCache()
     try:
         if n_start is None:
-            n_start = max(lower - 1, floor)
+            first = max(lower - 1, floor)
             if bound < lower:
                 raise NoSeparatorError(
                     f"no separating DFA up to the requested size {bound}: "
                     f"the search needs at least {lower} states, as {lower} "
                     f"acceptor states are pairwise incompatible")
-        for n in range(n_start, bound + 1):
+        for n in range(first, bound + 1):
             started = time.perf_counter()
             grown = build_formula(n, acceptor, symmetry=symmetry_breaking,
                                   safety=safety, base=grown)
@@ -321,6 +323,11 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                         f"{len(violations)} samples")
                 report.dfa = dfa
                 return report
+        if n_start is not None and (n_max is not None or safety):
+            # The sizes below n_start were not searched: claim nothing of them.
+            shape = "safety-shaped " if safety else ""
+            raise NoSeparatorError(
+                f"no {shape}separating DFA found at sizes {first}..{bound}")
         if n_max is not None:
             raise NoSeparatorError(
                 f"no separating DFA up to the requested size {bound}")

@@ -296,8 +296,7 @@ class TestMining:
         with pytest.raises(MiningError) as exc:
             mine_min_dfa(samples, solver_command=solver_cmd, n_start=1,
                          n_max=2)
-        assert str(exc.value) == (
-            "no separating DFA up to the requested size 2")
+        assert str(exc.value) == "no separating DFA found at sizes 1..2"
         report = exc.value.report
         assert [a.outcome for a in report.attempts] == ["unsat", "unsat"]
         assert report.dfa is None
@@ -397,6 +396,22 @@ class TestSafetyMining:
         samples = SampleSet(2, {(0,)}, {(1,)})
         with pytest.raises(MiningError, match="safety"):
             mine_min_dfa(samples, safety=True, solver_command=solver_cmd)
+
+    @pytest.mark.parametrize("n_max", [None, 4])
+    def test_n_start_claims_nothing_below_it(self, solver_cmd, n_max):
+        # 3 states separate, but with symmetry breaking n = 4 is unsat: the
+        # sizes below n_start were not searched, so the error names only
+        # the sizes that were
+        samples = SampleSet(2, {(0, 0)}, set())
+        assert mine_min_dfa(samples, safety=True,
+                            solver_command=solver_cmd).minimal_size == 3
+        with pytest.raises(NoSeparatorError) as exc:
+            mine_min_dfa(samples, safety=True, solver_command=solver_cmd,
+                         n_start=4, n_max=n_max)
+        assert str(exc.value) == (
+            "no safety-shaped separating DFA found at sizes 4..4")
+        assert [(a.n, a.outcome) for a in exc.value.report.attempts] == [
+            (4, "unsat")]
 
 
 class TestReportText:
