@@ -38,7 +38,7 @@ time, by strided slices over every transition in the run.  The same
 layout serves every mode; the safety shape's values only leave clauses
 and literals out of it.  emit_dimacs formats the literals in chunks of
 about _CHUNK, and formats the part a formula keeps as it grows only once
-per DimacsCache.
+per formula, into the formula's own copy of that text.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ import os
 import re
 import shutil
 import tempfile
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from typing import BinaryIO, Mapping
 
@@ -67,7 +67,6 @@ class EncodingError(RuntimeError):
     """Inconsistent encoder usage or an unusable solver model."""
 
 
-@dataclass(frozen=True)
 class CnfFormula:
     """Propositional formula in conjunctive normal form.
 
@@ -75,30 +74,32 @@ class CnfFormula:
     a variable or its negation.  literals holds the clauses in order, each
     closed by a 0, and no clause is empty.  literals[:stable], which ends
     on a clause end, is what every larger size of a formula grown by
-    build_formula keeps; the rest is the tail of this size.  A formula
-    grown from base shares base's buffer, and only literals[base.stable:]
-    are checked and counted here: base checked the part before.
+    build_formula keeps; the rest is the tail of this size.  build_formula
+    grows a formula in place, and only the literals it appends are checked
+    and counted.  From its first emit_dimacs on, the formula keeps the
+    DIMACS text of its stable part in an anonymous temporary file, which
+    close() frees, or the formula's collection if close() is never called.
     """
 
-    variable_count: int
-    literals: array
-    stable: int = 0
-    base: InitVar[CnfFormula | None] = None
-    clause_count: int = field(init=False)
-    # Clauses in literals[:stable], which a formula grown from this one
-    # does not count again.
-    _stable_clauses: int = field(init=False, repr=False)
+    def __init__(self, variable_count: int, literals: array, stable: int = 0):
+        self.literals = literals
+        self.variable_count = self.stable = self.clause_count = 0
+        self._text: BinaryIO | None = None
+        self._formatted = 0  # the text is that of literals[:_formatted]
+        self._grow(variable_count, stable)
 
-    def __post_init__(self, base: CnfFormula | None) -> None:
-        lits, stable = self.literals, self.stable
-        start, before = 0, 0
-        if base is not None:
-            if base.literals is not lits:
-                raise EncodingError("a grown formula shares its base's buffer")
-            if base.variable_count > self.variable_count:
-                raise EncodingError("a grown formula lost variables")
-            start, before = base.stable, base._stable_clauses
-        if self.variable_count < 0:
+    def _cut(self) -> array:
+        """Cut the tail off the buffer and return it, for _grow to take
+        what is appended next."""
+        self.clause_count -= self.literals[self.stable:].count(0)
+        del self.literals[self.stable:]
+        return self.literals
+
+    def _grow(self, variable_count: int, stable: int) -> None:
+        """Check and count the literals past the stable part, and take the
+        new variable count and stable end."""
+        lits, start = self.literals, self.stable
+        if variable_count < 0:
             raise EncodingError("negative variable count")
         if not start <= stable <= len(lits) or (stable and lits[stable - 1]):
             raise EncodingError("stable part does not end on a clause end")
@@ -106,7 +107,7 @@ class CnfFormula:
         if segment and segment[-1] != 0:
             raise EncodingError("last clause is not closed by 0")
         for lit in (min(segment, default=0), max(segment, default=0)):
-            if abs(lit) > self.variable_count:
+            if abs(lit) > variable_count:
                 raise EncodingError(f"literal {lit} out of range")
         # A clause is empty where a 0 opens the segment (which follows a
         # clause end) or follows a 0; two zero literals in a row are zero
@@ -117,10 +118,33 @@ class CnfFormula:
             pair = pair.re.search(segment, pair.start() + 1)
         if pair or (segment and segment[0] == 0):
             raise EncodingError("empty clause")
-        kept = before + lits[start:stable].count(0)
-        object.__setattr__(self, "clause_count",
-                           kept + lits[stable:].count(0))
-        object.__setattr__(self, "_stable_clauses", kept)
+        self.clause_count += segment.count(0)
+        self.variable_count, self.stable = variable_count, stable
+
+    def _stable_text(self) -> BinaryIO:
+        """The DIMACS text of literals[:stable], read from its start.
+
+        Only the stable literals the text lacks are formatted into it.  A
+        write that fails leaves the text to be formatted again in full.
+        """
+        if self._text is None:
+            self._text = tempfile.TemporaryFile()
+            self._free_text = weakref.finalize(self, self._text.close)
+        text, start = self._text, self._formatted
+        self._formatted = 0  # until the write below completes
+        if not start:
+            text.truncate(0)
+        text.seek(0, os.SEEK_END)
+        _write_clauses(self.literals, start, self.stable, text)
+        self._formatted = self.stable
+        text.seek(0)
+        return text
+
+    def close(self) -> None:
+        """Free the DIMACS text; a later emit_dimacs formats it again."""
+        if self._text is not None:
+            self._free_text()
+            self._text, self._formatted = None, 0
 
     def satisfied_by(self, model: Mapping[int, bool]) -> bool:
         """Whether the model, which assigns every variable, makes every
@@ -528,16 +552,16 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
 
     Without base it grows from nothing.  base is what this function
     returned for a smaller size, the same acceptor and the same options:
-    its buffer is cut back to its stable part and grown in place, so
-    base's formula no longer describes its size, and only the literals
-    past its stable part are checked.  The formula of size n is the same
-    either way.  With safety, the sink's block is part of the tail, holds
-    no symmetry clauses (they number only the states below the sink), and
+    its formula is cut back to its stable part and grown in place, so it
+    no longer describes base's size, and only the literals past its
+    stable part are checked.  The formula of size n is the same either
+    way.  With safety, the sink's block is part of the tail, holds no
+    symmetry clauses (they number only the states below the sink), and
     the product clauses leave out what the shape's fixed values decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
                 safety)
-    first, formula, literals = 0, None, array("i")
+    first, formula = 0, CnfFormula(0, array("i"))
     if base is not None:
         base_vm, formula = base
         if not (base_vm.n < n and base_vm.symmetry == symmetry
@@ -549,8 +573,8 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                 "with the same options")
         # Every block of base is stable but, with safety, its sink's.
         first = base_vm.n - 1 if safety else base_vm.n
-        literals = formula.literals
-    stable = end = 0 if formula is None else formula.stable
+    literals = formula._cut()
+    stable = end = len(literals)
     table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
     for k in range(first, n):
         grown = VarMap(k + 1, acceptor.alphabet_size, acceptor.state_count,
@@ -568,25 +592,8 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
             stable = end
     if safety:
         encode_parity_constraints(vm, literals)
-    return vm, CnfFormula(vm.variable_count, literals, stable, formula)
-
-
-class DimacsCache:
-    """DIMACS text of the stable part of one mine's growing formula.
-
-    emit_dimacs formats each literal of the stable part into it once and
-    copies the text into every later file of the same buffer.  The text
-    lives in an anonymous temporary file, which leaves nothing behind once
-    closed, or when the process dies.
-    """
-
-    def __init__(self) -> None:
-        self.file = tempfile.TemporaryFile()
-        self.literals: array | None = None  # the buffer the text comes from
-        self.formatted = 0  # the text is that of literals[:formatted]
-
-    def close(self) -> None:
-        self.file.close()
+    formula._grow(vm.variable_count, stable)
+    return vm, formula
 
 
 def _write_clauses(lits: array, start: int, stop: int,
@@ -600,32 +607,18 @@ def _write_clauses(lits: array, start: int, stop: int,
         start = end
 
 
-def emit_dimacs(formula: CnfFormula, handle: BinaryIO,
-                cache: DimacsCache | None = None) -> None:
+def emit_dimacs(formula: CnfFormula, handle: BinaryIO) -> None:
     """Write DIMACS CNF bytes into handle.
 
-    With a cache, the stable part's text is copied from it, after the
+    The stable part's text is copied from the formula's own, after the
     stable literals it lacks are formatted into it; the tail is formatted
-    afresh.  A cache that holds another buffer's text is started again.
+    afresh.
     """
     lits = formula.literals
     handle.write(b"p cnf %d %d\n" % (formula.variable_count,
                                      formula.clause_count))
-    start = 0
-    if cache is not None:
-        start = formula.stable
-        text = cache.file
-        if cache.literals is not lits or cache.formatted > start:
-            text.seek(0)
-            text.truncate()
-            cache.formatted = 0
-        cache.literals = None  # a write that fails leaves partial text
-        text.seek(0, os.SEEK_END)
-        _write_clauses(lits, cache.formatted, start, text)
-        cache.literals, cache.formatted = lits, start
-        text.seek(0)
-        shutil.copyfileobj(text, handle)
-    _write_clauses(lits, start, len(lits), handle)
+    shutil.copyfileobj(formula._stable_text(), handle)
+    _write_clauses(lits, formula.stable, len(lits), handle)
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> ThreeValuedDFA:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import automata
 from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
-from .encoding import DimacsCache, build_formula, decode_model
+from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word
 from .solver import DEFAULT_SOLVER_COMMAND, _check_timeout, solve
 
@@ -250,7 +250,9 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                              else "n_start must be at least 1")
     first = floor if n_start is None else n_start
     if n_max is not None and n_max < first:
-        raise SizeRangeError(f"n_max must be at least n_start ({first})")
+        raise SizeRangeError(
+            f"n_max must be at least the smallest candidate size ({first})"
+            if n_start is None else f"n_max must be at least n_start ({first})")
     if safety and samples.alphabet_size < 2:
         raise SizeRangeError(
             f"safety mode needs an alphabet of at least 2 letters (parity "
@@ -283,9 +285,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         acceptor_size=acceptor.state_count,
         lower_bound=lower,
     )
-    # One formula grows through the sizes; the DIMACS text of the part every
-    # larger size keeps is formatted once, into this cache.
-    grown, cache = None, DimacsCache()
+    grown = None  # one formula grows through the sizes
     try:
         if n_start is None:
             first = max(lower - 1, floor)
@@ -300,8 +300,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                                   safety=safety, base=grown)
             encode_seconds = time.perf_counter() - started
             vm, formula = grown
-            verdict = solve(formula, solver_command, timeout=timeout,
-                            cache=cache)
+            verdict = solve(formula, solver_command, timeout=timeout)
             report.attempts.append(SizeAttempt(
                 n=n,
                 outcome=verdict.outcome,
@@ -343,4 +342,5 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         err.report = report
         raise
     finally:
-        cache.close()
+        if grown is not None:
+            grown[1].close()

@@ -2,9 +2,10 @@
 
 The solver is a black box: it gets the path of a temporary DIMACS CNF
 file, streamed from the formula's literal buffer (the part a growing
-formula keeps copied from a DimacsCache), as its last argument
-and must answer with SAT-competition output, an "s" status line plus "v"
-value lines, and exit status 10 for satisfiable or 20 for unsatisfiable.
+formula keeps copied from the formula's own text of it), as its last
+argument and must answer with SAT-competition output, an "s" status line
+plus "v" value lines, and exit status 10 for satisfiable or 20 for
+unsatisfiable.
 Both channels are cross-checked, and satisfying models are checked
 against the literal buffer before anyone gets to rely on them.  A timeout
 is a finite positive number of seconds, at most MAX_TIMEOUT.
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .encoding import CnfFormula, DimacsCache, emit_dimacs
+from .encoding import CnfFormula, emit_dimacs
 
 DEFAULT_SOLVER_COMMAND = "cadical"
 # The longest timeout, in seconds, that solve() accepts: waiting for the
@@ -110,15 +111,14 @@ def _check_timeout(timeout: float | None) -> float | None:
 
 
 def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOLVER_COMMAND,
-          timeout: float | None = None,
-          cache: DimacsCache | None = None) -> SolverVerdict:
+          timeout: float | None = None) -> SolverVerdict:
     """Run the solver on the formula and return its checked verdict.
 
-    The DIMACS text is streamed into a temporary file, by emit_dimacs with
-    the given cache, whose path is appended to the command line.  On
-    timeout the whole solver process group is killed and
-    SolverTimeoutError is raised; on any other exception during the wait,
-    KeyboardInterrupt included, it is killed and the exception propagates.
+    The DIMACS text is streamed into a temporary file by emit_dimacs, and
+    the file's path is appended to the command line.  On timeout the
+    whole solver process group is killed and SolverTimeoutError is
+    raised; on any other exception during the wait, KeyboardInterrupt
+    included, it is killed and the exception propagates.
     Output that is not UTF-8 text raises SolverError once the solver has
     exited.  A timeout that _check_timeout refuses raises ValueError
     before anything is written or run.
@@ -131,7 +131,7 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "wb") as handle:
-            emit_dimacs(formula, handle, cache)
+            emit_dimacs(formula, handle)
         started = time.monotonic()
         try:
             proc = subprocess.Popen(

@@ -35,7 +35,7 @@ def mine_until_signalled(tmp_path, samples, solver, sig):
     written PID_FILE; return (exit status, stdout).
 
     Also checks that the solver is gone and that the mine left nothing in
-    its TMPDIR, neither a formula file nor a cache.
+    its TMPDIR, neither a formula file nor the formula's own text.
     """
     pid_file = tmp_path / PID_FILE
     temp_dir = tmp_path / "tmp"
@@ -88,7 +88,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags,message", [
         (["--n-start", "0"], "n_start must be at least 1"),
         (["--safety", "--n-start", "1"], "safety mode needs n_start >= 2"),
-        (["--n-max", "0"], "n_max must be at least n_start (1)"),
+        (["--n-max", "0"], "n_max must be at least the smallest candidate "
+                           "size (1)"),
+        (["--safety", "--n-max", "1"], "n_max must be at least the smallest "
+                                       "candidate size (2)"),
+        (["--n-start", "3", "--n-max", "2"],
+         "n_max must be at least n_start (3)"),
     ])
     def test_bad_size_range(self, tmp_path, capsys, flags, message):
         samples = write(tmp_path / "s.txt", "1 2\n1 1 0\n")
@@ -318,8 +323,8 @@ class TestMine:
     def test_mine_leaves_temp_dir_empty(self, tmp_path, fake_solver,
                                         solver_arg, monkeypatch, capsys,
                                         solver, code):
-        # neither the solver's formula file nor the cache of its text
-        # outlives a finished or a failed mine
+        # neither the solver's formula file nor the formula's own text of
+        # its stable part outlives a finished or a failed mine
         temp_dir = tmp_path / "tmp"
         temp_dir.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))

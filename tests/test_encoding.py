@@ -1,9 +1,11 @@
 """Variable layout, clause generation, and symmetry-breaking canonicity."""
 
+import gc
 import hashlib
 import io
 import itertools
 import tracemalloc
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -47,10 +49,22 @@ def clauses_of(encoder, *args, **kwargs):
     return clauses
 
 
-def dimacs_text(formula, cache=None):
+def dimacs_text(formula):
     handle = io.BytesIO()
-    emit_dimacs(formula, handle, cache)
+    emit_dimacs(formula, handle)
     return handle.getvalue().decode()
+
+
+def plain_dimacs(formula):
+    """The DIMACS text of formula, formatted one clause at a time."""
+    lines = [f"p cnf {formula.variable_count} {formula.clause_count}\n"]
+    clause = []
+    for lit in formula.literals:
+        clause.append(str(lit))
+        if not lit:
+            lines.append(" ".join(clause) + "\n")
+            clause = []
+    return "".join(lines)
 
 
 def clause_satisfied(clause, assignment):
@@ -1052,9 +1066,9 @@ class TestGoldenDimacs:
         seen = copy.read_bytes()
         assert seen == dimacs_text(formula).encode()
         assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
-        # A mine grows one formula over n = 2..4 and copies each size's
-        # cached text, with a seam where the formatted tail begins: every
-        # file equals that size's formula built from nothing.
+        # A mine grows one formula over n = 2..4 and copies the formula's
+        # text of its stable part, with a seam where the formatted tail
+        # begins: every file equals that size's formula built from nothing.
         copies = tmp_path / "copies"
         copies.mkdir()
         script = fake_solver(
@@ -1095,59 +1109,58 @@ class TestCnfFormula:
         assert dimacs_text(CnfFormula(3, array("i"))) == "p cnf 3 0\n"
 
     def test_grown_formula_checks_the_new_segment(self):
-        lits = array("i", (1, -2, 0, 2, 0))
-        base = CnfFormula(2, lits, stable=3)
-        lits.extend((3, 0))
-        grown = CnfFormula(3, lits, stable=5, base=base)
-        assert grown.clause_count == 3
-        assert CnfFormula(3, lits, 7, base=grown).clause_count == 3
+        formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)), stable=3)
+        formula._cut().extend((2, 0, 3, 0))
+        formula._grow(3, 5)
+        assert formula.clause_count == 3
+        formula._cut().extend((3, 0))
+        formula._grow(3, 7)
+        assert formula.clause_count == 3
+        assert formula.literals == array("i", (1, -2, 0, 2, 0, 3, 0))
         for appended, stable, message in (((0,), 5, "empty clause"),
                                           ((4, 0), 5, "out of range"),
                                           ((1,), 5, "not closed"),
                                           ((1, 0), 6, "clause end")):
-            lits = array("i", (1, -2, 0, 2, 0))
-            base = CnfFormula(2, lits, stable=3)
-            lits.extend(appended)
+            formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)), stable=3)
+            formula._cut().extend((2, 0) + appended)
             with pytest.raises(EncodingError, match=message):
-                CnfFormula(3, lits, stable, base=base)
-
-    def test_grown_formula_shares_the_buffer(self):
-        base = CnfFormula(2, array("i", (1, 0)), stable=2)
-        with pytest.raises(EncodingError, match="buffer"):
-            CnfFormula(2, array("i", (1, 0, 2, 0)), 2, base=base)
-        with pytest.raises(EncodingError, match="lost variables"):
-            CnfFormula(1, base.literals, 2, base=base)
-
-    def test_cache_restarts_for_another_buffer(self, parity_corpus):
-        acceptor = layout_acceptor("random", "min3dfa", parity_corpus)
-        formulas = [build_formula(n, acceptor)[1] for n in (3, 2, 4)]
-        cache = encoding.DimacsCache()
-        try:
-            for formula in formulas:
-                assert formula.stable > 0
-                assert dimacs_text(formula, cache) == dimacs_text(formula)
-        finally:
-            cache.close()
+                formula._grow(3, stable)
 
     def test_cache_restarts_after_a_failed_write(self, parity_corpus,
                                                  monkeypatch):
-        _, formula = build_formula(
-            3, layout_acceptor("random", "min3dfa", parity_corpus))
+        # the formula's own text of its stable part, which a write to it
+        # left half-extended after growth, is formatted again in full
+        acceptor = layout_acceptor("random", "min3dfa", parity_corpus)
+        grown = build_formula(3, acceptor)
+        formula = grown[1]
         write = encoding._write_clauses
 
         def failing(lits, start, stop, handle):
             handle.write(b"1 -2 ")
             raise OSError("no space left")
 
-        cache = encoding.DimacsCache()
         try:
+            assert dimacs_text(formula) == plain_dimacs(formula)
+            assert build_formula(4, acceptor, base=grown)[1] is formula
             monkeypatch.setattr(encoding, "_write_clauses", failing)
             with pytest.raises(OSError):
-                dimacs_text(formula, cache)
+                dimacs_text(formula)
             monkeypatch.setattr(encoding, "_write_clauses", write)
-            assert dimacs_text(formula, cache) == dimacs_text(formula)
+            assert dimacs_text(formula) == plain_dimacs(formula)
         finally:
-            cache.close()
+            formula.close()
+
+    def test_dropped_formula_frees_its_text(self, parity_corpus):
+        # a grown formula dropped without close() closes its text file:
+        # an unclosed file would be a ResourceWarning, an error here
+        acceptor = layout_acceptor("random", "min3dfa", parity_corpus)
+        _, formula = build_formula(3, acceptor,
+                                   base=build_formula(2, acceptor))
+        dimacs_text(formula)
+        text = weakref.ref(formula._text)
+        del formula
+        gc.collect()
+        assert text() is None
 
 
 class TestDecodeModel:

@@ -1,6 +1,7 @@
 """Minimal-size search loop, verification, and failure reporting."""
 
 import itertools
+import tempfile
 import tracemalloc
 from collections import deque
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdfa import automata
+from sepdfa import automata, mining
 from sepdfa.automata import (
     ThreeValuedDFA,
     build_apta,
@@ -367,6 +368,38 @@ class TestMining:
         with pytest.raises(MiningError, match="at fault"):
             mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
                          solver_command=[script])
+
+    @pytest.mark.parametrize("solver", [
+        "sat", "echo 's UNSATISFIABLE'\nexit 20\n", "exit 1\n"])
+    def test_mine_closes_its_formula(self, solver_cmd, fake_solver,
+                                     monkeypatch, solver):
+        # the formula's text file is closed when the mine ends, found,
+        # exhausted or failed; the formula is kept alive here, so that its
+        # collection cannot close the file instead
+        formulas, build = [], mining.build_formula
+
+        def keep(*args, **kwargs):
+            grown = build(*args, **kwargs)
+            formulas.append(grown[1])
+            return grown
+
+        files, make = [], tempfile.TemporaryFile
+
+        def temporary_file(*args, **kwargs):
+            files.append(make(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(mining, "build_formula", keep)
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        command = solver_cmd if solver == "sat" else [fake_solver(solver)]
+        try:
+            report = mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
+                                  solver_command=command, n_start=1, n_max=2)
+        except (NoSeparatorError, SolverError) as err:
+            report = err.report
+        assert (report.dfa is not None) == (solver == "sat")
+        assert formulas and files
+        assert all(file.closed for file in files)
 
 
 class TestSafetyMining:
