@@ -51,7 +51,7 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import BinaryIO, Mapping
 
 from .automata import ThreeValuedDFA
@@ -59,8 +59,9 @@ from .automata import ThreeValuedDFA
 # Literals per DIMACS chunk, rounded up to a clause end, and at most per
 # product block (about 256 KiB of 4-byte literals).
 _CHUNK = 1 << 16
-# A clause, marked "|"-terminated, whose literals are all false ("0").
-_FALSE_CLAUSE_RE = re.compile(rb"(?:^|\|)0*\|")
+# A model's byte per variable (1 false, 2 true) as a literal's truth.
+_TRUTH = bytes.maketrans(b"\1\2", b"01")
+_FALSITY = bytes.maketrans(b"\1\2", b"10")
 
 
 class EncodingError(RuntimeError):
@@ -146,16 +147,28 @@ class CnfFormula:
             self._free_text()
             self._text, self._formatted = None, 0
 
-    def satisfied_by(self, model: Mapping[int, bool]) -> bool:
-        """Whether the model, which assigns every variable, makes every
-        clause true."""
-        values = [model[var] for var in range(1, self.variable_count + 1)]
+    def satisfied_by(self, model: bytes) -> bool:
+        """Whether the model, a table by variable (1 false, 2 true) that
+        assigns every variable, makes every clause true."""
+        values = model[1:self.variable_count + 1]
+        if (len(values) < self.variable_count
+                or values.translate(None, b"\1\2")):
+            raise EncodingError("model does not assign every variable")
         # "1"/"0" per literal by value (negatives index from the end), "|"
-        # per 0; a clause of false literals reads as "|" 0* "|".
-        truth = (b"|" + bytes(b"01"[v] for v in values)
-                 + bytes(b"10"[v] for v in reversed(values)))
-        return not _FALSE_CLAUSE_RE.search(
-            bytes(map(truth.__getitem__, self.literals)))
+        # per 0.  Chunks end on clause ends; with the false literals left
+        # out, a false clause reads "||", or "|" first in its chunk.
+        truth = (b"|" + values.translate(_TRUTH)
+                 + values[::-1].translate(_FALSITY))
+        lits, start = self.literals, 0
+        while start < len(lits):
+            end = lits.index(0, min(start + _CHUNK, len(lits)) - 1) + 1
+            marks = bytes(map(getitem, itertools.repeat(truth),
+                              lits[start:end]))
+            marks = marks.translate(None, b"0")
+            if marks.startswith(b"|") or b"||" in marks:
+                return False
+            start = end
+        return True
 
 
 class VarMap:
@@ -621,25 +634,27 @@ def emit_dimacs(formula: CnfFormula, handle: BinaryIO) -> None:
     _write_clauses(lits, formula.stable, len(lits), handle)
 
 
-def decode_model(model: Mapping[int, bool], vm: VarMap) -> ThreeValuedDFA:
-    """Read the candidate DFA out of a satisfying assignment.
+def decode_model(model: bytes, vm: VarMap) -> ThreeValuedDFA:
+    """Read the candidate DFA out of a satisfying assignment, a table by
+    variable: 1 false, 2 true, and 0 (or no byte) unassigned.
 
     Checks that the transition variables describe exactly one target per
     state and letter; anything else means the formula was built wrong.
     """
+    def value(var: int) -> bool:
+        if var >= len(model) or model[var] not in (1, 2):
+            raise EncodingError(f"model misses variable {var}")
+        return model[var] == 2
+
     transitions: dict[tuple[int, int], int] = {}
     for i in range(vm.n):
         for a in range(vm.alphabet_size):
-            targets = []
-            for j, var in enumerate(vm.e_row(i, a)):
-                if var not in model:
-                    raise EncodingError(f"model misses variable {var}")
-                if model[var]:
-                    targets.append(j)
+            targets = [j for j, var in enumerate(vm.e_row(i, a))
+                       if value(var)]
             if len(targets) != 1:
                 raise EncodingError(
                     f"state {i} letter {a}: {len(targets)} targets in model")
             transitions[(i, a)] = targets[0]
-    accepting = frozenset(i for i in range(vm.n) if model[vm.f(i)])
+    accepting = frozenset(i for i in range(vm.n) if value(vm.f(i)))
     return ThreeValuedDFA(vm.alphabet_size, vm.n, (0,), transitions,
                           accepting, frozenset(range(vm.n)) - accepting)

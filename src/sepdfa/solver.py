@@ -6,9 +6,12 @@ formula keeps copied from the formula's own text of it), as its last
 argument and must answer with SAT-competition output, an "s" status line
 plus "v" value lines, and exit status 10 for satisfiable or 20 for
 unsatisfiable.
-Both channels are cross-checked, and satisfying models are checked
-against the literal buffer before anyone gets to rely on them.  A timeout
-is a finite positive number of seconds, at most MAX_TIMEOUT.
+Both channels are cross-checked.  The values are read in bulk into one
+byte table indexed by variable (1 false, 2 true), which lists each
+variable once; a satisfying model is checked against the literal buffer
+through that table before anyone gets to rely on it, and decode_model
+reads the DFA from the same table.  A timeout is a finite positive
+number of seconds, at most MAX_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ MAX_TIMEOUT = (2**31 - 1) // 1000
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[A-Za-z]|\x1b.|[\r\x07]")
 _STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\b")
+# The characters that start the escapes _ANSI_RE strips.
+_ESCAPE_STARTS = "\x1b\r\x07"
+# Value lines read in bulk at a time: a few hundred KiB of tokens.
+_LINES = 256
 
 
 class SolverError(RuntimeError):
@@ -46,24 +53,29 @@ class SolverTimeoutError(SolverError):
 @dataclass(frozen=True)
 class SolverVerdict:
     outcome: str  # "sat" or "unsat"
-    model: dict[int, bool] | None
+    model: bytes | None  # byte per variable: 1 false, 2 true (0 at index 0)
     wall_time: float
 
 
-def parse_solver_output(text: str) -> tuple[str, dict[int, bool]]:
+def parse_solver_output(text: str) -> tuple[str, bytes]:
     """Extract the status and variable assignment from solver stdout.
 
     Comment lines are skipped, status and value lines may come in any
     order, terminal escape noise is stripped, and decorated status lines
     ("s SATISFIABLE: file.cnf") still count.  Several status lines must
-    agree.
+    agree.  The assignment is the table _model_table makes of the values
+    on the "v" lines.
     """
     outcome: str | None = None
-    assignment: dict[int, bool] = {}
-    done_values = False
-    for raw in _ANSI_RE.sub("", text).splitlines():
+    values: list[str] = []
+    if any(start in text for start in _ESCAPE_STARTS):
+        text = _ANSI_RE.sub("", text)
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
+            continue
+        if line.startswith("v"):
+            values += line.split(None, 1)[1:]  # all but the first word
             continue
         status = _STATUS_RE.match(line)
         if status is not None:
@@ -71,26 +83,77 @@ def parse_solver_output(text: str) -> tuple[str, dict[int, bool]]:
             if outcome is not None and outcome != found:
                 raise SolverError("solver printed conflicting status lines")
             outcome = found
-            continue
-        if line.startswith("v"):
-            if done_values:
-                continue
-            for token in line.split()[1:]:
-                digits = token.removeprefix("-")
-                try:
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ValueError
-                    lit = int(token)
-                except ValueError:
-                    raise SolverError(
-                        f"malformed literal in value line: {token!r}") from None
-                if lit == 0:
-                    done_values = True
-                    break
-                assignment[abs(lit)] = lit > 0
     if outcome is None:
         raise SolverError("no status line in solver output")
-    return outcome, assignment
+    return outcome, _model_table(values)
+
+
+def _literals(tokens: list[str]) -> list[int]:
+    """The literals that tokens spell, up to and including the first 0.
+
+    A literal is an optional "-" and ASCII digits that int() reads.  The
+    tokens are read in bulk; if that fails, the first malformed one raises
+    SolverError unless a 0 before it ends the values.
+    """
+    # Besides a literal's characters, int() reads only "+", "_" and
+    # digits that are not ASCII.
+    joined = "".join(tokens)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        try:
+            lits = list(map(int, tokens))
+        except ValueError:  # a misplaced "-", or more digits than int() reads
+            pass
+        else:
+            if 0 in lits:
+                del lits[lits.index(0) + 1:]
+            return lits
+    for at, token in enumerate(tokens):
+        digits = token.removeprefix("-")
+        try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            if int(token) == 0:
+                break
+        except ValueError:
+            raise SolverError(
+                f"malformed literal in value line: {token!r}") from None
+    return list(map(int, tokens[:at + 1]))
+
+
+def _model_table(values: list[str]) -> bytes:
+    """The assignment that the value lines' literals up to the first 0
+    make, as a table indexed by variable: 1 false, 2 true, 0 at index 0.
+
+    The lines are read _LINES at a time.  Each variable must appear once,
+    and count literals must name the variables 1..count, so the table has
+    length count + 1 and no other 0.
+    """
+    # Each literal takes a character and, but for a line's last, a space.
+    bound = (sum(map(len, values)) + len(values)) // 2
+    table = bytearray(bound + 1)
+    count = twice = 0
+    for first in range(0, len(values), _LINES):
+        lits = _literals(" ".join(values[first:first + _LINES]).split())
+        done = 0 in lits
+        if done:
+            lits.pop()
+        count += len(lits)
+        for lit in lits:
+            var = lit if lit > 0 else -lit
+            if var > bound:  # above count: one of 1..count is left out
+                continue
+            if table[var] and not twice:
+                twice = var
+            table[var] = 2 if lit > 0 else 1
+        if done:
+            break
+    if twice:  # reported once every value has been read
+        raise SolverError(f"model assigns variable {twice} twice")
+    # count distinct variables leave one of 1..count out if one is above it
+    missing = table.find(0, 1, count + 1)
+    if missing >= 0:
+        raise SolverError(f"model leaves variable {missing} unassigned")
+    return bytes(table[:count + 1])
 
 
 def _kill_process_tree(proc: subprocess.Popen) -> None:
@@ -174,18 +237,19 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
         text = stdout.decode()
     except UnicodeDecodeError as err:
         raise SolverError(f"solver output is not UTF-8 text: {err}") from None
-    printed, assignment = parse_solver_output(text)
+    printed, model = parse_solver_output(text)
     if printed != outcome:
         raise SolverError(
             f"status line says {printed} but exit code says {outcome}")
     if outcome == "unsat":
         return SolverVerdict("unsat", None, wall_time)
-    for var in range(1, formula.variable_count + 1):
-        if var not in assignment:
-            raise SolverError(f"model leaves variable {var} unassigned")
-    for var in assignment:
-        if var > formula.variable_count:
-            raise SolverError(f"model assigns unknown variable {var}")
-    if not formula.satisfied_by(assignment):
+    # The model assigns the variables 1..len(model) - 1, each once.
+    count = len(model) - 1
+    if count < formula.variable_count:
+        raise SolverError(f"model leaves variable {count + 1} unassigned")
+    if count > formula.variable_count:
+        raise SolverError(
+            f"model assigns unknown variable {formula.variable_count + 1}")
+    if not formula.satisfied_by(model):
         raise SolverError("model does not satisfy the formula")
-    return SolverVerdict("sat", assignment, wall_time)
+    return SolverVerdict("sat", model, wall_time)

@@ -1,9 +1,11 @@
 """Variable layout, clause generation, and symmetry-breaking canonicity."""
 
+import bisect
 import gc
 import hashlib
 import io
 import itertools
+import random
 import tracemalloc
 import weakref
 from array import array
@@ -1163,32 +1165,110 @@ class TestCnfFormula:
         assert text() is None
 
 
+def model_table(values):
+    """A model table for the truth values of variables 1, 2, ..."""
+    return bytes([0] + [2 if value else 1 for value in values])
+
+
+@st.composite
+def clause_lists(draw, variables, min_size=1, max_size=12):
+    literal = st.integers(1, variables).flatmap(
+        lambda var: st.sampled_from([var, -var]))
+    return draw(st.lists(st.lists(literal, min_size=1, max_size=4),
+                         min_size=min_size, max_size=max_size))
+
+
+def formula_of(variables, clauses):
+    return CnfFormula(variables, array(
+        "i", [lit for clause in clauses for lit in (*clause, 0)]))
+
+
+class TestModelCheck:
+    @given(st.data(), st.integers(1, 8))
+    def test_matches_clause_by_clause(self, data, chunk):
+        # a chunk of a few literals puts a seam after nearly every clause
+        variables = data.draw(st.integers(1, 6))
+        clauses = data.draw(clause_lists(variables))
+        values = data.draw(st.lists(st.booleans(), min_size=variables,
+                                    max_size=variables))
+        formula = formula_of(variables, clauses)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_CHUNK", chunk)
+            found = formula.satisfied_by(model_table(values))
+        assert found == all_satisfied(clauses, dict(enumerate(values, 1)))
+
+    @given(st.data(), st.sampled_from(["before", "across", "after"]))
+    @settings(max_examples=20, deadline=None)
+    def test_one_false_clause_at_the_first_seam(self, data, where):
+        # More than _CHUNK literals of true clauses, and one false clause:
+        # the one before the clause that ends the first chunk, that clause
+        # itself (it holds literal _CHUNK - 1 and may reach past it), or the
+        # first clause of the second chunk.
+        variables = data.draw(st.integers(2, 40))
+        values = data.draw(st.lists(st.booleans(), min_size=variables,
+                                    max_size=variables))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        true_literal = [var if value else -var
+                        for var, value in enumerate(values, 1)]
+        pattern = []
+        for _ in range(rng.randint(1, 30)):
+            clause = [rng.choice(true_literal)] + [
+                rng.choice([var, -var]) for var in
+                rng.sample(range(1, variables + 1), rng.randint(0, 2))]
+            rng.shuffle(clause)
+            pattern.append(clause)
+        width = sum(len(clause) + 1 for clause in pattern)
+        clauses = pattern * (encoding._CHUNK // width + 2)
+        ends = list(itertools.accumulate(len(c) + 1 for c in clauses))
+        seam = bisect.bisect_left(ends, encoding._CHUNK)  # ends chunk 1
+        at = {"before": seam - 1, "across": seam, "after": seam + 1}[where]
+        clauses[at] = [-lit for lit in
+                       rng.sample(true_literal, min(3, variables))]
+        formula = formula_of(variables, clauses)
+        expected = all_satisfied(clauses, dict(enumerate(values, 1)))
+        assert not expected
+        assert formula.satisfied_by(model_table(values)) == expected
+        del clauses[at]
+        assert formula_of(variables, clauses).satisfied_by(
+            model_table(values))
+
+    @pytest.mark.parametrize("model", [b"\0\2", b"\0\2\0", b"\0\2\3",
+                                       b"\0\1\xff"])
+    def test_model_must_assign_every_variable(self, model):
+        formula = CnfFormula(2, array("i", (1, 2, 0)))
+        with pytest.raises(EncodingError,
+                           match="does not assign every variable"):
+            formula.satisfied_by(model)
+
+
 class TestDecodeModel:
     def make_model(self, vm, table, accepting):
-        model = {var: False for var in range(1, vm.variable_count + 1)}
+        model = bytearray([0] + [1] * vm.variable_count)  # all false
         for (i, a), j in table.items():
-            model[vm.e(i, a, j)] = True
+            model[vm.e(i, a, j)] = 2
         for i in accepting:
-            model[vm.f(i)] = True
+            model[vm.f(i)] = 2
         return model
 
     def test_round_trip(self):
         vm = VarMap(2, 2, 1, False)
         table = {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}
-        dfa = decode_model(self.make_model(vm, table, {1}), vm)
+        dfa = decode_model(bytes(self.make_model(vm, table, {1})), vm)
         assert dfa.transitions == table
         assert dfa.accepting == frozenset({1})
 
     def test_multiple_targets_rejected(self):
         vm = VarMap(2, 1, 1, False)
         model = self.make_model(vm, {(0, 0): 0, (1, 0): 0}, set())
-        model[vm.e(0, 0, 1)] = True
+        model[vm.e(0, 0, 1)] = 2
         with pytest.raises(EncodingError):
             decode_model(model, vm)
 
     def test_missing_variable_rejected(self):
         vm = VarMap(2, 1, 1, False)
         model = self.make_model(vm, {(0, 0): 0, (1, 0): 0}, set())
-        del model[vm.e(1, 0, 0)]
-        with pytest.raises(EncodingError):
+        model[vm.e(1, 0, 0)] = 0
+        with pytest.raises(EncodingError, match="misses variable"):
             decode_model(model, vm)
+        with pytest.raises(EncodingError, match="misses variable"):
+            decode_model(model[:vm.f(1)], vm)  # no byte for f(1)

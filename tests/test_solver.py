@@ -1,15 +1,19 @@
 """External solver subprocess handling and output parsing."""
 
+import itertools
 import os
+import random
 import subprocess
 import tempfile
 import time
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sepdfa import solver
 from sepdfa.encoding import CnfFormula
 from sepdfa.solver import (
     MAX_TIMEOUT,
@@ -28,12 +32,12 @@ class TestParseOutput:
         outcome, assignment = parse_solver_output(
             "c comment\ns SATISFIABLE\nv 1 -2 0\n")
         assert outcome == "sat"
-        assert assignment == {1: True, 2: False}
+        assert assignment == b"\0\2\1"  # by variable: 1 false, 2 true
 
     def test_values_across_lines(self):
         outcome, assignment = parse_solver_output(
             "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n")
-        assert assignment == {1: True, 2: False, 3: True}
+        assert assignment == b"\0\2\1\2"
 
     def test_values_before_status(self):
         outcome, _ = parse_solver_output("v 1 0\ns SATISFIABLE\n")
@@ -42,7 +46,7 @@ class TestParseOutput:
     def test_unsat(self):
         outcome, assignment = parse_solver_output("s UNSATISFIABLE\n")
         assert outcome == "unsat"
-        assert assignment == {}
+        assert assignment == b"\0"
 
     def test_ansi_decorated_banner(self):
         text = "\x1b[1m\x1b[31ms UNSATISFIABLE: /tmp/x.cnf\x1b[0m\r\n"
@@ -63,7 +67,7 @@ class TestParseOutput:
     def test_literals_after_terminator_ignored(self):
         _, assignment = parse_solver_output(
             "s SATISFIABLE\nv 1 0\nv 2 0\n")
-        assert assignment == {1: True}
+        assert assignment == b"\0\2"
 
     @pytest.mark.parametrize("values", [
         "v \u0661 0",      # Arabic-Indic one
@@ -71,10 +75,90 @@ class TestParseOutput:
         "v +1 0",
         "v --1 0",
         "v 1 -\u0662 0",
+        "v " + "9" * 5000 + " 0",  # more digits than int() reads
     ])
     def test_literals_are_ascii_numbers(self, values):
         with pytest.raises(SolverError, match="malformed literal"):
             parse_solver_output(f"s SATISFIABLE\n{values}\n")
+
+    @pytest.mark.parametrize("values,table", [
+        ("v 1 -0 banana\nv 2 0", b"\0\2"),  # a 0 spelt "-0" ends them
+        ("v 1 00 +3\nv \u0661", b"\0\2"),
+        ("v 1 -2 0 x", b"\0\2\1"),
+        ("v 1\u2003-2\t3 0", b"\0\2\1\2"),  # any whitespace separates
+        ("v 1 2", b"\0\2\2"),                 # no 0 at all
+        ("vx 1 2 0", b"\0\2\2"),              # the first word is skipped
+    ])
+    def test_values_end_at_the_first_zero(self, values, table):
+        _, assignment = parse_solver_output(f"s SATISFIABLE\n{values}\n")
+        assert assignment == table
+
+    def test_values_across_many_lines(self):
+        # more lines than one bulk read takes; variables in any order
+        order = list(range(1, 3001))
+        random.Random(5).shuffle(order)
+        lits = [var if var % 3 else -var for var in order]
+        lines = ["v " + " ".join(map(str, lits[at:at + 7]))
+                 for at in range(0, len(lits), 7)]
+        _, assignment = parse_solver_output(
+            "s SATISFIABLE\n" + "\n".join(lines) + "\nv 0\n")
+        assert assignment == bytes(
+            [0] + [2 if var % 3 else 1 for var in range(1, 3001)])
+        lines[-1] += " x"  # a malformed literal in the last bulk read
+        with pytest.raises(SolverError, match="malformed literal.*'x'"):
+            parse_solver_output("s SATISFIABLE\n" + "\n".join(lines))
+
+    @pytest.mark.parametrize("values,message", [
+        ("v 1 -1 2 0", "variable 1 twice"),
+        ("v 2 1 -2 0", "variable 2 twice"),
+        ("v 1 3 0", "leaves variable 2 unassigned"),
+        ("v 4 1 0", "leaves variable 2 unassigned"),
+        ("v 1 " + "9" * 30 + " 0", "leaves variable 2 unassigned"),
+        ("v -9 9 0", "leaves variable 1 unassigned"),
+    ])
+    def test_each_variable_once_and_none_beyond(self, values, message):
+        # count values name the variables 1..count, each once, so the
+        # table is never longer than the output
+        with pytest.raises(SolverError, match=message):
+            parse_solver_output(f"s SATISFIABLE\n{values}\n")
+
+    @given(st.lists(st.lists(st.sampled_from(
+        ["1", "-1", "2", "-2", "3", "-3", "4", "0", "-0", "00", "x", "+1",
+         "1_0", "\u0663", "--1", "2-", "9" * 5000]), max_size=5), max_size=6),
+        st.sampled_from([" ", "\t", " \u2003"]), st.integers(1, 3))
+    def test_reads_what_one_token_at_a_time_reads(self, lines, space, chunk):
+        # The values are read in bulk, _LINES lines at a time; reading them
+        # token by token gives the same literals, refuses the same tokens,
+        # and any list but a permutation of 1..count is refused.
+        text = "s SATISFIABLE\n" + "".join(
+            "v" + "".join(space + token for token in tokens) + "\n"
+            for tokens in lines)
+        lits, malformed = [], None
+        for token in itertools.chain.from_iterable(lines):
+            digits = token.removeprefix("-")
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                lit = int(token)
+            except ValueError:
+                malformed = token
+                break
+            if lit == 0:
+                break
+            lits.append(lit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_LINES", chunk)
+            if malformed is not None:
+                with pytest.raises(SolverError, match="malformed literal"):
+                    parse_solver_output(text)
+            elif sorted(map(abs, lits)) != list(range(1, len(lits) + 1)):
+                with pytest.raises(SolverError, match="twice|unassigned"):
+                    parse_solver_output(text)
+            else:
+                table = bytearray(len(lits) + 1)
+                for lit in lits:
+                    table[abs(lit)] = 2 if lit > 0 else 1
+                assert parse_solver_output(text) == ("sat", table)
 
     @given(st.text() | st.lists(st.lists(st.sampled_from(
         ["s", "v", "c", "SATISFIABLE", "UNSATISFIABLE", "0", "1", "-2",
@@ -91,7 +175,7 @@ class TestSolveWithRealSolver:
     def test_sat(self, solver_cmd):
         verdict = solve(SAT_2VAR, solver_cmd)
         assert verdict.outcome == "sat"
-        assert verdict.model[2] is True
+        assert verdict.model[2] == 2  # true
         assert verdict.wall_time >= 0
 
     def test_unsat(self, solver_cmd):
@@ -149,6 +233,13 @@ class TestSolveWithFakeSolver:
         with pytest.raises(SolverError, match="unassigned"):
             solve(SAT_2VAR, [script])
 
+    def test_variable_assigned_twice(self, fake_solver):
+        # {1: False, 2: True} would satisfy both clauses of SAT_2VAR
+        script = fake_solver(
+            'echo "s SATISFIABLE"\necho "v 1 -1 2 0"\nexit 10\n')
+        with pytest.raises(SolverError, match="variable 1 twice"):
+            solve(SAT_2VAR, [script])
+
     def test_unknown_variable_in_model(self, fake_solver):
         script = fake_solver(
             'echo "s SATISFIABLE"\necho "v 1 2 3 0"\nexit 10\n')
@@ -167,7 +258,7 @@ class TestSolveWithFakeSolver:
                                             -3, 2, -1, 0)))
         good = fake_solver(
             'echo "s SATISFIABLE"\necho "v -1 -2 3 0"\nexit 10\n')
-        assert solve(formula, [good]).model == {1: False, 2: False, 3: True}
+        assert solve(formula, [good]).model == b"\0\1\1\2"
         # breaks only the last clause
         bad = fake_solver(
             'echo "s SATISFIABLE"\necho "v 1 -2 3 0"\nexit 10\n', name="bad")
@@ -242,3 +333,27 @@ class TestSolveWithFakeSolver:
             'grep -q "p cnf 2 2" "$1" || exit 4\n'
             'echo "s SATISFIABLE"\necho "v 1 2 0"\nexit 10\n')
         assert solve(SAT_2VAR, [script]).outcome == "sat"
+
+
+def test_model_memory_below_four_times_the_output():
+    # The model of a 150,000-variable formula as perfbench/refsolver.c
+    # prints it, 16 values per line, checked against one unit clause per
+    # variable.  Parsed into a dict[int, bool], it peaked at 11.95 MB, 11.9
+    # times the 1.0 MB output; as one byte table, at 3.05 MB (the lines and
+    # their values, copied once, and the table).
+    variables = 150_000
+    lits = [var if var % 3 else -var for var in range(1, variables + 1)]
+    lines = ["v" + "".join(f" {lit}" for lit in lits[at:at + 16])
+             for at in range(0, variables, 16)]
+    text = "s SATISFIABLE\n" + "\n".join(lines) + "\nv 0\n"
+    formula = CnfFormula(variables, array(
+        "i", [x for lit in lits for x in (lit, 0)]))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, model = parse_solver_output(text)
+        assert formula.satisfied_by(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
