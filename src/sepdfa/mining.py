@@ -72,10 +72,11 @@ class MiningReport:
     lower_bound: int  # size of incompatible_clique on the min3dfa acceptor
     attempts: list[SizeAttempt] = field(default_factory=list)
     dfa: ThreeValuedDFA | None = None  # set only once it is verified
+    claim: str = ""  # set with dfa, by _claim: "minimal size n" or why not
 
     @property
     def minimal_size(self) -> int | None:
-        """The verified DFA's size, proven minimal or not (to_text says
+        """The verified DFA's size, proven minimal or not (the claim says
         which): perfbench/test_refsolver.py reads it after pinning
         n_start = n_max = n."""
         return self.dfa.state_count if self.dfa is not None else None
@@ -94,18 +95,23 @@ class MiningReport:
                 f"clauses={att.clauses} encode={att.encode_seconds:.3f}s "
                 f"time={att.solve_seconds:.3f}s")
         if self.dfa is not None:
-            # Minimal when the lower bound, or safety mode's two states,
-            # already demands n states, or n - 1 was refuted.
-            n = self.dfa.state_count
-            if n <= max(self.lower_bound, 2 if self.safety else 1) or any(
-                    att.n == n - 1 and att.outcome == "unsat"
-                    for att in self.attempts):
-                lines.append(f"minimal size {n}")
-            else:
-                lines.append(f"separating size {n}")
-                lines.append(f"minimality not shown: n={n - 1} not tried")
-            lines.append("verified yes")
+            lines += [self.claim, "verified yes"]
         return "\n".join(lines) + "\n"
+
+
+def _claim(report: MiningReport) -> str:
+    """What the report's attempts show of its verified DFA of n states.
+
+    No DFA has fewer states than the lower bound, nor, in safety mode,
+    fewer than two: when those already demand n states, or the solver
+    refuted n - 1, the DFA is minimal.
+    """
+    n = report.dfa.state_count
+    if n <= max(report.lower_bound, 2 if report.safety else 1) or any(
+            att.n == n - 1 and att.outcome == "unsat"
+            for att in report.attempts):
+        return f"minimal size {n}"
+    return f"separating size {n}\nminimality not shown: n={n - 1} not tried"
 
 
 def _incompatible_sets(acceptor: ThreeValuedDFA) -> list[int]:
@@ -221,28 +227,28 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     """Find a smallest separating DFA for the samples.
 
     Both ends of the size range come from the min3dfa acceptor, whatever
-    the mode, which only picks the acceptor the formula is built on.
-    Sizes grow one by one, and one formula grows with them; the first
-    satisfiable size yields the answer.
-    By default the search starts one below the lower bound of
-    incompatible_clique, never below 1, or 2 in safety mode, where the
-    sink must differ from the initial state; an explicit n_start is used
-    as given.  It ends at n_max, by default the state count plus one:
-    completing the acceptor with a rejecting sink separates the samples.
-    Outside safety mode, letters that no sample uses are left out of the
-    formula and lead to state 0 in the returned DFA, which has been
-    re-checked against the samples.  Sizes that cannot be searched, and
-    safety mode on an alphabet of fewer than two letters, raise
-    SizeRangeError before any work, and a timeout that solve() refuses
-    raises ValueError; an n_start above the bound raises SizeRangeError
-    before the mode's acceptor is built.  Without n_start, an n_max below
-    the lower bound raises NoSeparatorError before any solver call.
-    Exhausting n_max raises MiningError, NoSeparatorError when the cap
-    was the user's or safety mode's; after an explicit n_start, its
-    message names the sizes searched and claims nothing of smaller ones.
-    Past the size checks, any exception that leaves the search, a solver
-    failure, a signal's SystemExit or a KeyboardInterrupt alike, carries
-    the partial report as .report.
+    the mode, which only picks the acceptor the formula is built on.  The
+    search starts one below the lower bound of incompatible_clique, never
+    below 1, or 2 in safety mode, where the sink must differ from the
+    initial state, unless n_start says where.  It ends at n_max, by
+    default the state count plus one: completing the acceptor with a
+    rejecting sink separates the samples.  Sizes grow one by one, and one
+    formula grows with them.  Outside safety mode, letters that no sample
+    uses are left out of the formula and lead to state 0 in the returned
+    DFA, which has been re-checked against the samples.
+
+    Every claim rests on what the search refuted: the clique and the floor
+    refute the sizes below them, and each unsat verdict its size, in
+    safety mode only for safety-shaped DFAs.  The DFA of the first
+    satisfiable size is minimal when the sizes below it are refuted by the
+    bounds or at n - 1.  With no size left, NoSeparatorError names what was
+    refuted, only the sizes searched after an explicit n_start; refuting
+    the completion bound outside safety mode is a MiningError.  Sizes that
+    cannot be searched, safety mode on fewer than two letters and a
+    timeout that solve() refuses raise SizeRangeError or ValueError before
+    any solver call.  Past those checks, any exception that leaves the
+    search, a solver failure, a signal's SystemExit or a KeyboardInterrupt
+    alike, carries the partial report as .report.
     """
     floor = 2 if safety else 1
     if n_start is not None and n_start < floor:
@@ -285,15 +291,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         acceptor_size=acceptor.state_count,
         lower_bound=lower,
     )
+    if n_start is None:  # one below the lower bound; none under the cap
+        first = max(lower - 1, floor) if bound >= lower else bound + 1
     grown = None  # one formula grows through the sizes
     try:
-        if n_start is None:
-            first = max(lower - 1, floor)
-            if bound < lower:
-                raise NoSeparatorError(
-                    f"no separating DFA up to the requested size {bound}: "
-                    f"the search needs at least {lower} states, as {lower} "
-                    f"acceptor states are pairwise incompatible")
         for n in range(first, bound + 1):
             started = time.perf_counter()
             grown = build_formula(n, acceptor, symmetry=symmetry_breaking,
@@ -321,23 +322,28 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
                         f"internal error: mined DFA violates "
                         f"{len(violations)} samples")
                 report.dfa = dfa
+                report.claim = _claim(report)
                 return report
-        if n_start is not None and (n_max is not None or safety):
-            # The sizes below n_start were not searched: claim nothing of them.
-            shape = "safety-shaped " if safety else ""
-            raise NoSeparatorError(
-                f"no {shape}separating DFA found at sizes {first}..{bound}")
-        if n_max is not None:
-            raise NoSeparatorError(
-                f"no separating DFA up to the requested size {bound}")
-        if safety:
-            # The completion bound only promises an unconstrained separator.
-            raise NoSeparatorError(
-                f"no safety-shaped separating DFA up to size {bound}; the "
-                f"sample set may admit none of any size")
-        raise MiningError(
-            f"no separating DFA up to size {bound}; the bound should have "
-            f"sufficed, so the encoding or solver is at fault")
+        # No size is left.  The solver refuted each size it was given, in
+        # safety mode only for the safety shape, and without n_start the
+        # clique refutes the sizes below the first.
+        if n_max is None and not safety:
+            raise MiningError(
+                f"no separating DFA up to size {bound}; the bound should have "
+                f"sufficed, so the encoding or solver is at fault")
+        if n_start is not None:  # claim nothing of the sizes below it
+            sizes = f"found at sizes {first}..{bound}"
+        elif n_max is None:  # the completion bound needs no safety shape
+            sizes = (f"up to size {bound}; the sample set may admit none of "
+                     f"any size")
+        elif report.attempts:
+            sizes = f"up to the requested size {bound}"
+        else:
+            sizes = (f"up to the requested size {bound}: the search needs at "
+                     f"least {lower} states, as {lower} acceptor states are "
+                     f"pairwise incompatible")
+        shape = "safety-shaped " if safety and report.attempts else ""
+        raise NoSeparatorError(f"no {shape}separating DFA {sizes}")
     except BaseException as err:
         err.report = report
         raise

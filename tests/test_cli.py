@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 from sepdfa import mining
 from sepdfa.automata import ThreeValuedDFA, parse_automaton
 from sepdfa.cli import main
-from sepdfa.samples import parse_abbadingo
+from sepdfa.samples import parse_abbadingo, write_abbadingo
+from sepdfa.solver import SolverVerdict
 
 
 @pytest.fixture
@@ -422,6 +424,115 @@ class TestMine:
         assert code == 0
         assert "symmetry-breaking off" in out
         assert "minimal size 2" in out
+
+
+# Sample files of the claim table: TWO needs 2 states, and 2 states are
+# pairwise incompatible; LOOSE needs 3 states, though its clique has 2;
+# CLIQUE3 has a clique of 3; PAIR is one positive word over 2 colours,
+# whose smallest safety-shaped separator has 3 states.
+TWO = "2 2\n1 1 0\n0 1 1\n"
+LOOSE = "2 2\n1 1 0\n0 3 0 0 0\n"
+CLIQUE3 = "4 2\n1 0\n1 3 0 0 0\n0 1 0\n0 2 0 0\n"
+PAIR = "1 2\n1 2 0 0\n"
+
+
+class TestClaims:
+    """Every claim a mine can end with, as the command line prints it.
+
+    An attempt line keeps only its size and outcome: the formula's size is
+    pinned elsewhere, and its timings vary.
+    """
+
+    @staticmethod
+    def check(capsys, err, tail):
+        # the five header lines end with the lower bound; the claim follows
+        captured = capsys.readouterr()
+        lines = re.sub(r" vars=.*", "", captured.out).splitlines(True)
+        assert lines[4].startswith("lower bound ")
+        assert "".join(lines[5:]) == tail
+        assert captured.err == (f"error: {err}\n" if err else "")
+
+    @pytest.mark.parametrize("samples,flags,code,err,tail", [
+        pytest.param(TWO, ["--n-start", "2"], 0, "",
+                     "n=2 sat\nminimal size 2\nverified yes\n",
+                     id="minimal-by-clique"),
+        pytest.param(LOOSE, [], 0, "",
+                     "n=1 unsat\nn=2 unsat\nn=3 sat\nminimal size 3\n"
+                     "verified yes\n", id="minimal-by-refutation"),
+        pytest.param(TWO, ["--n-start", "3"], 0, "",
+                     "n=3 sat\nseparating size 3\n"
+                     "minimality not shown: n=2 not tried\nverified yes\n",
+                     id="minimality-not-shown"),
+        pytest.param(TWO, ["--n-max", "1"], 7,
+                     "no separating DFA up to the requested size 1: the "
+                     "search needs at least 2 states, as 2 acceptor states "
+                     "are pairwise incompatible", "", id="clique-refutes"),
+        pytest.param(CLIQUE3, ["--safety", "--n-max", "2"], 7,
+                     "no separating DFA up to the requested size 2: the "
+                     "search needs at least 3 states, as 3 acceptor states "
+                     "are pairwise incompatible", "",
+                     id="clique-refutes-safety"),
+        pytest.param(LOOSE, ["--n-max", "2"], 7,
+                     "no separating DFA up to the requested size 2",
+                     "n=1 unsat\nn=2 unsat\n", id="refuted-up-to-cap"),
+        pytest.param(PAIR, ["--safety", "--n-max", "2"], 7,
+                     "no safety-shaped separating DFA up to the requested "
+                     "size 2", "n=2 unsat\n", id="safety-refuted-up-to-cap"),
+        pytest.param(TWO, ["--safety"], 7,
+                     "no safety-shaped separating DFA up to size 4; the "
+                     "sample set may admit none of any size",
+                     "n=2 unsat\nn=3 unsat\nn=4 unsat\n",
+                     id="safety-refuted-up-to-bound"),
+        pytest.param(TWO, ["--n-start", "1", "--n-max", "1"], 7,
+                     "no separating DFA found at sizes 1..1", "n=1 unsat\n",
+                     id="refuted-at-sizes"),
+        pytest.param(PAIR, ["--safety", "--n-start", "4"], 7,
+                     "no safety-shaped separating DFA found at sizes 4..4",
+                     "n=4 unsat\n", id="safety-refuted-at-sizes"),
+        # the completion bound separates, so refuting it is a fault
+        pytest.param(TWO, ["--solver", "UNSAT"], 6,
+                     "no separating DFA up to size 4; the bound should have "
+                     "sufficed, so the encoding or solver is at fault",
+                     "n=1 unsat\nn=2 unsat\nn=3 unsat\nn=4 unsat\n",
+                     id="bound-should-have-sufficed"),
+    ])
+    def test_claim(self, tmp_path, solver_arg, fake_solver, capsys, samples,
+                   flags, code, err, tail):
+        # UNSAT stands for a solver that refutes every size; the last
+        # --solver given wins
+        unsat = fake_solver("echo 's UNSATISFIABLE'\nexit 20\n")
+        flags = [unsat if f == "UNSAT" else f for f in flags]
+        path = write(tmp_path / "s.txt", samples)
+        assert main(["mine", path, "--solver", solver_arg, *flags]) == code
+        self.check(capsys, err, tail)
+
+    def test_minimal_by_safety_floor(self, tmp_path, monkeypatch, capsys):
+        # No two-state DFA has the safety shape (the opponent colour has no
+        # middle state to move to), so a stubbed solver and decoder stand
+        # in: a two-state safety separator is minimal by the floor alone.
+        dfa = ThreeValuedDFA(2, 2, (0,), {(q, a): q for q in range(2)
+                                          for a in range(2)},
+                             frozenset({0}), frozenset({1}))
+        monkeypatch.setattr(mining, "solve", lambda formula, command,
+                            timeout: SolverVerdict("sat", b"", 0.0))
+        monkeypatch.setattr(mining, "decode_model", lambda model, vm: dfa)
+        path = write(tmp_path / "s.txt", "1 2\n1 0\n")
+        assert main(["mine", path, "--safety"]) == 0
+        self.check(capsys, "", "n=2 sat\nminimal size 2\nverified yes\n")
+
+    def test_safety_claim_names_the_shape(self, tmp_path, solver_arg,
+                                          parity_corpus, capsys):
+        # the solver refutes only safety-shaped DFAs up to 6 states, and
+        # plain mining finds one of 5
+        path = write(tmp_path / "p34.txt",
+                     write_abbadingo(parity_corpus(3, 4)))
+        assert main(["mine", path, "--safety", "--n-max", "6",
+                     "--solver", solver_arg]) == 7
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no safety-shaped separating DFA up "
+                                "to the requested size 6\n")
+        assert main(["mine", path, "--solver", solver_arg]) == 0
+        assert "\nminimal size 5\n" in capsys.readouterr().out
 
 
 class TestGenParity:

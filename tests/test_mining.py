@@ -1,6 +1,7 @@
 """Minimal-size search loop, verification, and failure reporting."""
 
 import itertools
+import re
 import tempfile
 import tracemalloc
 from collections import deque
@@ -33,6 +34,7 @@ from sepdfa.mining import (
 )
 from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet, parse_abbadingo
 from sepdfa.solver import SolverError, SolverTimeoutError
+from test_encoding import separates, shaped_dfas
 
 words = st.lists(st.integers(0, 1), max_size=5).map(tuple)
 small_sets = st.tuples(
@@ -447,6 +449,48 @@ class TestSafetyMining:
             (4, "unsat")]
 
 
+def shaped_minimal_size(samples, limit=4):
+    """Smallest n admitting a safety-shaped separating DFA, by enumerating
+    the shape (n <= limit), reachable states or not."""
+    for n in range(2, limit + 1):
+        if any(separates(transitions, accepting, samples)
+               for transitions, accepting in shaped_dfas(
+                   n, samples.alphabet_size)):
+            return n
+    return None
+
+
+class TestClaims:
+    @given(small_sets, st.none() | st.integers(1, 3),
+           st.none() | st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_claims_are_true(self, solver_cmd, samples, n_start, n_max,
+                             safety):
+        # a claimed minimum is the enumerated one, of the safety shape in
+        # safety mode, and "up to B" means that no DFA of the kind named
+        # has B states or fewer; sizes beyond the enumeration's 4 states
+        # are checked only as far as it goes
+        try:
+            report = mine_min_dfa(samples, safety=safety, n_start=n_start,
+                                  n_max=n_max, solver_command=solver_cmd)
+        except SizeRangeError:
+            return
+        except NoSeparatorError as err:
+            refuted = re.search(r" up to (?:the requested )?size (\d+)",
+                                str(err))
+            oracle = (shaped_minimal_size if "safety-shaped" in str(err)
+                      else brute_force_minimal_size)
+            if refuted:
+                assert oracle(samples, min(int(refuted[1]), 4)) is None
+            return
+        n = report.minimal_size
+        oracle = shaped_minimal_size if safety else brute_force_minimal_size
+        if report.claim == f"minimal size {n}":
+            assert oracle(samples, min(n, 4)) == (n if n <= 4 else None)
+        else:  # after an explicit n_start, nothing below it is claimed
+            assert n_start is not None
+
+
 class TestReportText:
     def test_to_text(self, solver_cmd):
         samples = SampleSet(2, {(0,)}, {(1,)})
@@ -476,15 +520,18 @@ class TestReportText:
         (2, True, 1, [], True),  # safety mode needs 2 states
     ])
     def test_minimal_only_when_shown(self, n, safety, lower, tried, shown):
+        # the search decides the claim; to_text prints it as set
         sink = dfa(2, n, {(q, a): n - 1 for q in range(n) for a in range(2)},
                    {0})
         attempts = [SizeAttempt(m, outcome, 1, 1, 0.0, 0.0)
                     for m, outcome in tried + [(n, "sat")]]
-        text = MiningReport("min3dfa", safety, True, n, lower, attempts,
-                            sink).to_text()
-        assert (f"minimal size {n}\n" in text) == shown
-        assert (f"separating size {n}\n" in text) == (not shown)
-        assert text.endswith("verified yes\n")
+        report = MiningReport("min3dfa", safety, True, n, lower, attempts,
+                              sink)
+        report.claim = mining._claim(report)
+        assert report.claim == (
+            f"minimal size {n}" if shown else f"separating size {n}\n"
+            f"minimality not shown: n={n - 1} not tried")
+        assert report.to_text().endswith(f"\n{report.claim}\nverified yes\n")
 
     def test_attempt_line_shows_encode_time(self, solver_cmd):
         report = MiningReport("apta", False, True, 3, 2, [
