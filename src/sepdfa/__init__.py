@@ -1,4 +1,10 @@
-"""Learn minimal separating DFAs from labelled word samples via SAT."""
+"""Learn minimal separating DFAs from labelled word samples via SAT.
+
+The imports below are the public API: __all__ lists every name they bind,
+in their order, and __version__.
+"""
+
+from types import ModuleType as _Module
 
 from .samples import (
     DONT_CARE,
@@ -7,7 +13,6 @@ from .samples import (
     ConflictingLabelsError,
     SampleError,
     SampleSet,
-    classify,
     parse_abbadingo,
     write_abbadingo,
 )
@@ -19,7 +24,6 @@ from .automata import (
     build_min_3dfa_incremental,
     canonical_form,
     dump_automaton,
-    minimize_acyclic,
     parse_automaton,
     run,
 )
@@ -58,7 +62,6 @@ from .generators import (
     WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
-    classify_parity_word,
     gen_parity_samples,
     gen_random_dfa,
     gen_samples_from_dfa,
@@ -67,58 +70,6 @@ from .generators import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DONT_CARE",
-    "NEGATIVE",
-    "POSITIVE",
-    "ConflictingLabelsError",
-    "SampleError",
-    "SampleSet",
-    "classify",
-    "parse_abbadingo",
-    "write_abbadingo",
-    "AutomatonFormatError",
-    "ThreeValuedDFA",
-    "build_apta",
-    "build_ddfa",
-    "build_min_3dfa_incremental",
-    "canonical_form",
-    "dump_automaton",
-    "minimize_acyclic",
-    "parse_automaton",
-    "run",
-    "CnfFormula",
-    "EncodingError",
-    "VarMap",
-    "build_formula",
-    "decode_model",
-    "emit_dimacs",
-    "encode_dfa_shape",
-    "encode_parity_constraints",
-    "encode_product",
-    "encode_symmetry_breaking",
-    "DEFAULT_SOLVER_COMMAND",
-    "SolverError",
-    "SolverTimeoutError",
-    "SolverVerdict",
-    "parse_solver_output",
-    "solve",
-    "MODES",
-    "MiningError",
-    "MiningReport",
-    "NoSeparatorError",
-    "SizeAttempt",
-    "SizeRangeError",
-    "incompatible_clique",
-    "mine_min_dfa",
-    "verify_separating",
-    "WORD_BUDGET",
-    "BudgetExceededError",
-    "ParityConfig",
-    "classify_parity_word",
-    "gen_parity_samples",
-    "gen_random_dfa",
-    "gen_samples_from_dfa",
-    "parity_stats",
-    "__version__",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _Module)]
+__all__.append("__version__")

@@ -1,15 +1,15 @@
 """Three-valued automata, the one automaton type from acceptor to replay.
 
-Provides the prefix-tree acceptor, backward minimisation of acyclic
-automata, an incremental construction that keeps the working automaton
-minimal while samples stream in ascending order, and the double automaton
-that places one minimal acceptor per polarity side by side, each with its
-own initial state.  The three builders take a SampleSet, read its
-entries() in ascending order, and return a ThreeValuedDFA.  Every minimal
-acceptor is numbered by canonical_form's one rule: breadth first from each
-initial state in turn, letters ascending, transitions stored in that
-order.  The same type holds the DFA decoded from a solver model, a hidden
-random DFA and a parsed dump, whose numbers follow the sample files' rule.
+Provides the prefix-tree acceptor, an incremental construction that
+keeps the working automaton minimal while samples stream in ascending
+order, and the double automaton that places one minimal acceptor per
+polarity side by side, each with its own initial state.  The three
+builders take a SampleSet, read its entries() in ascending order, and
+return a ThreeValuedDFA.  Every minimal acceptor is numbered by
+canonical_form's one rule: breadth first from each initial state in
+turn, letters ascending, transitions stored in that order.  The same
+type holds the DFA decoded from a solver model, a hidden random DFA and
+a parsed dump, whose numbers follow the sample files' rule.
 """
 
 from __future__ import annotations
@@ -186,43 +186,6 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
                      a.initials)
 
 
-def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
-    """Minimal three-valued automaton for the same classification function.
-
-    States are merged when they share a status and, letter by letter,
-    either both lack a successor or lead to already-merged successors.
-    A reachable state is keyed once all its successors are: each counts
-    its outgoing transitions down as their targets are keyed, starting
-    from the leaves (Kahn's order on the reversed edges).  A state left
-    unkeyed lies on or leads to a cycle, and the input must be acyclic.
-    Initial states whose classifications coincide merge into one.
-    """
-    succ = _successors(a)
-    pending = {q: len(succ[q]) for q in a.initials}  # successors unkeyed
-    preds: list[list[int]] = [[] for _ in succ]
-    reached = list(a.initials)
-    for q in reached:  # grows while it is walked: all reachable states
-        for _, r in succ[q]:
-            preds[r].append(q)
-            if r not in pending:
-                pending[r] = len(succ[r])
-                reached.append(r)
-    register: dict[tuple, int] = {}
-    rep: dict[int, int] = {}
-    ready = [q for q in reached if not pending[q]]
-    for q in ready:  # grows while it is walked
-        sig = (a.status(q), tuple((letter, rep[r]) for letter, r in succ[q]))
-        rep[q] = register.setdefault(sig, len(register))
-        for p in preds[q]:
-            pending[p] -= 1
-            if not pending[p]:
-                ready.append(p)
-    if len(rep) != len(reached):
-        raise ValueError("automaton contains a cycle")
-    return _numbered(a.alphabet_size, list(register),
-                     tuple(dict.fromkeys(rep[q] for q in a.initials)))
-
-
 class _IncrementalBuilder:
     """Grows a minimal acyclic automaton from ascending samples.
 
@@ -230,15 +193,15 @@ class _IncrementalBuilder:
     children] entries, root first.  The register numbers every other
     state by its (status, children) signature, for good.  A new word
     folds the stacked states below its common prefix with the previous
-    word into the register and pushes its suffix.  peak_live is the
-    high-water mark of registered plus stacked states.
+    word into the register and pushes its suffix.  The registered and
+    stacked states never outnumber the distinct prefixes of the words
+    added so far.
     """
 
     def __init__(self):
         self.register: dict[tuple, int] = {}
         self.stack: list[list] = [[DONT_CARE, {}]]
         self.prev: Word = ()
-        self.peak_live = 1
 
     def _fold(self, depth: int) -> int | None:
         """Register the stacked states below depth, deepest first.
@@ -266,8 +229,6 @@ class _IncrementalBuilder:
         self.stack.extend([DONT_CARE, {}] for _ in range(common, len(w)))
         self.stack[-1][0] = label
         self.prev = w
-        self.peak_live = max(self.peak_live,
-                             len(self.register) + len(self.stack))
 
     def finish(self) -> tuple[int, list[tuple]]:
         """Fold the last word in; return the root and the signatures.
@@ -283,10 +244,12 @@ class _IncrementalBuilder:
 def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     """Minimal three-valued automaton for the samples, built incrementally.
 
-    Equal to minimize_acyclic(build_apta(samples)), as both are numbered
-    by canonical_form's rule, but the working automaton, a register of
-    minimised states plus the stacked path of the latest word, never
-    grows beyond the number of distinct sample prefixes.
+    The minimal form of build_apta(samples), numbered by canonical_form's
+    rule, built in one pass without the prefix tree (Daciuk et al., 2000):
+    the working automaton, a register of minimised states plus the
+    stacked path of the latest word, never grows beyond the number of
+    distinct sample prefixes.  The tests hold it to a backward
+    minimisation of the prefix tree, field for field.
     """
     builder = _IncrementalBuilder()
     for w, label in samples.entries():

@@ -20,12 +20,13 @@ from .automata import (
     canonical_form,
     run,
 )
-from .samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word
+from .samples import POSITIVE, SampleSet, Word
 
 
 # Work limits of the corpus generators: parity words enumerated, and
 # letters drawn at most (count times max_len) for a random corpus, where
-# each letter is one rng.randrange call.
+# each letter is one rng.randrange call; the same count of calls bounds
+# the draws of a random DFA.
 WORD_BUDGET = 100_000_000
 LETTER_BUDGET = 10_000_000
 
@@ -46,42 +47,6 @@ class ParityConfig:
             raise ValueError("parity corpora need at least two colours")
         if self.length <= self.colours:
             raise ValueError("word length must exceed the colour count")
-
-
-def classify_parity_word(w: Word, colours: int) -> str:
-    """Label a colour word by the cycles its repeated colours close.
-
-    Scanning left to right, each colour remembers its most recent
-    position.  Seeing a colour again closes a cycle: the segment after
-    the previous occurrence up to and including the current position.  A
-    cycle is winning when its highest colour is even.  Words whose cycles
-    are all winning are positive, all losing negative; mixed or cycle-free
-    words stay don't-care.
-    """
-    if colours < 1:
-        raise ValueError("colour count must be at least 1")
-    last: dict[int, int] = {}
-    saw_cycle = False
-    all_winning = True
-    all_losing = True
-    for pos, colour in enumerate(w):
-        if not 0 <= colour < colours:
-            raise ValueError(f"colour {colour} out of range")
-        prev = last.get(colour)
-        if prev is not None:
-            saw_cycle = True
-            if max(w[prev + 1:pos + 1]) % 2 == 0:
-                all_losing = False
-            else:
-                all_winning = False
-        last[colour] = pos
-    if not saw_cycle:
-        return DONT_CARE
-    if all_winning:
-        return POSITIVE
-    if all_losing:
-        return NEGATIVE
-    return DONT_CARE
 
 
 def _parity_step(state: tuple, colour: int) -> tuple:
@@ -108,12 +73,12 @@ def gen_parity_samples(cfg: ParityConfig) -> SampleSet:
     """Classify every length-cfg.length colour word; drop the don't-cares.
 
     Words are walked depth first on their per-prefix state (_parity_step,
-    memoised), so each label costs O(1) rather than classify_parity_word's
-    O(L^2), and a prefix that has closed both a winning and a losing cycle
-    is dropped with all its completions.  A request for more than
-    WORD_BUDGET words is refused before any is built, with a message that
-    names the count as a power: colours**length may have too many digits
-    to print.
+    memoised), so each label costs O(1) rather than the O(L^2) of
+    scanning the word's cycles, and a prefix that has closed both a
+    winning and a losing cycle is dropped with all its completions.  A
+    request for more than WORD_BUDGET words is refused before any is
+    built, with a message that names the count as a power: colours**length
+    may have too many digits to print.
     """
     count = 1
     for _ in range(cfg.length):
@@ -156,13 +121,18 @@ def gen_parity_samples(cfg: ParityConfig) -> SampleSet:
 def gen_random_dfa(size: int, alphabet_size: int = 2,
                    seed: int = 0) -> ThreeValuedDFA:
     """Uniformly random complete DFA, resampled until all states are
-    reachable from state 0.  Deterministic for a given seed."""
+    reachable from state 0.  Deterministic for a given seed.
+
+    Each draw makes size * (alphabet_size + 1) rng.randrange calls, and
+    the share of draws with every state reachable shrinks exponentially
+    with the size, so the draws stop at LETTER_BUDGET calls.
+    """
     if size < 1:
         raise ValueError("size must be at least 1")
     if alphabet_size < 1:
         raise ValueError("alphabet size must be at least 1")
     rng = random.Random(seed)
-    while True:
+    for _ in range(LETTER_BUDGET // (size * (alphabet_size + 1))):
         transitions = {(q, a): rng.randrange(size)
                        for q in range(size) for a in range(alphabet_size)}
         accepting = frozenset(q for q in range(size) if rng.randrange(2))
@@ -173,6 +143,9 @@ def gen_random_dfa(size: int, alphabet_size: int = 2,
         except ValueError:
             continue
         return dfa
+    raise BudgetExceededError(
+        f"no {size}-state DFA with every state reachable within the budget "
+        f"of {LETTER_BUDGET} letters")
 
 
 def _check_request(count: int, max_len: int, alphabet_size: int) -> int:

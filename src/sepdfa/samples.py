@@ -75,16 +75,6 @@ class SampleSet:
         return entries
 
 
-def classify(s: SampleSet, w: Word) -> str:
-    """Label of w relative to the sample set: '+', '-' or '?'."""
-    w = tuple(w)
-    if w in s.positives:
-        return POSITIVE
-    if w in s.negatives:
-        return NEGATIVE
-    return DONT_CARE
-
-
 def _parse_numbers(fields: list[str]) -> tuple[int, ...]:
     """The fields, one or more as str.split() gives them, as ints.
 

@@ -17,7 +17,6 @@ from sepdfa.automata import (
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
-    minimize_acyclic,
 )
 from sepdfa.encoding import build_formula
 from sepdfa.generators import (
@@ -29,6 +28,7 @@ from sepdfa.generators import (
 from sepdfa.mining import MODES, MiningError, mine_min_dfa, verify_separating
 from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
+from test_automata import minimize_acyclic
 
 # (colours, length) -> ((positives, negatives), (apta, min3dfa, ddfa))
 PUBLISHED_ROWS = {

@@ -1,4 +1,9 @@
-"""Acceptor constructions: prefix tree, minimisation, incremental, double DFA."""
+"""Acceptor constructions: prefix tree, minimisation, incremental, double DFA.
+
+minimize_acyclic, the batch minimisation of an acyclic acceptor, is the
+reference the incremental construction is held to here and in
+test_acceptance.
+"""
 
 import time
 
@@ -9,13 +14,14 @@ from hypothesis import strategies as st
 from sepdfa.automata import (
     AutomatonFormatError,
     _IncrementalBuilder,
+    _numbered,
+    _successors,
     ThreeValuedDFA,
     build_apta,
     build_ddfa,
     build_min_3dfa_incremental,
     canonical_form,
     dump_automaton,
-    minimize_acyclic,
     parse_automaton,
     run,
 )
@@ -34,6 +40,43 @@ def all_words(alphabet_size, max_len):
         yield w
         if len(w) < max_len:
             stack.extend(w + (a,) for a in range(alphabet_size))
+
+
+def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
+    """Minimal three-valued automaton for the same classification function.
+
+    States are merged when they share a status and, letter by letter,
+    either both lack a successor or lead to already-merged successors.
+    A reachable state is keyed once all its successors are: each counts
+    its outgoing transitions down as their targets are keyed, starting
+    from the leaves (Kahn's order on the reversed edges).  A state left
+    unkeyed lies on or leads to a cycle, and the input must be acyclic.
+    Initial states whose classifications coincide merge into one.
+    """
+    succ = _successors(a)
+    pending = {q: len(succ[q]) for q in a.initials}  # successors unkeyed
+    preds: list[list[int]] = [[] for _ in succ]
+    reached = list(a.initials)
+    for q in reached:  # grows while it is walked: all reachable states
+        for _, r in succ[q]:
+            preds[r].append(q)
+            if r not in pending:
+                pending[r] = len(succ[r])
+                reached.append(r)
+    register: dict[tuple, int] = {}
+    rep: dict[int, int] = {}
+    ready = [q for q in reached if not pending[q]]
+    for q in ready:  # grows while it is walked
+        sig = (a.status(q), tuple((letter, rep[r]) for letter, r in succ[q]))
+        rep[q] = register.setdefault(sig, len(register))
+        for p in preds[q]:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    if len(rep) != len(reached):
+        raise ValueError("automaton contains a cycle")
+    return _numbered(a.alphabet_size, list(register),
+                     tuple(dict.fromkeys(rep[q] for q in a.initials)))
 
 
 class TestThreeValuedDFA:
@@ -189,7 +232,15 @@ class TestIncremental:
 
     @given(sample_sets)
     def test_peak_live_bounded_by_prefix_count(self, s):
-        builder = _IncrementalBuilder()
+        class Builder(_IncrementalBuilder):
+            peak_live = 1  # registered plus stacked states, at most
+
+            def add(self, w, label):
+                super().add(w, label)
+                self.peak_live = max(self.peak_live,
+                                     len(self.register) + len(self.stack))
+
+        builder = Builder()
         for w, label in s.entries():
             builder.add(w, label)
         builder.finish()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sepdfa import mining
+from sepdfa import cli, generators, mining
 from sepdfa.automata import ThreeValuedDFA, parse_automaton
 from sepdfa.cli import main
 from sepdfa.samples import parse_abbadingo, write_abbadingo
@@ -607,6 +607,21 @@ class TestGenRandomAndVerify:
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
 
+    def test_draw_over_the_budget_writes_nothing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # seed 2 rejects its first 5-state draw; 29 letters allow one draw
+        monkeypatch.setattr(generators, "LETTER_BUDGET", 29)
+        out = tmp_path / "r.txt"
+        assert main(["gen-random", "--dfa-size", "5", "--seed", "2",
+                     "--sample-count", "1", "--max-len", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no 5-state DFA with every state reachable within the "
+            "budget of 29 letters\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_failure_lists_violations(self, tmp_path, capsys):
         dfa = write(tmp_path / "d.dfa",
                     "states 1 initial 0 alphabet 2\nstate 0 R\n"
@@ -669,3 +684,16 @@ class TestStats:
             assert captured.err.startswith(
                 f"error: {count} words exceed the budget of ")
             assert captured.out == ""
+
+    def test_unexpected_exception_prints_traceback(self, capsys,
+                                                   monkeypatch):
+        # an exception outside _EXIT_CODES is an internal error
+        def broken(cfg):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "parity_stats", broken)
+        assert main(["stats", "--colours", "3", "--length", "4"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith("KeyError: 'boom'\n")

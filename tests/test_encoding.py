@@ -129,6 +129,12 @@ class TestVarMap:
             vm.d(1, 0)
         with pytest.raises(EncodingError):
             vm.t(1, 1)
+        for i in (2, -1):
+            with pytest.raises(EncodingError, match=rf"^f\({i}\) out of"):
+                vm.f(i)
+        for a in (2, -1):
+            with pytest.raises(EncodingError, match="letter out of range"):
+                vm.m(0, a, 1)
         for i, a in ((2, 0), (-1, 0), (0, 2), (0, -1)):
             with pytest.raises(EncodingError):
                 vm.e_row(i, a)

@@ -1,4 +1,8 @@
-"""Parity-word labelling and benchmark corpus generation."""
+"""Parity-word labelling and benchmark corpus generation.
+
+classify_parity_word, the word-by-word parity labelling, is the reference
+the corpus generator's per-prefix walk is held to.
+"""
 
 import hashlib
 import itertools
@@ -7,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepdfa import generators
 from sepdfa.generators import (
     LETTER_BUDGET,
     WORD_BUDGET,
     BudgetExceededError,
     ParityConfig,
-    classify_parity_word,
     gen_parity_samples,
     gen_random_dfa,
     gen_samples_from_dfa,
@@ -20,7 +24,44 @@ from sepdfa.generators import (
     _check_request,
 )
 from sepdfa.automata import dump_automaton, run
-from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE, write_abbadingo
+from sepdfa.samples import (DONT_CARE, NEGATIVE, POSITIVE, Word,
+                            write_abbadingo)
+
+
+def classify_parity_word(w: Word, colours: int) -> str:
+    """Label a colour word by the cycles its repeated colours close.
+
+    Scanning left to right, each colour remembers its most recent
+    position.  Seeing a colour again closes a cycle: the segment after
+    the previous occurrence up to and including the current position.  A
+    cycle is winning when its highest colour is even.  Words whose cycles
+    are all winning are positive, all losing negative; mixed or cycle-free
+    words stay don't-care.
+    """
+    if colours < 1:
+        raise ValueError("colour count must be at least 1")
+    last: dict[int, int] = {}
+    saw_cycle = False
+    all_winning = True
+    all_losing = True
+    for pos, colour in enumerate(w):
+        if not 0 <= colour < colours:
+            raise ValueError(f"colour {colour} out of range")
+        prev = last.get(colour)
+        if prev is not None:
+            saw_cycle = True
+            if max(w[prev + 1:pos + 1]) % 2 == 0:
+                all_losing = False
+            else:
+                all_winning = False
+        last[colour] = pos
+    if not saw_cycle:
+        return DONT_CARE
+    if all_winning:
+        return POSITIVE
+    if all_losing:
+        return NEGATIVE
+    return DONT_CARE
 
 
 def classify_by_consecutive_occurrences(w, colours):
@@ -148,6 +189,21 @@ class TestRandomDfa:
             gen_random_dfa(0)
         with pytest.raises(ValueError):
             gen_random_dfa(2, 0)
+
+    # Seed 2 draws four 5-state DFAs, of 15 rng.randrange calls each,
+    # before one has every state reachable.
+    @pytest.mark.parametrize("budget", [14, 15, 29, 59])
+    def test_draws_stop_at_the_letter_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(generators, "LETTER_BUDGET", budget)
+        with pytest.raises(BudgetExceededError, match=(
+                "^no 5-state DFA with every state reachable within the "
+                f"budget of {budget} letters$")):
+            gen_random_dfa(5, 2, 2)
+
+    def test_draw_within_the_budget_is_unchanged(self, monkeypatch):
+        expected = gen_random_dfa(5, 2, 2)
+        monkeypatch.setattr(generators, "LETTER_BUDGET", 60)
+        assert gen_random_dfa(5, 2, 2) == expected
 
 
 # sha256 of the sample file followed by the hidden DFA dump that

@@ -1,7 +1,8 @@
 """The package namespace: sepdfa.__all__ names exactly its public API.
 
-perfbench/tracer.py traces the functions named in sepdfa.__all__, so a
-name missing from it would silently drop out of the per-layer trace.
+The API is what __init__.py imports, and __all__ is derived from those
+imports.  perfbench/tracer.py traces the functions named in __all__, so
+a name missing from it would silently drop out of the per-layer trace.
 """
 
 import inspect

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 import sepdfa
 from sepdfa.samples import (
-    DONT_CARE,
     NEGATIVE,
     POSITIVE,
     ConflictingLabelsError,
     SampleError,
     SampleSet,
     _parse_numbers,
-    classify,
     parse_abbadingo,
     write_abbadingo,
 )
@@ -27,9 +25,9 @@ class TestSampleSet:
     def test_basic(self):
         s = SampleSet(2, {(0,), (0, 1)}, {(1,)})
         assert s.size == 3
-        assert classify(s, (0,)) == POSITIVE
-        assert classify(s, (1,)) == NEGATIVE
-        assert classify(s, ()) == DONT_CARE
+        assert (0,) in s.positives
+        assert (1,) in s.negatives
+        assert () not in s.positives | s.negatives
 
     def test_conflict_rejected(self):
         with pytest.raises(ConflictingLabelsError):
@@ -47,7 +45,7 @@ class TestSampleSet:
 
     def test_empty_word_allowed(self):
         s = SampleSet(1, {()}, set())
-        assert classify(s, ()) == POSITIVE
+        assert () in s.positives
 
 
 def ascending(*ws):
@@ -90,7 +88,8 @@ class TestOrdering:
         ws = [w for w, _ in entries]
         assert ws == sorted(ws)
         assert len(ws) == s.size
-        assert all(classify(s, w) == label for w, label in entries)
+        assert all(w in (s.positives if label == POSITIVE else s.negatives)
+                   for w, label in entries)
 
 
 ABBADINGO_EXAMPLE = "3 2\n1 2 0 1\n0 0\n1 3 1 1 0\n"

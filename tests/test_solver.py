@@ -232,6 +232,11 @@ class TestSolveWithFakeSolver:
         script = fake_solver('echo "s SATISFIABLE"\necho "v 2 0"\nexit 10\n')
         with pytest.raises(SolverError, match="unassigned"):
             solve(SAT_2VAR, [script])
+        # a complete model, but of a 1-variable formula
+        script = fake_solver('echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
+        with pytest.raises(SolverError,
+                           match="^model leaves variable 2 unassigned$"):
+            solve(SAT_2VAR, [script])
 
     def test_variable_assigned_twice(self, fake_solver):
         # {1: False, 2: True} would satisfy both clauses of SAT_2VAR
