@@ -322,6 +322,9 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
             (q,) = _numbers(fields[1:2], ln)
             if q in statuses:
                 raise AutomatonFormatError(f"duplicate state line for {q}")
+            if fields[2] not in _CODE_STATUS:
+                raise AutomatonFormatError(
+                    f"unknown status code {fields[2]!r}")
             statuses[q] = fields[2]
         elif fields[0] == "trans" and len(fields) == 4:
             q, letter, r = _numbers(fields[1:], ln)
@@ -334,19 +337,11 @@ def parse_automaton(text: str) -> ThreeValuedDFA:
     if (len(statuses) != state_count
             or sorted(statuses) != list(range(state_count))):
         raise AutomatonFormatError("state lines do not cover every state once")
-    accepting = set()
-    rejecting = set()
-    for q, code in statuses.items():
-        if code not in _CODE_STATUS:
-            raise AutomatonFormatError(f"unknown status code {code!r}")
-        if code == "A":
-            accepting.add(q)
-        elif code == "R":
-            rejecting.add(q)
     try:
-        return ThreeValuedDFA(alphabet_size, state_count, (initial,),
-                              transitions, frozenset(accepting),
-                              frozenset(rejecting))
+        return ThreeValuedDFA(
+            alphabet_size, state_count, (initial,), transitions,
+            frozenset(q for q, code in statuses.items() if code == "A"),
+            frozenset(q for q, code in statuses.items() if code == "R"))
     except ValueError as err:
         raise AutomatonFormatError(str(err)) from None
 

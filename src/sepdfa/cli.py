@@ -126,6 +126,8 @@ def cmd_gen_parity(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
+    if args.dfa_size < 1:  # before the defaults derived from it
+        raise ValueError("size must be at least 1")
     count = args.sample_count
     if count is None:
         count = 50 * args.dfa_size
@@ -180,7 +182,8 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="sepdfa",
         description="Learn a smallest separating DFA from labelled words.")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     mine = sub.add_parser("mine", help="mine a minimal separating DFA")
     mine.add_argument("samples", help="sample file in Abbadingo format")
@@ -266,9 +269,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     previous = {sig: signal.getsignal(sig)
                 for sig in (signal.SIGTERM, signal.SIGHUP)}
     for sig, handler in previous.items():

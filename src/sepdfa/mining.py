@@ -102,12 +102,11 @@ class MiningReport:
 def _claim(report: MiningReport) -> str:
     """What the report's attempts show of its verified DFA of n states.
 
-    No DFA has fewer states than the lower bound, nor, in safety mode,
-    fewer than two: when those already demand n states, or the solver
-    refuted n - 1, the DFA is minimal.
+    The DFA is minimal when the clique already demands n states, or the
+    solver refuted n - 1; nothing else counts as evidence.
     """
     n = report.dfa.state_count
-    if n <= max(report.lower_bound, 2 if report.safety else 1) or any(
+    if n <= report.lower_bound or any(
             att.n == n - 1 and att.outcome == "unsat"
             for att in report.attempts):
         return f"minimal size {n}"
@@ -237,16 +236,16 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     uses are left out of the formula and lead to state 0 in the returned
     DFA, which has been re-checked against the samples.
 
-    Every claim rests on what the search refuted: the clique and the floor
-    refute the sizes below them, and each unsat verdict its size, in
-    safety mode only for safety-shaped DFAs.  The DFA of the first
-    satisfiable size is minimal when the sizes below it are refuted by the
-    bounds or at n - 1.  With no size left, NoSeparatorError names what was
-    refuted, only the sizes searched after an explicit n_start; refuting
-    the completion bound outside safety mode is a MiningError.  Sizes that
-    cannot be searched, safety mode on fewer than two letters and a
-    timeout that solve() refuses raise SizeRangeError or ValueError before
-    any solver call.  Past those checks, any exception that leaves the
+    Every claim rests on what the search refuted: the clique refutes the
+    sizes below it, and each unsat verdict its size, in safety mode only
+    for safety-shaped DFAs.  The floor only bounds where the search may
+    start.  The DFA of the first satisfiable size is minimal when the
+    clique demands its size or the solver refuted n - 1.  With no size
+    left, NoSeparatorError names what was refuted, only the sizes searched
+    after an explicit n_start; refuting the completion bound outside
+    safety mode is a MiningError.  Sizes that cannot be searched, safety
+    mode on fewer than two letters and a timeout that solve() refuses
+    raise SizeRangeError or ValueError before any solver call.  Past those checks, any exception that leaves the
     search, a solver failure, a signal's SystemExit or a KeyboardInterrupt
     alike, carries the partial report as .report.
     """

@@ -156,13 +156,6 @@ def _model_table(values: list[str]) -> bytes:
     return bytes(table[:count + 1])
 
 
-def _kill_process_tree(proc: subprocess.Popen) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        proc.kill()
-
-
 def _check_timeout(timeout: float | None) -> float | None:
     """Return timeout, or raise ValueError unless it is None or a finite
     positive number of seconds up to MAX_TIMEOUT."""
@@ -214,7 +207,9 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
         except BaseException as err:
             # The solver has a session of its own, which a Ctrl-C at the
             # terminal does not reach: whatever ends the wait ends it too.
-            _kill_process_tree(proc)
+            # A new session's process group id is its leader's pid.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             proc.stdout.close()
             proc.stderr.close()

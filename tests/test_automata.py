@@ -511,6 +511,12 @@ class TestDumpParse:
             parse_automaton(
                 "states 1 initial 0 alphabet 1\nstate 0 A\nedge 0 0 0\n")
 
+    def test_unknown_status_code_refused_on_its_line(self):
+        # state 1's line is missing too, but the code is checked first
+        with pytest.raises(AutomatonFormatError,
+                           match="^unknown status code 'Z'$"):
+            parse_automaton("states 2 initial 0 alphabet 1\nstate 0 Z\n")
+
     def test_huge_declared_state_count_is_cheap(self):
         # the count is compared before any per-state list is built
         with pytest.raises(AutomatonFormatError, match="every state"):

@@ -16,7 +16,6 @@ from sepdfa import cli, generators, mining
 from sepdfa.automata import ThreeValuedDFA, parse_automaton
 from sepdfa.cli import main
 from sepdfa.samples import parse_abbadingo, write_abbadingo
-from sepdfa.solver import SolverVerdict
 
 
 @pytest.fixture
@@ -75,6 +74,10 @@ def mine_until_signalled(tmp_path, samples, solver, sig):
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sepdfa ")
+        assert err.endswith("\nsepdfa: error: the following arguments are "
+                            "required: command\n")
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -506,20 +509,6 @@ class TestClaims:
         assert main(["mine", path, "--solver", solver_arg, *flags]) == code
         self.check(capsys, err, tail)
 
-    def test_minimal_by_safety_floor(self, tmp_path, monkeypatch, capsys):
-        # No two-state DFA has the safety shape (the opponent colour has no
-        # middle state to move to), so a stubbed solver and decoder stand
-        # in: a two-state safety separator is minimal by the floor alone.
-        dfa = ThreeValuedDFA(2, 2, (0,), {(q, a): q for q in range(2)
-                                          for a in range(2)},
-                             frozenset({0}), frozenset({1}))
-        monkeypatch.setattr(mining, "solve", lambda formula, command,
-                            timeout: SolverVerdict("sat", b"", 0.0))
-        monkeypatch.setattr(mining, "decode_model", lambda model, vm: dfa)
-        path = write(tmp_path / "s.txt", "1 2\n1 0\n")
-        assert main(["mine", path, "--safety"]) == 0
-        self.check(capsys, "", "n=2 sat\nminimal size 2\nverified yes\n")
-
     def test_safety_claim_names_the_shape(self, tmp_path, solver_arg,
                                           parity_corpus, capsys):
         # the solver refutes only safety-shaped DFAs up to 6 states, and
@@ -591,20 +580,28 @@ class TestGenRandomAndVerify:
 
     def test_bad_size(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
-        for flags in (["--dfa-size", "0"],
-                      ["--dfa-size", "2", "--sample-count", "-1"],
-                      ["--dfa-size", "2", "--max-len", "-1"],
-                      # 50 distinct words from the 3 of length <= 1
-                      ["--dfa-size", "2", "--max-len", "1",
-                       "--sample-count", "50"],
-                      # 100 * 3000000 letters exceed the letter budget
-                      ["--dfa-size", "2", "--max-len", "3000000"],
-                      # refused before the slow draw of a 2000-state DFA
-                      ["--dfa-size", "2000"],
-                      # 50 * 316 words of up to 635 letters: over 10^7
-                      ["--dfa-size", "316"]):
+        for flags, message in (
+                (["--dfa-size", "0"], "size must be at least 1"),
+                # the size, not the sample count derived from it
+                (["--dfa-size", "-1"], "size must be at least 1"),
+                (["--dfa-size", "2", "--sample-count", "-1"],
+                 "count must not be negative"),
+                (["--dfa-size", "2", "--max-len", "-1"],
+                 "max_len must not be negative"),
+                # 50 distinct words from the 3 of length <= 1
+                (["--dfa-size", "2", "--max-len", "1", "--sample-count",
+                  "50"], "cannot draw 50 distinct words from a pool of 3"),
+                # 100 * 3000000 letters exceed the letter budget
+                (["--dfa-size", "2", "--max-len", "3000000"],
+                 "100 words of length up to 3000000 exceed the budget"),
+                # refused before the slow draw of a 2000-state DFA
+                (["--dfa-size", "2000"],
+                 "100000 words of length up to 4003 exceed the budget"),
+                # 50 * 316 words of up to 635 letters: over 10^7
+                (["--dfa-size", "316"],
+                 "15800 words of length up to 635 exceed the budget")):
             assert main(["gen-random", *flags, "--out", str(out)]) == 1
-            assert capsys.readouterr().err.startswith("error: ")
+            assert capsys.readouterr().err.startswith(f"error: {message}")
             assert not out.exists()
 
     def test_draw_over_the_budget_writes_nothing(self, tmp_path, capsys,

@@ -517,7 +517,6 @@ class TestReportText:
         (3, False, 2, [(2, "unsat")], True),  # n=2 refuted
         (3, False, 2, [], False),
         (3, True, 1, [], False),
-        (2, True, 1, [], True),  # safety mode needs 2 states
     ])
     def test_minimal_only_when_shown(self, n, safety, lower, tried, shown):
         # the search decides the claim; to_text prints it as set

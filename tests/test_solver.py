@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import signal
 import subprocess
 import tempfile
 import time
@@ -279,6 +280,27 @@ class TestSolveWithFakeSolver:
         script = fake_solver("sleep 60\n")
         with pytest.raises(SolverTimeoutError):
             solve(SAT_2VAR, [script], timeout=0.3)
+
+    def test_timeout_kills_solver_children(self, fake_solver, tmp_path):
+        # the whole process group dies, not only the solver's own process
+        pid_file = tmp_path / "child.pid"
+        script = fake_solver(f'sleep 60 &\necho $! > "{pid_file}"\nwait\n')
+        with pytest.raises(SolverTimeoutError):
+            solve(SAT_2VAR, [script], timeout=0.5)
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                with open(f"/proc/{child}/stat") as handle:
+                    state = handle.read().rpartition(")")[2].split()[0]
+            except FileNotFoundError:
+                break  # gone and reaped
+            if state == "Z":
+                break  # dead, not yet reaped by its new parent
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)  # still alive: clean up
+                pytest.fail("the solver's child outlived the timeout")
+            time.sleep(0.05)
 
     def test_longest_timeout(self, fake_solver, tmp_path, monkeypatch):
         # a longer wait cannot be polled for: refused before the temp file
