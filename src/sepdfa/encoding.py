@@ -18,7 +18,9 @@ of each (state, letter) pair and, in safety mode, the block of the sink
 n - 1 and the safety shape.  A formula is therefore grown, not rebuilt:
 build_formula cuts the tail off, appends the new blocks (in safety mode
 the old sink's block again, as a block below the sink) and writes the new
-tail.
+tail.  Each encoder appends the clauses of one block, that of the
+candidate state k it is given; build_formula alone lays the blocks out
+and writes the tail, once per size.
 
 In safety mode the shape's unit clauses fix many e and all f variables.
 The product clauses are written with those values, closed under
@@ -256,27 +258,22 @@ class VarMap:
                 + i * self.alphabet_size + a)
 
 
-def encode_dfa_shape(vm: VarMap, out: array, since: int = 0) -> None:
-    """Determinism and completeness of the candidate transition function.
+def encode_dfa_shape(vm: VarMap, out: array, k: int) -> None:
+    """Determinism of the candidate transition function in block k.
 
-    Appends the at-most-one clauses that size vm.n has and size `since`
-    lacks, block by block, then the at-least-one row of every state and
-    letter, which holds at size vm.n only.
+    Appends the at-most-one clauses whose largest candidate state is k.
+    Completeness, the at-least-one row of every state and letter, holds at
+    one size only: build_formula writes those rows after the last block.
     """
-    for k in range(since, vm.n):
-        for i in range(k + 1):
-            for a in range(vm.alphabet_size):
-                row = [vm.e(i, a, j) for j in range(k + 1)]
-                if i == k:
-                    pairs = itertools.combinations(row, 2)
-                else:
-                    pairs = ((x, row[k]) for x in row[:k])
-                for x, y in pairs:
-                    out.extend((-x, -y, 0))
-    for i in range(vm.n):
+    for i in range(k + 1):
         for a in range(vm.alphabet_size):
-            out.extend(vm.e_row(i, a))
-            out.append(0)
+            row = [vm.e(i, a, j) for j in range(k + 1)]
+            if i == k:
+                pairs = itertools.combinations(row, 2)
+            else:
+                pairs = ((x, row[k]) for x in row[:k])
+            for x, y in pairs:
+                out.extend((-x, -y, 0))
 
 
 class _Transitions:
@@ -349,21 +346,20 @@ def _clause_layout(facts: Mapping[int, bool], first_e: int, k: int,
 
 
 def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
-                   since: int = 0, table: _Transitions | None = None) -> None:
-    """Tie the candidate to the acceptor.
+                   k: int, table: _Transitions | None = None) -> None:
+    """Tie the candidate to the acceptor in block k.
 
-    Appends the product clauses that size vm.n has and size `since` lacks:
-    the seeds at the initial states (with since = 0), then for each new
-    candidate state k in turn, the acceptance clauses of k and the
-    transition clauses whose largest candidate state is k, letter by
-    letter.  Candidate states paired with an accepting acceptor
-    state must accept, those paired with a rejecting one must reject.
-    table is the acceptor read with the values the formula's shape fixes;
-    without one it is read here, with none fixed.  A clause that a fixed
-    value makes true is left out, and so is a literal that one makes
-    false.  Clauses are filled column by column, by strided slices that
-    each store one clause slot of many clauses, so the interpreted work
-    grows with transitions times n, not times n².
+    Appends the product clauses whose largest candidate state is k: the
+    seeds at the initial states (at k = 0), the acceptance clauses of k,
+    then the transition clauses, letter by letter.  Candidate states
+    paired with an accepting acceptor state must accept, those paired with
+    a rejecting one must reject.  table is the acceptor read with the
+    values the formula's shape fixes; without one it is read here, with
+    none fixed.  A clause that a fixed value makes true is left out, and
+    so is a literal that one makes false.  Clauses are filled column by
+    column, by strided slices that each store one clause slot of many
+    clauses, so the interpreted work goes by clause slot and run of
+    transitions, not by clause.
     """
     if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
@@ -372,51 +368,50 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
     if table is None:
         table = _Transitions(acceptor)
     facts = table.facts
-    if since == 0:
+    if k == 0:
         for q0 in acceptor.initials:
             out.extend((vm.d(q0, 0), 0))
-    for k in range(since, vm.n):
-        # Clauses -d(p, k) ±f(k) for each status state p in order; a fixed
-        # f(k) leaves out those it makes true and cuts the others to -d(p, k).
-        fixed = facts.get(vm.f(k))
-        first_d = -vm.d(0, k)
-        for states, sign in table.status:
-            if fixed == (sign > 0):
-                continue
-            width = 3 if fixed is None else 2
-            block = array("i", [0]) * (width * len(states))
-            block[0::width] = array("i", [first_d - p for p in states])
-            if fixed is None:
-                block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
+    # Clauses -d(p, k) ±f(k) for each status state p in order; a fixed
+    # f(k) leaves out those it makes true and cuts the others to -d(p, k).
+    fixed = facts.get(vm.f(k))
+    first_d = -vm.d(0, k)
+    for states, sign in table.status:
+        if fixed == (sign > 0):
+            continue
+        width = 3 if fixed is None else 2
+        block = array("i", [0]) * (width * len(states))
+        block[0::width] = array("i", [first_d - p for p in states])
+        if fixed is None:
+            block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
+        out.extend(block)
+    # A letter's transitions share one layout of width literals each: its
+    # pattern, repeated once per transition, holds the -e literals and
+    # closing 0s, and one slice of stride `width` stores a slot's -d(p, i)
+    # or d(r, j) for a whole run of transitions.  A run is at most _CHUNK
+    # literals unless one transition alone is more (filling a whole span at
+    # once raised peak RSS).
+    first_e = vm.e(0, 0, k)
+    for start, stop, a in table.spans:
+        pattern, slots = _clause_layout(facts, first_e, k,
+                                        vm.alphabet_size, a)
+        width = len(pattern)
+        if not width:
+            continue
+        leaving = {i: table.leaving(vm, i) for _, i, _, _ in slots}
+        entering = {j: table.entering(vm, j) for _, _, _, j in slots}
+        step = max(1, _CHUNK // width)
+        for run in range(start, stop, step):
+            end = min(run + step, stop)
+            block = pattern * (end - run)
+            froms = {i: row[run:end] for i, row in leaving.items()}
+            tos = {j: row[run:end] for j, row in entering.items()}
+            for src, i, dst, j in slots:
+                block[src::width] = froms[i]
+                block[dst::width] = tos[j]
             out.extend(block)
-        # A letter's transitions share one layout of width literals each:
-        # its pattern, repeated once per transition, holds the -e literals
-        # and closing 0s, and one slice of stride `width` stores a slot's
-        # -d(p, i) or d(r, j) for a whole run of transitions.  A run is at
-        # most _CHUNK literals unless one transition alone is more (filling
-        # a whole span at once raised peak RSS).
-        first_e = vm.e(0, 0, k)
-        for start, stop, a in table.spans:
-            pattern, slots = _clause_layout(facts, first_e, k,
-                                            vm.alphabet_size, a)
-            width = len(pattern)
-            if not width:
-                continue
-            leaving = {i: table.leaving(vm, i) for _, i, _, _ in slots}
-            entering = {j: table.entering(vm, j) for _, _, _, j in slots}
-            step = max(1, _CHUNK // width)
-            for run in range(start, stop, step):
-                end = min(run + step, stop)
-                block = pattern * (end - run)
-                froms = {i: row[run:end] for i, row in leaving.items()}
-                tos = {j: row[run:end] for j, row in entering.items()}
-                for src, i, dst, j in slots:
-                    block[src::width] = froms[i]
-                    block[dst::width] = tos[j]
-                out.extend(block)
 
 
-def encode_symmetry_breaking(vm: VarMap, out: array, since: int = 0) -> None:
+def encode_symmetry_breaking(vm: VarMap, out: array, k: int) -> None:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
@@ -424,48 +419,46 @@ def encode_symmetry_breaking(vm: VarMap, out: array, since: int = 0) -> None:
     j's tree parent, m(i, a, j) marks the smallest letter joining i to j.
     Ordering clauses then make consecutive states take consecutive parents
     and force sibling edges into ascending letter order.  Appends the
-    clauses of the nodes from `since` on, node by node: those of node j
-    are the clauses whose largest node is j, so the clauses of size n - 1
-    are those of size n without node n - 1's.
+    clauses of node k, those whose largest node is k, so the clauses of
+    size n are those of the nodes below n, node by node.
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
-    k = vm.alphabet_size
+    letters = range(vm.alphabet_size)
 
     def emit(*lits: int) -> None:
         out.extend(lits + (0,))
 
-    for j in range(since, vm.n):
-        for i in range(j):
-            # p(j, i) holds iff i is the smallest node with an edge into j.
-            emit(-vm.p(j, i), vm.t(i, j))
-            for kk in range(i):
-                emit(-vm.p(j, i), -vm.t(kk, j))
-            emit(vm.p(j, i), -vm.t(i, j), *[vm.t(kk, j) for kk in range(i)])
-            # t(i, j) holds iff some letter joins i to j.
-            emit(-vm.t(i, j), *[vm.e(i, a, j) for a in range(k)])
-            for a in range(k):
-                emit(vm.t(i, j), -vm.e(i, a, j))
-            # m(i, a, j) holds iff a is the smallest letter joining i to j.
-            for a in range(k):
-                emit(-vm.m(i, a, j), vm.e(i, a, j))
-                for b in range(a):
-                    emit(-vm.m(i, a, j), -vm.e(i, b, j))
-                emit(vm.m(i, a, j), -vm.e(i, a, j),
-                     *[vm.e(i, b, j) for b in range(a)])
-        prev = j - 1
-        for i in range(prev):
-            # Children of one parent appear in ascending letter order.
-            for b in range(k):
-                for a in range(b):
-                    emit(-vm.p(prev, i), -vm.p(j, i),
-                         -vm.m(i, b, prev), -vm.m(i, a, j))
-            # Parents are assigned in ascending node order.
-            for kk in range(i):
-                emit(-vm.p(prev, i), -vm.p(j, kk))
-        # Every node except the root has a parent.
-        if j:
-            emit(*[vm.p(j, parent) for parent in range(j)])
+    for i in range(k):
+        # p(k, i) holds iff i is the smallest node with an edge into k.
+        emit(-vm.p(k, i), vm.t(i, k))
+        for h in range(i):
+            emit(-vm.p(k, i), -vm.t(h, k))
+        emit(vm.p(k, i), -vm.t(i, k), *[vm.t(h, k) for h in range(i)])
+        # t(i, k) holds iff some letter joins i to k.
+        emit(-vm.t(i, k), *[vm.e(i, a, k) for a in letters])
+        for a in letters:
+            emit(vm.t(i, k), -vm.e(i, a, k))
+        # m(i, a, k) holds iff a is the smallest letter joining i to k.
+        for a in letters:
+            emit(-vm.m(i, a, k), vm.e(i, a, k))
+            for b in range(a):
+                emit(-vm.m(i, a, k), -vm.e(i, b, k))
+            emit(vm.m(i, a, k), -vm.e(i, a, k),
+                 *[vm.e(i, b, k) for b in range(a)])
+    prev = k - 1
+    for i in range(prev):
+        # Children of one parent appear in ascending letter order.
+        for b in letters:
+            for a in range(b):
+                emit(-vm.p(prev, i), -vm.p(k, i),
+                     -vm.m(i, b, prev), -vm.m(i, a, k))
+        # Parents are assigned in ascending node order.
+        for h in range(i):
+            emit(-vm.p(prev, i), -vm.p(k, h))
+    # Every node except the root has a parent.
+    if k:
+        emit(*[vm.p(k, parent) for parent in range(k)])
 
 
 def encode_parity_constraints(vm: VarMap, out: array) -> None:
@@ -563,13 +556,16 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                   ) -> tuple[VarMap, CnfFormula]:
     """The formula of candidate size n, grown one candidate state at a time.
 
-    Without base it grows from nothing.  base is what this function
-    returned for a smaller size, the same acceptor and the same options:
-    its formula is cut back to its stable part and grown in place, so it
-    no longer describes base's size, and only the literals past its
-    stable part are checked.  The formula of size n is the same either
-    way.  With safety, the sink's block is part of the tail, holds no
-    symmetry clauses (they number only the states below the sink), and
+    Each encoder appends its clauses of one block, that of one candidate
+    state; this function alone lays the blocks out and writes the tail
+    once, after the last block: the at-least-one rows and, with safety,
+    the shape.  Without base it grows from nothing.  base is what this
+    function returned for a smaller size, the same acceptor and the same
+    options: its formula is cut back to its stable part and grown in
+    place, so it no longer describes base's size, and only the literals
+    past its stable part are checked.  The formula of size n is the same
+    either way.  With safety, the sink's block is part of the tail, holds
+    no symmetry clauses (they number only the states below the sink), and
     the product clauses leave out what the shape's fixed values decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
@@ -587,22 +583,20 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         # Every block of base is stable but, with safety, its sink's.
         first = base_vm.n - 1 if safety else base_vm.n
     literals = formula._cut()
-    stable = end = len(literals)
+    stable = len(literals)
     table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
     for k in range(first, n):
-        grown = VarMap(k + 1, acceptor.alphabet_size, acceptor.state_count,
-                       symmetry)
         sink = safety and k == n - 1
-        del literals[end:]
-        encode_product(grown, acceptor, literals, since=k, table=table)
+        encode_product(vm, acceptor, literals, k, table)
         if symmetry and not sink:
-            encode_symmetry_breaking(grown, literals, since=k)
-        encode_dfa_shape(grown, literals, since=k)
-        # The at-least-one rows, (k + 1) * K clauses of k + 1 literals and
-        # a closing 0 each, end encode_dfa_shape's output and the block.
-        end = len(literals) - (k + 1) * acceptor.alphabet_size * (k + 2)
+            encode_symmetry_breaking(vm, literals, k)
+        encode_dfa_shape(vm, literals, k)
         if not sink:
-            stable = end
+            stable = len(literals)
+    # The at-least-one rows make the transition function total at size n
+    # only.
+    for i, a in itertools.product(range(n), range(acceptor.alphabet_size)):
+        literals.extend(vm.e_row(i, a) + [0])
     if safety:
         encode_parity_constraints(vm, literals)
     formula._grow(vm.variable_count, stable)

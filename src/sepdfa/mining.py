@@ -231,10 +231,11 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     below 1, or 2 in safety mode, where the sink must differ from the
     initial state, unless n_start says where.  It ends at n_max, by
     default the state count plus one: completing the acceptor with a
-    rejecting sink separates the samples.  Sizes grow one by one, and one
-    formula grows with them.  Outside safety mode, letters that no sample
-    uses are left out of the formula and lead to state 0 in the returned
-    DFA, which has been re-checked against the samples.
+    rejecting sink separates the samples.  In safety mode that default is
+    at least 3, as no safety-shaped DFA has 2 states.  Sizes grow one by
+    one, and one formula grows with them.  Outside safety mode, letters
+    that no sample uses are left out of the formula and lead to state 0 in
+    the returned DFA, which has been re-checked against the samples.
 
     Every claim rests on what the search refuted: the clique refutes the
     sizes below it, and each unsat verdict its size, in safety mode only
@@ -245,9 +246,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     after an explicit n_start; refuting the completion bound outside
     safety mode is a MiningError.  Sizes that cannot be searched, safety
     mode on fewer than two letters and a timeout that solve() refuses
-    raise SizeRangeError or ValueError before any solver call.  Past those checks, any exception that leaves the
-    search, a solver failure, a signal's SystemExit or a KeyboardInterrupt
-    alike, carries the partial report as .report.
+    raise SizeRangeError or ValueError before any solver call.  Past those
+    checks, any exception that leaves the search, a solver failure, a
+    signal's SystemExit or a KeyboardInterrupt alike, carries the partial
+    report as .report.
     """
     floor = 2 if safety else 1
     if n_start is not None and n_start < floor:
@@ -268,7 +270,7 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     acceptor = getattr(automata, _BUILDERS["min3dfa"])(samples)
     lower = len(incompatible_clique(acceptor))
-    bound = acceptor.state_count + 1 if n_max is None else n_max
+    bound = max(acceptor.state_count, floor) + 1 if n_max is None else n_max
     if n_start is not None and n_start > bound:
         raise SizeRangeError(
             f"n_start {n_start} exceeds the size bound {bound}; "

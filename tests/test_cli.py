@@ -486,6 +486,16 @@ class TestClaims:
                      "sample set may admit none of any size",
                      "n=2 unsat\nn=3 unsat\nn=4 unsat\n",
                      id="safety-refuted-up-to-bound"),
+        # no safety-shaped DFA has 2 states, so a one-state acceptor's
+        # bound is 3, not 2; over 3 colours none rejects the empty word
+        pytest.param("0 2\n", ["--safety"], 0, "",
+                     "n=2 unsat\nn=3 sat\nminimal size 3\nverified yes\n",
+                     id="safety-bound-past-one-state"),
+        pytest.param("1 3\n0 0\n", ["--safety"], 7,
+                     "no safety-shaped separating DFA up to size 3; the "
+                     "sample set may admit none of any size",
+                     "n=2 unsat\nn=3 unsat\n",
+                     id="safety-refuted-up-to-three"),
         pytest.param(TWO, ["--n-start", "1", "--n-max", "1"], 7,
                      "no separating DFA found at sizes 1..1", "n=1 unsat\n",
                      id="refuted-at-sizes"),

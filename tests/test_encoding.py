@@ -36,10 +36,28 @@ from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
 
 
-def clauses_of(encoder, *args, **kwargs):
+def whole_size(encoder, vm, *args, rows=False):
+    """A block encoder's output for every block of size vm.n, in order, in
+    one fresh buffer; with rows, then the at-least-one row of every state
+    and letter, as build_formula writes them after the last block."""
+    out = array("i")
+    for k in range(vm.n):
+        encoder(vm, *args, out, k)
+    if rows:
+        for i, a in itertools.product(range(vm.n), range(vm.alphabet_size)):
+            out.extend(vm.e_row(i, a) + [0])
+    return out
+
+
+def clauses_of(encoder, *args):
     """Run one encoder into a fresh buffer and split it into clause tuples."""
     literals = array("i")
-    encoder(*args, literals, **kwargs)
+    encoder(*args, literals)
+    return split_clauses(literals)
+
+
+def split_clauses(literals):
+    """The clauses of a buffer, as tuples in order."""
     clauses, clause = [], []
     for lit in literals:
         if lit:
@@ -157,7 +175,7 @@ class TestDoubleAcceptorSeeds:
     def test_double_dfa_offsets(self):
         dd = build_ddfa(SampleSet(2, {(0,)}, {(1,)}))
         vm = VarMap(2, 2, dd.state_count, False)
-        clauses = clauses_of(encode_product, vm, dd)
+        clauses = split_clauses(whole_size(encode_product, vm, dd))
         # both initial states are seeded, the negative one past the split
         split = dd.initials[1]
         assert dd.initials == (0, split)
@@ -169,7 +187,7 @@ class TestDoubleAcceptorSeeds:
 class TestShapeClauses:
     def test_counts_n3_k2(self):
         vm = VarMap(3, 2, 1, False)
-        clauses = clauses_of(encode_dfa_shape, vm)
+        clauses = split_clauses(whole_size(encode_dfa_shape, vm, rows=True))
         at_most = [c for c in clauses if len(c) == 2 and c[0] < 0]
         at_least = [c for c in clauses if c[0] > 0]
         assert len(at_most) == 3 * 2 * 3  # n*k * C(n,2)
@@ -180,7 +198,7 @@ class TestShapeClauses:
     def test_truth_table_is_total_functions(self, n, k):
         # shape clauses hold exactly when e describes a total function
         vm = VarMap(n, k, 1, False)
-        clauses = clauses_of(encode_dfa_shape, vm)
+        clauses = split_clauses(whole_size(encode_dfa_shape, vm, rows=True))
         evars = [(i, a, j) for i in range(n) for a in range(k)
                  for j in range(n)]
         sat_count = 0
@@ -223,8 +241,8 @@ def separating_projection_by_formula(samples, n):
     k = samples.alphabet_size
     acceptor = build_apta(samples)
     vm = VarMap(n, k, acceptor.state_count, False)
-    clauses = (clauses_of(encode_dfa_shape, vm)
-               + clauses_of(encode_product, vm, acceptor))
+    clauses = split_clauses(whole_size(encode_dfa_shape, vm, rows=True)
+                            + whole_size(encode_product, vm, acceptor))
     keys = [(i, a) for i in range(n) for a in range(k)]
     dvars = [vm.d(p, i) for p in range(acceptor.state_count)
              for i in range(n)]
@@ -265,18 +283,19 @@ class TestProductClauses:
         acceptor = build_apta(SampleSet(1, {(0,)}, set()))
         vm = VarMap(2, 1, 3, False)
         with pytest.raises(EncodingError):
-            encode_product(vm, acceptor, array("i"))
+            encode_product(vm, acceptor, array("i"), 0)
 
     def test_vm_alphabet_mismatch_rejected(self):
         acceptor = build_apta(SampleSet(2, {(0,)}, set()))
         vm = VarMap(2, 1, acceptor.state_count, False)
         with pytest.raises(EncodingError, match="alphabet mismatch"):
-            encode_product(vm, acceptor, array("i"))
+            encode_product(vm, acceptor, array("i"), 0)
 
 
 def reference_shape(vm):
-    """encode_dfa_shape's buffer, one scalar accessor call per literal:
-    the at-most-one pairs block by block, then the at-least-one rows."""
+    """whole_size(encode_dfa_shape, vm, rows=True), one scalar accessor
+    call per literal: the at-most-one pairs block by block, then the
+    at-least-one rows."""
     n, out = vm.n, []
     for k in range(n):
         for i in range(k + 1):
@@ -292,10 +311,10 @@ def reference_shape(vm):
 
 
 def reference_product(vm, acceptor):
-    """encode_product's buffer, one scalar accessor call per literal: the
-    seeds, then per candidate state k its acceptance clauses and, letter
-    by letter and per transition of that letter in stored order, the state
-    pairs whose larger state is k."""
+    """whole_size(encode_product, vm, acceptor), one scalar accessor call
+    per literal: the seeds, then per candidate state k its acceptance
+    clauses and, letter by letter and per transition of that letter in
+    stored order, the state pairs whose larger state is k."""
     n, out = vm.n, []
     for q0 in acceptor.initials:
         out += (vm.d(q0, 0), 0)
@@ -334,11 +353,65 @@ class TestRowsMatchScalarAccessors:
         acceptor = builder(samples)
         vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count,
                     symmetry)
-        shape, product = array("i"), array("i")
-        encode_dfa_shape(vm, shape)
-        encode_product(vm, acceptor, product)
+        shape = whole_size(encode_dfa_shape, vm, rows=True)
+        product = whole_size(encode_product, vm, acceptor)
         assert shape.tolist() == reference_shape(vm)
         assert product.tolist() == reference_product(vm, acceptor)
+
+
+def largest_states(vm):
+    """Each variable's largest candidate state, by id, from the accessors."""
+    n, letters = vm.n, range(vm.alphabet_size)
+    states = {vm.e(i, a, j): max(i, j)
+              for i, a, j in itertools.product(range(n), letters, range(n))}
+    for i in range(n):
+        states[vm.f(i)] = i
+        states.update((vm.d(p, i), i) for p in range(vm.acceptor_state_count))
+    if vm.symmetry:
+        for i, j in itertools.combinations(range(n), 2):
+            states[vm.t(i, j)] = states[vm.p(j, i)] = j
+            states.update((vm.m(i, a, j), j) for a in letters)
+    return states
+
+
+class TestBlockContract:
+    @given(sample_sets(),
+           st.sampled_from([build_apta, build_min_3dfa_incremental,
+                            build_ddfa]),
+           st.integers(1, 4), st.booleans(), st.booleans())
+    @settings(max_examples=60)
+    def test_each_encoder_appends_one_block(self, samples, builder, n,
+                                            symmetry, safety):
+        # every clause an encoder appends for block k has k as its largest
+        # candidate state, and the seeds come at k = 0 only
+        acceptor = builder(samples)
+        vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count,
+                    symmetry)
+        letters, states = range(vm.alphabet_size), largest_states(vm)
+        seeds = [(vm.d(q0, 0),) for q0 in acceptor.initials]
+        for k in range(n):
+            product, others = array("i"), array("i")
+            encode_product(vm, acceptor, product, k)
+            encode_dfa_shape(vm, others, k)
+            if symmetry:
+                encode_symmetry_breaking(vm, others, k)
+            product = split_clauses(product)
+            assert (product[:len(seeds)] == seeds) == (k == 0)
+            for clause in product + split_clauses(others):
+                assert max(states[abs(lit)] for lit in clause) == k
+        # past the safety shape's, the formula's clauses of positive e
+        # literals are the n * K at-least-one rows of size n, each once
+        if safety and (n < 2 or acceptor.alphabet_size < 2):
+            return
+        _, formula = build_formula(n, acceptor, symmetry=symmetry,
+                                   safety=safety)
+        pairs = list(itertools.product(range(n), letters))
+        e_ids = {vm.e(i, a, j) for i, a in pairs for j in range(n)}
+        rows = Counter(c for c in split_clauses(formula.literals)
+                       if set(c) <= e_ids)
+        if safety:
+            rows -= Counter(clauses_of(encode_parity_constraints, vm))
+        assert rows == Counter(tuple(vm.e_row(i, a)) for i, a in pairs)
 
 
 def seam_acceptor():
@@ -359,10 +432,9 @@ class TestProductBlocks:
         # others end most products on a partial block
         acceptor = builder(samples)
         vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, False)
-        product = array("i")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoding, "_CHUNK", chunk)
-            encode_product(vm, acceptor, product)
+            product = whole_size(encode_product, vm, acceptor)
         assert product.tolist() == reference_product(vm, acceptor)
 
     def test_default_blocks_match_reference(self):
@@ -371,8 +443,7 @@ class TestProductBlocks:
         per_block = encoding._CHUNK // (4 * 8 * 8)
         transitions = len(acceptor.transitions)
         assert transitions // per_block >= 3 and transitions % per_block
-        product = array("i")
-        encode_product(vm, acceptor, product)
+        product = whole_size(encode_product, vm, acceptor)
         assert product.tolist() == reference_product(vm, acceptor)
 
     def test_transient_memory_below_half_the_region(self):
@@ -383,13 +454,12 @@ class TestProductBlocks:
         # region; blocks of at most _CHUNK literals do not.
         acceptor = seam_acceptor()
         vm = VarMap(8, 2, acceptor.state_count, False)
-        out = array("i")
-        region = len(acceptor.transitions) * 4 * 8 * 8 * out.itemsize
+        region = len(acceptor.transitions) * 4 * 8 * 8 * array("i").itemsize
         assert region >= 2_000_000
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            encode_product(vm, acceptor, out)
+            out = whole_size(encode_product, vm, acceptor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -444,7 +514,7 @@ class TestSymmetryBreaking:
         # filter, so adding it never changes satisfiability.
         n, k = 3, 2
         vm = VarMap(n, k, 1, True)
-        clauses = clauses_of(encode_symmetry_breaking, vm)
+        clauses = split_clauses(whole_size(encode_symmetry_breaking, vm))
         keys = [(i, a) for i in range(n) for a in range(k)]
         accepted = set()
         reachable_tables = []
@@ -469,14 +539,15 @@ class TestSymmetryBreaking:
     def test_requires_symmetry_vars(self):
         vm = VarMap(2, 1, 1, False)
         with pytest.raises(EncodingError):
-            encode_symmetry_breaking(vm, array("i"))
+            encode_symmetry_breaking(vm, array("i"), 0)
 
     def test_safety_filter_drops_sink_clauses(self):
         # With stable ids, size n's clauses without those over node n - 1
         # are size n - 1's: build_formula writes none in the sink's block.
         vm = VarMap(3, 2, 2, True)
-        full = clauses_of(encode_symmetry_breaking, vm)
-        safe = clauses_of(encode_symmetry_breaking, VarMap(2, 2, 2, True))
+        full = split_clauses(whole_size(encode_symmetry_breaking, vm))
+        safe = split_clauses(whole_size(encode_symmetry_breaking,
+                                        VarMap(2, 2, 2, True)))
         assert set(safe) < set(full)
 
         n, k, sink = vm.n, vm.alphabet_size, vm.n - 1
