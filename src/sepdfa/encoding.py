@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 import shutil
 import tempfile
 import weakref
@@ -77,52 +76,32 @@ class CnfFormula:
     a variable or its negation.  literals holds the clauses in order, each
     closed by a 0, and no clause is empty.  literals[:stable], which ends
     on a clause end, is what every larger size of a formula grown by
-    build_formula keeps; the rest is the tail of this size.  build_formula
-    grows a formula in place, and only the literals it appends are checked
-    and counted.  From its first emit_dimacs on, the formula keeps the
-    DIMACS text of its stable part in an anonymous temporary file, which
-    close() frees, or the formula's collection if close() is never called.
+    build_formula keeps; the rest is the tail of this size.  The
+    constructor checks the literals a caller hands it; build_formula grows
+    a formula in place and only counts the clauses it appends.  From its
+    first emit_dimacs on, the formula keeps the DIMACS text of its stable
+    part in an anonymous temporary file, which close() frees, or the
+    formula's collection if close() is never called.
     """
 
     def __init__(self, variable_count: int, literals: array, stable: int = 0):
-        self.literals = literals
-        self.variable_count = self.stable = self.clause_count = 0
-        self._text: BinaryIO | None = None
-        self._formatted = 0  # the text is that of literals[:_formatted]
-        self._grow(variable_count, stable)
-
-    def _cut(self) -> array:
-        """Cut the tail off the buffer and return it, for _grow to take
-        what is appended next."""
-        self.clause_count -= self.literals[self.stable:].count(0)
-        del self.literals[self.stable:]
-        return self.literals
-
-    def _grow(self, variable_count: int, stable: int) -> None:
-        """Check and count the literals past the stable part, and take the
-        new variable count and stable end."""
-        lits, start = self.literals, self.stable
         if variable_count < 0:
             raise EncodingError("negative variable count")
-        if not start <= stable <= len(lits) or (stable and lits[stable - 1]):
+        if (not 0 <= stable <= len(literals)
+                or (stable and literals[stable - 1])):
             raise EncodingError("stable part does not end on a clause end")
-        segment = lits[start:] if start else lits
-        if segment and segment[-1] != 0:
+        if literals and literals[-1] != 0:
             raise EncodingError("last clause is not closed by 0")
-        for lit in (min(segment, default=0), max(segment, default=0)):
+        # A 0 that opens the buffer or follows a 0 closes an empty clause.
+        for previous, lit in zip(itertools.chain((0,), literals), literals):
             if abs(lit) > variable_count:
                 raise EncodingError(f"literal {lit} out of range")
-        # A clause is empty where a 0 opens the segment (which follows a
-        # clause end) or follows a 0; two zero literals in a row are zero
-        # bytes from a literal boundary on.
-        width = segment.itemsize
-        pair = re.compile(bytes(2 * width)).search(segment)
-        while pair and pair.start() % width:
-            pair = pair.re.search(segment, pair.start() + 1)
-        if pair or (segment and segment[0] == 0):
-            raise EncodingError("empty clause")
-        self.clause_count += segment.count(0)
-        self.variable_count, self.stable = variable_count, stable
+            if not (lit or previous):
+                raise EncodingError("empty clause")
+        self.literals, self.variable_count = literals, variable_count
+        self.stable, self.clause_count = stable, literals.count(0)
+        self._text: BinaryIO | None = None
+        self._formatted = 0  # the text is that of literals[:_formatted]
 
     def _stable_text(self) -> BinaryIO:
         """The DIMACS text of literals[:stable], read from its start.
@@ -562,11 +541,14 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     the shape.  Without base it grows from nothing.  base is what this
     function returned for a smaller size, the same acceptor and the same
     options: its formula is cut back to its stable part and grown in
-    place, so it no longer describes base's size, and only the literals
-    past its stable part are checked.  The formula of size n is the same
-    either way.  With safety, the sink's block is part of the tail, holds
-    no symmetry clauses (they number only the states below the sink), and
-    the product clauses leave out what the shape's fixed values decide.
+    place, so it no longer describes base's size.  The clauses appended
+    are counted, not checked: every id comes from a range-checked VarMap
+    accessor or from a block whose first id one checked, and every clause
+    an encoder writes is non-empty and closed.  The formula of size n is
+    the same either way.  With safety, the sink's block is part of the
+    tail, holds no symmetry clauses (they number only the states below the
+    sink), and the product clauses leave out what the shape's fixed values
+    decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
                 safety)
@@ -582,8 +564,10 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
                 "with the same options")
         # Every block of base is stable but, with safety, its sink's.
         first = base_vm.n - 1 if safety else base_vm.n
-    literals = formula._cut()
-    stable = len(literals)
+    literals = formula.literals
+    formula.clause_count -= literals[formula.stable:].count(0)
+    del literals[formula.stable:]
+    start = stable = len(literals)
     table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
     for k in range(first, n):
         sink = safety and k == n - 1
@@ -599,7 +583,9 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         literals.extend(vm.e_row(i, a) + [0])
     if safety:
         encode_parity_constraints(vm, literals)
-    formula._grow(vm.variable_count, stable)
+    # A slice copies: a formula grown from nothing counts its buffer whole.
+    formula.clause_count += (literals[start:] if start else literals).count(0)
+    formula.variable_count, formula.stable = vm.variable_count, stable
     return vm, formula
 
 

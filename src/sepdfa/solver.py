@@ -1,11 +1,11 @@
 """Bridge to an external DIMACS SAT solver subprocess.
 
 The solver is a black box: it gets the path of a temporary DIMACS CNF
-file, streamed from the formula's literal buffer (the part a growing
-formula keeps copied from the formula's own text of it), as its last
-argument and must answer with SAT-competition output, an "s" status line
-plus "v" value lines, and exit status 10 for satisfiable or 20 for
-unsatisfiable.
+file as its last argument.  The file is the header, a copy of the
+formula's own DIMACS text of its stable part, and the tail freshly
+formatted from the formula's literal buffer.  The solver must answer
+with SAT-competition output, an "s" status line plus "v" value lines,
+and exit status 10 for satisfiable or 20 for unsatisfiable.
 Both channels are cross-checked.  The values are read in bulk into one
 byte table indexed by variable (1 false, 2 true), which lists each
 variable once; a satisfying model is checked against the literal buffer

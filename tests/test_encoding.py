@@ -405,6 +405,20 @@ class TestBlockContract:
             return
         _, formula = build_formula(n, acceptor, symmetry=symmetry,
                                    safety=safety)
+        # the whole formula, tail included, built fresh and grown from
+        # n - 1, holds non-empty clauses, each closed by 0, over the ids
+        # 1..variable_count only
+        formulas = [formula]
+        if n > (2 if safety else 1):
+            base = build_formula(n - 1, acceptor, symmetry=symmetry,
+                                 safety=safety)
+            formulas.append(build_formula(n, acceptor, symmetry=symmetry,
+                                          safety=safety, base=base)[1])
+        for built in formulas:
+            clauses = split_clauses(built.literals)
+            assert all(clauses) and built.clause_count == len(clauses)
+            assert {abs(lit) for clause in clauses for lit in clause} <= set(
+                range(1, built.variable_count + 1))
         pairs = list(itertools.product(range(n), letters))
         e_ids = {vm.e(i, a, j) for i, a in pairs for j in range(n)}
         rows = Counter(c for c in split_clauses(formula.literals)
@@ -971,6 +985,7 @@ class TestStableLayout:
             assert formula.literals == fresh.literals
             assert formula.stable == fresh.stable
             assert formula.clause_count == fresh.clause_count
+            assert formula.clause_count == formula.literals.count(0)
             assert dimacs_text(formula) == dimacs_text(fresh)
 
     def test_growing_refuses_other_sizes_and_layouts(self, parity_corpus):
@@ -1169,7 +1184,7 @@ class TestCnfFormula:
         formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)))
         assert formula.clause_count == 2
         assert CnfFormula(0, array("i")).clause_count == 0
-        # 5, 0, 65536 hold eight zero bytes in a row, off a literal boundary
+        # 65536 is in range, and its zero low bytes do not close a clause
         assert CnfFormula(65536, array("i", (5, 0, 65536, 0))).clause_count == 2
 
     @pytest.mark.parametrize("count,literals", [
@@ -1187,23 +1202,12 @@ class TestCnfFormula:
     def test_dimacs_of_empty_formula(self):
         assert dimacs_text(CnfFormula(3, array("i"))) == "p cnf 3 0\n"
 
-    def test_grown_formula_checks_the_new_segment(self):
-        formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)), stable=3)
-        formula._cut().extend((2, 0, 3, 0))
-        formula._grow(3, 5)
-        assert formula.clause_count == 3
-        formula._cut().extend((3, 0))
-        formula._grow(3, 7)
-        assert formula.clause_count == 3
-        assert formula.literals == array("i", (1, -2, 0, 2, 0, 3, 0))
-        for appended, stable, message in (((0,), 5, "empty clause"),
-                                          ((4, 0), 5, "out of range"),
-                                          ((1,), 5, "not closed"),
-                                          ((1, 0), 6, "clause end")):
-            formula = CnfFormula(2, array("i", (1, -2, 0, 2, 0)), stable=3)
-            formula._cut().extend((2, 0) + appended)
-            with pytest.raises(EncodingError, match=message):
-                formula._grow(3, stable)
+    def test_stable_part_ends_on_a_clause_end(self):
+        literals = array("i", (1, -2, 0, 2, 0))
+        assert CnfFormula(2, literals, stable=3).stable == 3
+        for stable in (-1, 2, 6):
+            with pytest.raises(EncodingError, match="clause end"):
+                CnfFormula(2, literals, stable)
 
     def test_cache_restarts_after_a_failed_write(self, parity_corpus,
                                                  monkeypatch):
