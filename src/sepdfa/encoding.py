@@ -52,7 +52,7 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import getitem, itemgetter
+from operator import countOf, getitem, itemgetter
 from typing import BinaryIO, Mapping
 
 from .automata import ThreeValuedDFA
@@ -541,14 +541,15 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     the shape.  Without base it grows from nothing.  base is what this
     function returned for a smaller size, the same acceptor and the same
     options: its formula is cut back to its stable part and grown in
-    place, so it no longer describes base's size.  The clauses appended
-    are counted, not checked: every id comes from a range-checked VarMap
-    accessor or from a block whose first id one checked, and every clause
-    an encoder writes is non-empty and closed.  The formula of size n is
-    the same either way.  With safety, the sink's block is part of the
-    tail, holds no symmetry clauses (they number only the states below the
-    sink), and the product clauses leave out what the shape's fixed values
-    decide.
+    place, so it no longer describes base's size.  The clauses of the tail
+    it cuts and of what it appends are counted in place, through a
+    memoryview, with no copy of the buffer, and not checked: every id
+    comes from a range-checked VarMap accessor or from a block whose first
+    id one checked, and every clause an encoder writes is non-empty and
+    closed.  The formula of size n is the same either way.  With safety,
+    the sink's block is part of the tail, holds no symmetry clauses (they
+    number only the states below the sink), and the product clauses leave
+    out what the shape's fixed values decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
                 safety)
@@ -565,7 +566,7 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         # Every block of base is stable but, with safety, its sink's.
         first = base_vm.n - 1 if safety else base_vm.n
     literals = formula.literals
-    formula.clause_count -= literals[formula.stable:].count(0)
+    formula.clause_count -= countOf(memoryview(literals)[formula.stable:], 0)
     del literals[formula.stable:]
     start = stable = len(literals)
     table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
@@ -583,8 +584,7 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         literals.extend(vm.e_row(i, a) + [0])
     if safety:
         encode_parity_constraints(vm, literals)
-    # A slice copies: a formula grown from nothing counts its buffer whole.
-    formula.clause_count += (literals[start:] if start else literals).count(0)
+    formula.clause_count += countOf(memoryview(literals)[start:], 0)
     formula.variable_count, formula.stable = vm.variable_count, stable
     return vm, formula
 

@@ -6,12 +6,14 @@ formula's own DIMACS text of its stable part, and the tail freshly
 formatted from the formula's literal buffer.  The solver must answer
 with SAT-competition output, an "s" status line plus "v" value lines,
 and exit status 10 for satisfiable or 20 for unsatisfiable.
-Both channels are cross-checked.  The values are read in bulk into one
-byte table indexed by variable (1 false, 2 true), which lists each
-variable once; a satisfying model is checked against the literal buffer
-through that table before anyone gets to rely on it, and decode_model
-reads the DFA from the same table.  A timeout is a finite positive
-number of seconds, at most MAX_TIMEOUT.
+Both channels are cross-checked.  The values of a satisfiable answer
+are read in bulk into one byte table of the formula's variable_count + 1
+bytes, indexed by variable (1 false, 2 true), which must list each of
+the formula's variables once and no other; an unsatisfiable answer's
+values are not read.  A satisfying model is checked against the literal
+buffer through that table before anyone gets to rely on it, and
+decode_model reads the DFA from the same table.  A timeout is a finite
+positive number of seconds, at most MAX_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -57,14 +59,16 @@ class SolverVerdict:
     wall_time: float
 
 
-def parse_solver_output(text: str) -> tuple[str, bytes]:
+def parse_solver_output(text: str,
+                        variable_count: int) -> tuple[str, bytes | None]:
     """Extract the status and variable assignment from solver stdout.
 
     Comment lines are skipped, status and value lines may come in any
     order, terminal escape noise is stripped, and decorated status lines
     ("s SATISFIABLE: file.cnf") still count.  Several status lines must
-    agree.  The assignment is the table _model_table makes of the values
-    on the "v" lines.
+    agree.  A "sat" answer's assignment is the table _model_table makes of
+    the values on the "v" lines for a formula of variable_count variables;
+    an "unsat" answer's values are not read, and its assignment is None.
     """
     outcome: str | None = None
     values: list[str] = []
@@ -85,7 +89,9 @@ def parse_solver_output(text: str) -> tuple[str, bytes]:
             outcome = found
     if outcome is None:
         raise SolverError("no status line in solver output")
-    return outcome, _model_table(values)
+    if outcome == "unsat":
+        return outcome, None
+    return outcome, _model_table(values, variable_count)
 
 
 def _literals(tokens: list[str]) -> list[int]:
@@ -120,40 +126,40 @@ def _literals(tokens: list[str]) -> list[int]:
     return list(map(int, tokens[:at + 1]))
 
 
-def _model_table(values: list[str]) -> bytes:
+def _model_table(values: list[str], variable_count: int) -> bytes:
     """The assignment that the value lines' literals up to the first 0
     make, as a table indexed by variable: 1 false, 2 true, 0 at index 0.
 
-    The lines are read _LINES at a time.  Each variable must appear once,
-    and count literals must name the variables 1..count, so the table has
-    length count + 1 and no other 0.
+    The lines are read _LINES at a time into a table of variable_count + 1
+    bytes.  Each of the variables 1..variable_count must appear once, and
+    no other.  A fault is reported once every value has been read, so a
+    malformed literal anywhere comes first.
     """
-    # Each literal takes a character and, but for a line's last, a space.
-    bound = (sum(map(len, values)) + len(values)) // 2
-    table = bytearray(bound + 1)
-    count = twice = 0
+    table = bytearray(variable_count + 1)
+    unknown = twice = 0
     for first in range(0, len(values), _LINES):
         lits = _literals(" ".join(values[first:first + _LINES]).split())
         done = 0 in lits
         if done:
             lits.pop()
-        count += len(lits)
         for lit in lits:
             var = lit if lit > 0 else -lit
-            if var > bound:  # above count: one of 1..count is left out
+            if var > variable_count:
+                unknown = unknown or var
                 continue
             if table[var] and not twice:
                 twice = var
             table[var] = 2 if lit > 0 else 1
         if done:
             break
-    if twice:  # reported once every value has been read
+    if unknown:
+        raise SolverError(f"model assigns unknown variable {unknown}")
+    if twice:
         raise SolverError(f"model assigns variable {twice} twice")
-    # count distinct variables leave one of 1..count out if one is above it
-    missing = table.find(0, 1, count + 1)
+    missing = table.find(0, 1)
     if missing >= 0:
         raise SolverError(f"model leaves variable {missing} unassigned")
-    return bytes(table[:count + 1])
+    return bytes(table)
 
 
 def _check_timeout(timeout: float | None) -> float | None:
@@ -232,19 +238,10 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
         text = stdout.decode()
     except UnicodeDecodeError as err:
         raise SolverError(f"solver output is not UTF-8 text: {err}") from None
-    printed, model = parse_solver_output(text)
+    printed, model = parse_solver_output(text, formula.variable_count)
     if printed != outcome:
         raise SolverError(
             f"status line says {printed} but exit code says {outcome}")
-    if outcome == "unsat":
-        return SolverVerdict("unsat", None, wall_time)
-    # The model assigns the variables 1..len(model) - 1, each once.
-    count = len(model) - 1
-    if count < formula.variable_count:
-        raise SolverError(f"model leaves variable {count + 1} unassigned")
-    if count > formula.variable_count:
-        raise SolverError(
-            f"model assigns unknown variable {formula.variable_count + 1}")
-    if not formula.satisfied_by(model):
+    if model is not None and not formula.satisfied_by(model):
         raise SolverError("model does not satisfy the formula")
-    return SolverVerdict("sat", model, wall_time)
+    return SolverVerdict(outcome, model, wall_time)

@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdfa import encoding
-from sepdfa.automata import build_apta, build_ddfa, build_min_3dfa_incremental
+from sepdfa.automata import (
+    ThreeValuedDFA,
+    build_apta,
+    build_ddfa,
+    build_min_3dfa_incremental,
+    canonical_form,
+)
 from sepdfa.encoding import (
     CnfFormula,
     EncodingError,
@@ -653,6 +659,125 @@ class TestBuildFormula:
         assert len(lines) == 1 + formula.clause_count
         assert all(ln.endswith(" 0") for ln in lines[1:])
 
+    def test_growth_counts_in_place(self, parity_corpus):
+        # One growth step of the (4,7) APTA safety formula, n = 4 to 5.
+        # What it allocates and frees again stays below 1.5 times the bytes
+        # by which the buffer grows: counting the appended clauses on a
+        # slice copy of them read 2.2 times.
+        acceptor = build_apta(parity_corpus(4, 7))
+        base = build_formula(4, acceptor, safety=True)
+        before = len(base[1].literals)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, formula = build_formula(5, acceptor, safety=True, base=base)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grown = (len(formula.literals) - before) * formula.literals.itemsize
+        assert grown > 500_000
+        assert peak - after < 1.5 * grown
+
+
+def model_from_dfa(dfa, acceptor, n, symmetry):
+    """The model that an n-state DFA separating the acceptor's samples
+    spells for build_formula(n, acceptor, symmetry)'s formula, as a table
+    by variable.
+
+    The DFA is numbered breadth first by canonical_form, and e and f are
+    read off that numbering.  d(p, i) holds for exactly the product pairs
+    reachable from the acceptor's initial states and candidate state 0.
+    t, p and m follow the numbering: a state's tree parent is its
+    smallest parent, and m marks the smallest letter of each edge from a
+    smaller state.
+    """
+    dfa = canonical_form(dfa)
+    assert dfa.state_count == n
+    vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry)
+    moves = sorted(dfa.transitions.items())
+    true = {vm.e(i, a, j) for (i, a), j in moves}
+    true.update(vm.f(i) for i in dfa.accepting)
+    pairs = {(p, 0) for p in acceptor.initials}
+    todo = list(pairs)
+    while todo:
+        p, i = todo.pop()
+        for a in range(acceptor.alphabet_size):
+            if (p, a) in acceptor.transitions:
+                pair = (acceptor.transitions[p, a], dfa.transitions[i, a])
+                if pair not in pairs:
+                    pairs.add(pair)
+                    todo.append(pair)
+    true.update(vm.d(p, i) for p, i in pairs)
+    if symmetry:
+        parents = {}
+        for (i, a), j in moves:  # i, then a, ascending
+            if i < j and vm.t(i, j) not in true:
+                true.update((vm.t(i, j), vm.m(i, a, j)))
+                parents.setdefault(j, i)
+        true.update(vm.p(j, i) for j, i in parents.items())
+    model = bytearray([0] + [1] * vm.variable_count)
+    for var in true:
+        model[var] = 2
+    return bytes(model)
+
+
+def redirected_to_copy(dfa):
+    """dfa with one state more and the same language: its first edge
+    outside the breadth-first tree leads to a copy of the edge's target."""
+    dfa = canonical_form(dfa)
+    moves = sorted(dfa.transitions.items())
+    tree = {}
+    for key, j in moves:
+        if j:
+            tree.setdefault(j, key)
+    (q, a), target = next((key, j) for key, j in moves if tree.get(j) != key)
+    copy = dfa.state_count
+    transitions = dict(dfa.transitions)
+    transitions[q, a] = copy
+    for b in range(dfa.alphabet_size):
+        transitions[copy, b] = dfa.transitions[target, b]
+    accepting = dfa.accepting | ({copy} if target in dfa.accepting else set())
+    return ThreeValuedDFA(dfa.alphabet_size, copy + 1, (0,), transitions,
+                          accepting, frozenset(range(copy + 1)) - accepting)
+
+
+class TestCompleteness:
+    # A separating DFA of n states is a model of the formula of size n, so
+    # an unsat verdict at any n >= N is false when a hidden N-state DFA
+    # labelled the samples.
+
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**16),
+           st.data())
+    @settings(max_examples=60)
+    def test_hidden_dfa_spells_a_model(self, size, letters, seed, data):
+        hidden = gen_random_dfa(size, letters, seed)
+        max_len = data.draw(st.integers(0, 8))
+        pool = sum(letters ** length for length in range(max_len + 1))
+        count = data.draw(st.integers(0, min(30, pool)))
+        samples = gen_samples_from_dfa(hidden, count, max_len, seed=seed)
+        larger = redirected_to_copy(hidden)
+        for mode, symmetry in itertools.product(
+                ("apta", "min3dfa", "ddfa"), (False, True)):
+            acceptor = acceptor_for(samples, mode)
+            grown = build_formula(size, acceptor, symmetry=symmetry)
+            assert grown[1].satisfied_by(
+                model_from_dfa(hidden, acceptor, size, symmetry))
+            _, formula = build_formula(size + 1, acceptor,
+                                       symmetry=symmetry, base=grown)
+            assert formula.satisfied_by(
+                model_from_dfa(larger, acceptor, size + 1, symmetry))
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_ten_state_row(self, symmetry):
+        hidden = gen_random_dfa(10, 2, 1001)
+        samples = gen_samples_from_dfa(hidden, 500, 23, seed=1001)
+        acceptor = build_min_3dfa_incremental(samples)
+        for dfa in (hidden, redirected_to_copy(hidden)):
+            n = dfa.state_count
+            _, formula = build_formula(n, acceptor, symmetry=symmetry)
+            assert formula.satisfied_by(
+                model_from_dfa(dfa, acceptor, n, symmetry))
+
 
 class ParentVarMap:
     """The layout before ids were stable across sizes, as a reference: ids
@@ -1090,6 +1215,27 @@ class TestSafetyVerdicts:
                 if expected:
                     dfa = decode_model(verdict.model, vm)
                     assert (dict(dfa.transitions), dfa.accepting) in expected
+
+    # At n = 2 an opponent colour must leave state 0 for a middle state,
+    # and there is none: no safety formula of size 2 has a model, whatever
+    # the samples, so a search could start at 3.
+    @pytest.mark.parametrize("row", [(2, 3), (3, 5), (4, 7)])
+    def test_two_states_unsat_on_parity_rows(self, solver_cmd, parity_corpus,
+                                             row):
+        self.assert_two_states_unsat(parity_corpus(*row), solver_cmd)
+
+    @given(colour_sets())
+    @settings(max_examples=8)
+    def test_two_states_unsat_on_random_corpora(self, solver_cmd, samples):
+        self.assert_two_states_unsat(samples, solver_cmd)
+
+    @staticmethod
+    def assert_two_states_unsat(samples, solver_cmd):
+        for mode, symmetry in itertools.product(
+                ("apta", "min3dfa", "ddfa"), (False, True)):
+            _, formula = build_formula(2, acceptor_for(samples, mode),
+                                       symmetry=symmetry, safety=True)
+            assert solve(formula, solver_cmd).outcome == "unsat"
 
 
 # sha256 of the DIMACS text per (corpus, mode, n, symmetry breaking).  The

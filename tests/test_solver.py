@@ -31,43 +31,46 @@ UNSAT_1VAR = CnfFormula(1, array("i", (1, 0, -1, 0)))
 class TestParseOutput:
     def test_plain_sat(self):
         outcome, assignment = parse_solver_output(
-            "c comment\ns SATISFIABLE\nv 1 -2 0\n")
+            "c comment\ns SATISFIABLE\nv 1 -2 0\n", 2)
         assert outcome == "sat"
         assert assignment == b"\0\2\1"  # by variable: 1 false, 2 true
 
     def test_values_across_lines(self):
         outcome, assignment = parse_solver_output(
-            "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n")
+            "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n", 3)
         assert assignment == b"\0\2\1\2"
 
     def test_values_before_status(self):
-        outcome, _ = parse_solver_output("v 1 0\ns SATISFIABLE\n")
+        outcome, _ = parse_solver_output("v 1 0\ns SATISFIABLE\n", 1)
         assert outcome == "sat"
 
     def test_unsat(self):
-        outcome, assignment = parse_solver_output("s UNSATISFIABLE\n")
-        assert outcome == "unsat"
-        assert assignment == b"\0"
+        # an unsat answer has no model, so its value lines go unread
+        for values in ("", "v 1 banana 0\n", "v 1 -1 7 0\n"):
+            outcome, assignment = parse_solver_output(
+                f"{values}s UNSATISFIABLE\n", 2)
+            assert outcome == "unsat"
+            assert assignment is None
 
     def test_ansi_decorated_banner(self):
         text = "\x1b[1m\x1b[31ms UNSATISFIABLE: /tmp/x.cnf\x1b[0m\r\n"
-        assert parse_solver_output(text)[0] == "unsat"
+        assert parse_solver_output(text, 1)[0] == "unsat"
 
     def test_no_status_line(self):
         with pytest.raises(SolverError):
-            parse_solver_output("c chatter only\n")
+            parse_solver_output("c chatter only\n", 1)
 
     def test_conflicting_status_lines(self):
         with pytest.raises(SolverError):
-            parse_solver_output("s SATISFIABLE\ns UNSATISFIABLE\n")
+            parse_solver_output("s SATISFIABLE\ns UNSATISFIABLE\n", 1)
 
     def test_malformed_literal(self):
         with pytest.raises(SolverError):
-            parse_solver_output("s SATISFIABLE\nv 1 banana 0\n")
+            parse_solver_output("s SATISFIABLE\nv 1 banana 0\n", 2)
 
     def test_literals_after_terminator_ignored(self):
         _, assignment = parse_solver_output(
-            "s SATISFIABLE\nv 1 0\nv 2 0\n")
+            "s SATISFIABLE\nv 1 0\nv 2 0\n", 1)
         assert assignment == b"\0\2"
 
     @pytest.mark.parametrize("values", [
@@ -80,7 +83,7 @@ class TestParseOutput:
     ])
     def test_literals_are_ascii_numbers(self, values):
         with pytest.raises(SolverError, match="malformed literal"):
-            parse_solver_output(f"s SATISFIABLE\n{values}\n")
+            parse_solver_output(f"s SATISFIABLE\n{values}\n", 2)
 
     @pytest.mark.parametrize("values,table", [
         ("v 1 -0 banana\nv 2 0", b"\0\2"),  # a 0 spelt "-0" ends them
@@ -91,7 +94,8 @@ class TestParseOutput:
         ("vx 1 2 0", b"\0\2\2"),              # the first word is skipped
     ])
     def test_values_end_at_the_first_zero(self, values, table):
-        _, assignment = parse_solver_output(f"s SATISFIABLE\n{values}\n")
+        _, assignment = parse_solver_output(f"s SATISFIABLE\n{values}\n",
+                                            len(table) - 1)
         assert assignment == table
 
     def test_values_across_many_lines(self):
@@ -102,32 +106,37 @@ class TestParseOutput:
         lines = ["v " + " ".join(map(str, lits[at:at + 7]))
                  for at in range(0, len(lits), 7)]
         _, assignment = parse_solver_output(
-            "s SATISFIABLE\n" + "\n".join(lines) + "\nv 0\n")
+            "s SATISFIABLE\n" + "\n".join(lines) + "\nv 0\n", 3000)
         assert assignment == bytes(
             [0] + [2 if var % 3 else 1 for var in range(1, 3001)])
         lines[-1] += " x"  # a malformed literal in the last bulk read
         with pytest.raises(SolverError, match="malformed literal.*'x'"):
-            parse_solver_output("s SATISFIABLE\n" + "\n".join(lines))
+            parse_solver_output("s SATISFIABLE\n" + "\n".join(lines), 3000)
 
     @pytest.mark.parametrize("values,message", [
         ("v 1 -1 2 0", "variable 1 twice"),
         ("v 2 1 -2 0", "variable 2 twice"),
-        ("v 1 3 0", "leaves variable 2 unassigned"),
-        ("v 4 1 0", "leaves variable 2 unassigned"),
-        ("v 1 " + "9" * 30 + " 0", "leaves variable 2 unassigned"),
-        ("v -9 9 0", "leaves variable 1 unassigned"),
+        ("v 1 3 0", "unknown variable 3"),
+        ("v 4 1 0", "unknown variable 4"),
+        ("v 1 " + "9" * 30 + " 0", "unknown variable " + "9" * 30),
+        ("v -9 9 0", "unknown variable 9"),
+        ("v 1 1 3 0", "unknown variable 3"),
+        ("v 1 0", "leaves variable 2 unassigned"),
+        ("v -2 0", "leaves variable 1 unassigned"),
     ])
     def test_each_variable_once_and_none_beyond(self, values, message):
-        # count values name the variables 1..count, each once, so the
-        # table is never longer than the output
-        with pytest.raises(SolverError, match=message):
-            parse_solver_output(f"s SATISFIABLE\n{values}\n")
+        # the model of a 2-variable formula names variables 1 and 2, each
+        # once; an unknown variable is named before one listed twice
+        with pytest.raises(SolverError, match=f"^model .*{message}"):
+            parse_solver_output(f"s SATISFIABLE\n{values}\n", 2)
 
     @given(st.lists(st.lists(st.sampled_from(
         ["1", "-1", "2", "-2", "3", "-3", "4", "0", "-0", "00", "x", "+1",
          "1_0", "\u0663", "--1", "2-", "9" * 5000]), max_size=5), max_size=6),
-        st.sampled_from([" ", "\t", " \u2003"]), st.integers(1, 3))
-    def test_reads_what_one_token_at_a_time_reads(self, lines, space, chunk):
+        st.sampled_from([" ", "\t", " \u2003"]), st.integers(1, 3),
+        st.integers(0, 4))
+    def test_reads_what_one_token_at_a_time_reads(self, lines, space, chunk,
+                                                  count):
         # The values are read in bulk, _LINES lines at a time; reading them
         # token by token gives the same literals, refuses the same tokens,
         # and any list but a permutation of 1..count is refused.
@@ -151,15 +160,16 @@ class TestParseOutput:
             patch.setattr(solver, "_LINES", chunk)
             if malformed is not None:
                 with pytest.raises(SolverError, match="malformed literal"):
-                    parse_solver_output(text)
-            elif sorted(map(abs, lits)) != list(range(1, len(lits) + 1)):
-                with pytest.raises(SolverError, match="twice|unassigned"):
-                    parse_solver_output(text)
+                    parse_solver_output(text, count)
+            elif sorted(map(abs, lits)) != list(range(1, count + 1)):
+                with pytest.raises(SolverError,
+                                   match="unknown|twice|unassigned"):
+                    parse_solver_output(text, count)
             else:
-                table = bytearray(len(lits) + 1)
+                table = bytearray(count + 1)
                 for lit in lits:
                     table[abs(lit)] = 2 if lit > 0 else 1
-                assert parse_solver_output(text) == ("sat", table)
+                assert parse_solver_output(text, count) == ("sat", table)
 
     @given(st.text() | st.lists(st.lists(st.sampled_from(
         ["s", "v", "c", "SATISFIABLE", "UNSATISFIABLE", "0", "1", "-2",
@@ -167,7 +177,7 @@ class TestParseOutput:
     ), max_size=4).map(" ".join), max_size=4).map("\n".join))
     def test_fuzz_raises_only_solver_errors(self, text):
         try:
-            parse_solver_output(text)
+            parse_solver_output(text, 2)
         except SolverError:
             pass
 
@@ -251,6 +261,20 @@ class TestSolveWithFakeSolver:
             'echo "s SATISFIABLE"\necho "v 1 2 3 0"\nexit 10\n')
         with pytest.raises(SolverError, match="unknown variable"):
             solve(SAT_2VAR, [script])
+
+    def test_unknown_variable_is_named(self, fake_solver):
+        # read against the formula's 2 variables, not the output's length
+        script = fake_solver(
+            'echo "s SATISFIABLE"\necho "v 1 99999 0"\nexit 10\n')
+        with pytest.raises(SolverError,
+                           match="^model assigns unknown variable 99999$"):
+            solve(SAT_2VAR, [script])
+
+    def test_unsat_values_are_ignored(self, fake_solver):
+        script = fake_solver(
+            'echo "s UNSATISFIABLE"\necho "v 1 banana 0"\nexit 20\n')
+        verdict = solve(SAT_2VAR, [script])
+        assert (verdict.outcome, verdict.model) == ("unsat", None)
 
     def test_model_must_satisfy_formula(self, fake_solver):
         # claims sat but sets variable 2 false, violating both clauses
@@ -378,7 +402,7 @@ def test_model_memory_below_four_times_the_output():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _, model = parse_solver_output(text)
+        _, model = parse_solver_output(text, variables)
         assert formula.satisfied_by(model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
