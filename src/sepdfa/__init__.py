@@ -2,6 +2,14 @@
 
 The imports below are the public API: __all__ lists every name they bind,
 in their order, and __version__.
+
+Every command line starts a process that imports all of this, so the
+modules keep standard library imports that a run may not need off that
+path: the value types are plain classes, not dataclasses (whose import
+pulls in inspect and costs more than parsing the arguments), annotations
+name collections.abc and io types rather than typing's, traceback is
+imported only for an internal error, and subprocess only when solve starts
+a solver.
 """
 
 from types import ModuleType as _Module

@@ -15,10 +15,9 @@ a parsed dump, whose numbers follow the sample files' rule.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 from .samples import (DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word,
-                      _parse_numbers)
+                      _parse_numbers, _Record)
 
 _STATUS_CODES = {POSITIVE: "A", NEGATIVE: "R", DONT_CARE: "D"}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
@@ -28,8 +27,7 @@ class AutomatonFormatError(ValueError):
     """Malformed automaton dump text."""
 
 
-@dataclass(frozen=True)
-class ThreeValuedDFA:
+class ThreeValuedDFA(_Record):
     """Deterministic acceptor whose states accept, reject or don't care.
 
     The transition map may be partial; a run that hits a missing entry is
@@ -39,17 +37,19 @@ class ThreeValuedDFA:
     state.
     """
 
-    alphabet_size: int
-    state_count: int
-    initials: tuple[int, ...]
-    transitions: dict[tuple[int, int], int]
-    accepting: frozenset[int]
-    rejecting: frozenset[int]
+    __slots__ = ("alphabet_size", "state_count", "initials", "transitions",
+                 "accepting", "rejecting")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initials", tuple(self.initials))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "rejecting", frozenset(self.rejecting))
+    def __init__(self, alphabet_size: int, state_count: int,
+                 initials: tuple[int, ...],
+                 transitions: dict[tuple[int, int], int],
+                 accepting: frozenset[int], rejecting: frozenset[int]) -> None:
+        self.alphabet_size = alphabet_size
+        self.state_count = state_count
+        self.initials = tuple(initials)
+        self.transitions = transitions
+        self.accepting = frozenset(accepting)
+        self.rejecting = frozenset(rejecting)
         if self.state_count < 1:
             raise ValueError("automaton needs at least one state")
         if not self.initials:

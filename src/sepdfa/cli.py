@@ -21,7 +21,6 @@ import math
 import os
 import signal
 import sys
-import traceback
 
 from .automata import AutomatonFormatError, dump_automaton, parse_automaton
 from .encoding import EncodingError
@@ -287,7 +286,8 @@ def main(argv=None) -> int:
             if isinstance(err, types):
                 print(f"error: {err}", file=sys.stderr)
                 return code
-        traceback.print_exc()  # last resort
+        import traceback  # last resort; no other branch needs it
+        traceback.print_exc()
         return EXIT_INTERNAL
     finally:
         for sig, handler in previous.items():

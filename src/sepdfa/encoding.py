@@ -52,17 +52,17 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
+from io import BufferedIOBase
 from operator import countOf, getitem, itemgetter
-from typing import BinaryIO, Mapping
 
 from .automata import ThreeValuedDFA
 
 # Literals per DIMACS chunk, rounded up to a clause end, and at most per
 # product block (about 256 KiB of 4-byte literals).
 _CHUNK = 1 << 16
-# A model's byte per variable (1 false, 2 true) as a literal's truth.
-_TRUTH = bytes.maketrans(b"\1\2", b"01")
-_FALSITY = bytes.maketrans(b"\1\2", b"10")
+# A model's byte per variable (1 false, 2 true) as its negation's.
+_NEGATION = bytes.maketrans(b"\1\2", b"\2\1")
 
 
 class EncodingError(RuntimeError):
@@ -100,10 +100,10 @@ class CnfFormula:
                 raise EncodingError("empty clause")
         self.literals, self.variable_count = literals, variable_count
         self.stable, self.clause_count = stable, literals.count(0)
-        self._text: BinaryIO | None = None
+        self._text: BufferedIOBase | None = None
         self._formatted = 0  # the text is that of literals[:_formatted]
 
-    def _stable_text(self) -> BinaryIO:
+    def _stable_text(self) -> BufferedIOBase:
         """The DIMACS text of literals[:stable], read from its start.
 
         Only the stable literals the text lacks are formatted into it.  A
@@ -131,24 +131,27 @@ class CnfFormula:
     def satisfied_by(self, model: bytes) -> bool:
         """Whether the model, a table by variable (1 false, 2 true) that
         assigns every variable, makes every clause true."""
-        values = model[1:self.variable_count + 1]
-        if (len(values) < self.variable_count
-                or values.translate(None, b"\1\2")):
+        n = self.variable_count
+        if (len(model) <= n
+                or model.count(1, 1, n + 1) + model.count(2, 1, n + 1) < n):
             raise EncodingError("model does not assign every variable")
-        # "1"/"0" per literal by value (negatives index from the end), "|"
-        # per 0.  Chunks end on clause ends; with the false literals left
-        # out, a false clause reads "||", or "|" first in its chunk.
-        truth = (b"|" + values.translate(_TRUTH)
-                 + values[::-1].translate(_FALSITY))
+        # One byte per literal by value (negatives index from the end): the
+        # model's 2 if the literal is true, 1 if it is false, and 0 for a 0.
+        # Chunks end on clause ends; with the false literals left out, a
+        # false clause reads two 0s in a row, or a 0 first in its chunk.
+        truth = bytearray(2 * n + 1)
+        truth[1:n + 1] = memoryview(model)[1:n + 1]
+        truth[:n:-1] = memoryview(model.translate(_NEGATION))[1:n + 1]
         lits, start = self.literals, 0
-        while start < len(lits):
-            end = lits.index(0, min(start + _CHUNK, len(lits)) - 1) + 1
-            marks = bytes(map(getitem, itertools.repeat(truth),
-                              lits[start:end]))
-            marks = marks.translate(None, b"0")
-            if marks.startswith(b"|") or b"||" in marks:
-                return False
-            start = end
+        with memoryview(lits) as view:  # released on any exit: lits grows
+            while start < len(lits):
+                end = lits.index(0, min(start + _CHUNK, len(lits)) - 1) + 1
+                marks = bytes(map(getitem, itertools.repeat(truth),
+                                  view[start:end]))
+                marks = marks.translate(None, b"\1")
+                if marks.startswith(b"\0") or b"\0\0" in marks:
+                    return False
+                start = end
         return True
 
 
@@ -590,7 +593,7 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
 
 
 def _write_clauses(lits: array, start: int, stop: int,
-                   handle: BinaryIO) -> None:
+                   handle: BufferedIOBase) -> None:
     """Write lits[start:stop], whole clauses, as DIMACS lines in chunks."""
     while start < stop:
         end = lits.index(0, min(start + _CHUNK, stop) - 1, stop) + 1
@@ -600,7 +603,7 @@ def _write_clauses(lits: array, start: int, stop: int,
         start = end
 
 
-def emit_dimacs(formula: CnfFormula, handle: BinaryIO) -> None:
+def emit_dimacs(formula: CnfFormula, handle: BufferedIOBase) -> None:
     """Write DIMACS CNF bytes into handle.
 
     The stable part's text is copied from the formula's own, after the

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .automata import (
     ThreeValuedDFA,
@@ -20,7 +19,7 @@ from .automata import (
     canonical_form,
     run,
 )
-from .samples import POSITIVE, SampleSet, Word
+from .samples import POSITIVE, SampleSet, Word, _Record
 
 
 # Work limits of the corpus generators: parity words enumerated, and
@@ -35,18 +34,18 @@ class BudgetExceededError(ValueError):
     """Generating the corpus would exceed the word or letter budget."""
 
 
-@dataclass(frozen=True)
-class ParityConfig:
+class ParityConfig(_Record):
     """A parity corpus: all words of one length over the colour alphabet."""
 
-    colours: int
-    length: int
+    __slots__ = ("colours", "length")
 
-    def __post_init__(self) -> None:
-        if self.colours < 2:
+    def __init__(self, colours: int, length: int) -> None:
+        if colours < 2:
             raise ValueError("parity corpora need at least two colours")
-        if self.length <= self.colours:
+        if length <= colours:
             raise ValueError("word length must exceed the colour count")
+        self.colours = colours
+        self.length = length
 
 
 def _parity_step(state: tuple, colour: int) -> tuple:

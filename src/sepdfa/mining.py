@@ -15,12 +15,11 @@ before it is reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 
 from . import automata
 from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
 from .encoding import build_formula, decode_model
-from .samples import NEGATIVE, POSITIVE, SampleSet, Word
+from .samples import NEGATIVE, POSITIVE, SampleSet, Word, _Record
 from .solver import DEFAULT_SOLVER_COMMAND, _check_timeout, solve
 
 # Mode -> name of its SampleSet -> ThreeValuedDFA builder in automata.  The
@@ -51,28 +50,45 @@ class NoSeparatorError(MiningError):
     """
 
 
-@dataclass(frozen=True)
-class SizeAttempt:
+class SizeAttempt(_Record):
     """One candidate size tried against the solver."""
 
-    n: int
-    outcome: str  # "sat" or "unsat"
-    variables: int
-    clauses: int
-    encode_seconds: float  # wall time of build_formula growing to size n
-    solve_seconds: float
+    __slots__ = ("n", "outcome", "variables", "clauses", "encode_seconds",
+                 "solve_seconds")
+
+    def __init__(self, n: int, outcome: str, variables: int, clauses: int,
+                 encode_seconds: float, solve_seconds: float) -> None:
+        self.n = n
+        self.outcome = outcome  # "sat" or "unsat"
+        self.variables = variables
+        self.clauses = clauses
+        # wall time of build_formula growing to size n
+        self.encode_seconds = encode_seconds
+        self.solve_seconds = solve_seconds
 
 
-@dataclass
-class MiningReport:
-    mode: str
-    safety: bool
-    symmetry_breaking: bool
-    acceptor_size: int
-    lower_bound: int  # size of incompatible_clique on the min3dfa acceptor
-    attempts: list[SizeAttempt] = field(default_factory=list)
-    dfa: ThreeValuedDFA | None = None  # set only once it is verified
-    claim: str = ""  # set with dfa, by _claim: "minimal size n" or why not
+class MiningReport(_Record):
+    """The attempts of one mine so far, and its verified DFA once found."""
+
+    __slots__ = ("mode", "safety", "symmetry_breaking", "acceptor_size",
+                 "lower_bound", "attempts", "dfa", "claim")
+    __setattr__ = object.__setattr__  # filled in as the mine runs
+    __hash__ = None
+
+    def __init__(self, mode: str, safety: bool, symmetry_breaking: bool,
+                 acceptor_size: int, lower_bound: int,
+                 attempts: list[SizeAttempt] | None = None,
+                 dfa: ThreeValuedDFA | None = None, claim: str = "") -> None:
+        self.mode = mode
+        self.safety = safety
+        self.symmetry_breaking = symmetry_breaking
+        self.acceptor_size = acceptor_size
+        # size of incompatible_clique on the min3dfa acceptor
+        self.lower_bound = lower_bound
+        self.attempts = [] if attempts is None else attempts
+        self.dfa = dfa  # set only once it is verified
+        # set with dfa, by _claim: "minimal size n" or why not
+        self.claim = claim
 
     @property
     def minimal_size(self) -> int | None:
@@ -283,8 +299,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     if mode != "min3dfa":
         acceptor = getattr(automata, builder)(samples)  # drops the min3dfa
     if len(used) < samples.alphabet_size:
-        acceptor = replace(acceptor, alphabet_size=len(used), transitions={
-            (q, letter[a]): r for (q, a), r in acceptor.transitions.items()})
+        acceptor = ThreeValuedDFA(
+            len(used), acceptor.state_count, acceptor.initials,
+            {(q, letter[a]): r for (q, a), r in acceptor.transitions.items()},
+            acceptor.accepting, acceptor.rejecting)
     report = MiningReport(
         mode=mode,
         safety=safety,
@@ -314,9 +332,10 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             if verdict.outcome == "sat":
                 dfa = decode_model(verdict.model, vm)
                 k = samples.alphabet_size  # unused letters lead to state 0
-                dfa = replace(dfa, alphabet_size=k, transitions={
+                dfa = ThreeValuedDFA(k, dfa.state_count, dfa.initials, {
                     (q, a): dfa.transitions[q, letter[a]] if a in letter
-                    else 0 for q in range(dfa.state_count) for a in range(k)})
+                    else 0 for q in range(dfa.state_count) for a in range(k)},
+                    dfa.accepting, dfa.rejecting)
                 violations = verify_separating(dfa, samples)
                 if violations:
                     raise MiningError(

@@ -12,8 +12,6 @@ runs of ASCII digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Word = tuple[int, ...]
 
 POSITIVE = "+"
@@ -36,19 +34,56 @@ def _check_word(w: Word, alphabet_size: int) -> None:
                               f"alphabet size {alphabet_size}")
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class _Record:
+    """Base of the package's value types, in place of dataclasses, whose
+    import would cost every command line more than parsing its arguments.
+
+    A subclass names its fields in __slots__ and sets each of them once, in
+    its __init__; setting a field again, or deleting one, raises
+    AttributeError.  Two instances are equal when their classes and fields
+    are, the hash is the fields' (so a dict field makes it unhashable), and
+    the repr reads Class(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SampleSet(_Record):
     """Positive and negative example words over a fixed alphabet."""
 
-    alphabet_size: int
-    positives: frozenset[Word]
-    negatives: frozenset[Word]
+    __slots__ = ("alphabet_size", "positives", "negatives")
 
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
+    def __init__(self, alphabet_size: int, positives: frozenset[Word],
+                 negatives: frozenset[Word]) -> None:
+        if alphabet_size < 1:
             raise SampleError("alphabet size must be at least 1")
-        object.__setattr__(self, "positives", frozenset(self.positives))
-        object.__setattr__(self, "negatives", frozenset(self.negatives))
+        self.alphabet_size = alphabet_size
+        self.positives = frozenset(positives)
+        self.negatives = frozenset(negatives)
         overlap = self.positives & self.negatives
         if overlap:
             w = sorted(overlap)[0]

@@ -23,13 +23,12 @@ import os
 import re
 import shlex
 import signal
-import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .encoding import CnfFormula, emit_dimacs
+from .samples import _Record
 
 DEFAULT_SOLVER_COMMAND = "cadical"
 # The longest timeout, in seconds, that solve() accepts: waiting for the
@@ -52,11 +51,15 @@ class SolverTimeoutError(SolverError):
     """The solver exceeded its wall-clock budget and was killed."""
 
 
-@dataclass(frozen=True)
-class SolverVerdict:
-    outcome: str  # "sat" or "unsat"
-    model: bytes | None  # byte per variable: 1 false, 2 true (0 at index 0)
-    wall_time: float
+class SolverVerdict(_Record):
+    __slots__ = ("outcome", "model", "wall_time")
+
+    def __init__(self, outcome: str, model: bytes | None,
+                 wall_time: float) -> None:
+        self.outcome = outcome  # "sat" or "unsat"
+        # byte per variable: 1 false, 2 true (0 at index 0)
+        self.model = model
+        self.wall_time = wall_time
 
 
 def parse_solver_output(text: str,
@@ -190,6 +193,7 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     if not command:
         raise SolverError("empty solver command")
     _check_timeout(timeout)
+    import subprocess  # here, so that only a mine pays for its import
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "wb") as handle:

@@ -108,6 +108,15 @@ class TestThreeValuedDFA:
         with pytest.raises(ValueError):
             ThreeValuedDFA(1, 1, (0,), {(0, 1): 0}, frozenset(), frozenset())
 
+    def test_equal_whatever_the_transition_order(self):
+        moves = {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}
+        a = ThreeValuedDFA(2, 2, [0], moves, {1}, {0})
+        b = ThreeValuedDFA(2, 2, (0,), dict(reversed(moves.items())),
+                           frozenset({1}), frozenset({0}))
+        assert list(a.transitions) != list(b.transitions)
+        assert a == b
+        assert a != ThreeValuedDFA(2, 2, (0,), moves, {0}, {1})
+
     def test_run_partial(self):
         a = ThreeValuedDFA(2, 2, (0,), {(0, 0): 1}, frozenset({1}), frozenset())
         assert run(a, ()) == DONT_CARE
@@ -431,13 +440,13 @@ class TestCanonical:
     def test_one_construction_per_call(self, monkeypatch, make, build):
         arg = make(SampleSet(2, {(0,), (1, 0), (1, 1, 0)}, {(1,), (0, 1)}))
         built = []
-        post_init = ThreeValuedDFA.__post_init__
+        init = ThreeValuedDFA.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ThreeValuedDFA, "__post_init__", counted)
+        monkeypatch.setattr(ThreeValuedDFA, "__init__", counted)
         build(arg)
         assert len(built) == 1
 

@@ -10,7 +10,6 @@ import tracemalloc
 import weakref
 from array import array
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -1121,7 +1120,10 @@ class TestStableLayout:
                 build_formula(n, acceptor, symmetry=symmetry, base=base)
         # the safety flag and the alphabet must match too
         acceptor = layout_acceptor("parity35", "min3dfa", parity_corpus)
-        wider = replace(acceptor, alphabet_size=acceptor.alphabet_size + 1)
+        wider = ThreeValuedDFA(
+            acceptor.alphabet_size + 1, acceptor.state_count,
+            acceptor.initials, acceptor.transitions, acceptor.accepting,
+            acceptor.rejecting)
         for safety in (False, True):
             base = build_formula(2, acceptor, safety=not safety)
             with pytest.raises(EncodingError, match="larger size"):
@@ -1458,6 +1460,27 @@ class TestModelCheck:
         del clauses[at]
         assert formula_of(variables, clauses).satisfied_by(
             model_table(values))
+
+    def test_check_builds_one_table(self, solver_cmd, parity_corpus):
+        # One check of the (4,7) APTA safety model at n = 5, which holds.
+        # What it allocates and frees again stays below its table of 2V + 1
+        # bytes, one more model's worth and two bytes per literal of one
+        # chunk: building the table from five temporaries of the model's
+        # size, and gathering from a copy of each chunk, read 10.6 V.
+        acceptor = build_apta(parity_corpus(4, 7))
+        _, formula = build_formula(5, acceptor, safety=True)
+        model = solve(formula, solver_cmd).model
+        variables = formula.variable_count
+        assert variables > 50_000
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert formula.satisfied_by(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 3 * variables + 2 * encoding._CHUNK
 
     @pytest.mark.parametrize("model", [b"\0\2", b"\0\2\0", b"\0\2\3",
                                        b"\0\1\xff"])

@@ -47,6 +47,13 @@ class TestSampleSet:
         s = SampleSet(1, {()}, set())
         assert () in s.positives
 
+    def test_sets_become_frozensets(self):
+        s = SampleSet(2, {(0,), (0, 1)}, {(1,)})
+        t = SampleSet(2, frozenset({(0, 1), (0,)}), frozenset({(1,)}))
+        assert s == t and hash(s) == hash(t)
+        assert type(s.positives) is frozenset
+        assert s != SampleSet(3, s.positives, s.negatives)
+
 
 def ascending(*ws):
     """Whether entries() lists exactly these words, in this order."""
