@@ -8,8 +8,9 @@ modules keep standard library imports that a run may not need off that
 path: the value types are plain classes, not dataclasses (whose import
 pulls in inspect and costs more than parsing the arguments), annotations
 name collections.abc and io types rather than typing's, traceback is
-imported only for an internal error, and subprocess only when solve starts
-a solver.
+imported only for an internal error, and subprocess, tempfile and shutil
+only when a mine writes a formula for its solver (though argparse itself
+imports shutil to size the command line's help).
 """
 
 from types import ModuleType as _Module

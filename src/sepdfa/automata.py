@@ -4,17 +4,21 @@ Provides the prefix-tree acceptor, an incremental construction that
 keeps the working automaton minimal while samples stream in ascending
 order, and the double automaton that places one minimal acceptor per
 polarity side by side, each with its own initial state.  The three
-builders take a SampleSet, read its entries() in ascending order, and
-return a ThreeValuedDFA.  Every minimal acceptor is numbered by
-canonical_form's one rule: breadth first from each initial state in
-turn, letters ascending, transitions stored in that order.  The same
-type holds the DFA decoded from a solver model, a hidden random DFA and
-a parsed dump, whose numbers follow the sample files' rule.
+builders take a SampleSet and return a ThreeValuedDFA.  Only the
+incremental construction reads the words, in entries() order; the
+prefix tree is unfolded from its register of minimal states and the
+double automaton split from it, and a mine derives both from the
+minimal acceptor it has already built.  Every minimal acceptor is
+numbered by canonical_form's one rule: breadth first from each initial
+state in turn, letters ascending, transitions stored in that order.  The
+same type holds the DFA decoded from a solver model, a hidden random DFA
+and a parsed dump, whose numbers follow the sample files' rule.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import compress, count
 
 from .samples import (DONT_CARE, NEGATIVE, POSITIVE, SampleSet, Word,
                       _parse_numbers, _Record)
@@ -111,27 +115,6 @@ def run(a: ThreeValuedDFA, w: Word) -> str | None:
     return outcome
 
 
-def build_apta(samples: SampleSet) -> ThreeValuedDFA:
-    """Prefix-tree acceptor: one state per distinct prefix of the samples."""
-    children: list[dict[int, int]] = [{}]
-    ends: dict[str, set[int]] = {POSITIVE: set(), NEGATIVE: set()}
-    for w, label in samples.entries():
-        cur = 0
-        for a in w:
-            nxt = children[cur].get(a)
-            if nxt is None:
-                nxt = len(children)
-                children[cur][a] = nxt
-                children.append({})
-            cur = nxt
-        ends[label].add(cur)
-    transitions = {(q, a): r for q, kids in enumerate(children)
-                   for a, r in kids.items()}
-    return ThreeValuedDFA(samples.alphabet_size, len(children), (0,),
-                          transitions, frozenset(ends[POSITIVE]),
-                          frozenset(ends[NEGATIVE]))
-
-
 def _successors(a: ThreeValuedDFA) -> list[list[tuple[int, int]]]:
     """Per-state (letter, successor) lists, letters ascending."""
     succ: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
@@ -140,6 +123,13 @@ def _successors(a: ThreeValuedDFA) -> list[list[tuple[int, int]]]:
     for kids in succ:
         kids.sort()
     return succ
+
+
+def _signatures(a: ThreeValuedDFA) -> list[tuple]:
+    """Per state, its (status, ((letter, successor), ...)) signature,
+    letters ascending: what _numbered, _unfold and _split read."""
+    return [(a.status(q), tuple(kids))
+            for q, kids in enumerate(_successors(a))]
 
 
 def _numbered(alphabet_size: int, signatures: list[tuple],
@@ -180,10 +170,7 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
     any state is unreachable from the initial states; callers that
     tolerate junk states must prune them first.
     """
-    succ = _successors(a)
-    return _numbered(a.alphabet_size,
-                     [(a.status(q), kids) for q, kids in enumerate(succ)],
-                     a.initials)
+    return _numbered(a.alphabet_size, _signatures(a), a.initials)
 
 
 class _IncrementalBuilder:
@@ -230,15 +217,128 @@ class _IncrementalBuilder:
         self.stack[-1][0] = label
         self.prev = w
 
-    def finish(self) -> tuple[int, list[tuple]]:
-        """Fold the last word in; return the root and the signatures.
+    def finish(self) -> tuple[list[tuple], int]:
+        """Fold the last word in; return the signatures and the root.
 
         Signature q is state q's (status, ((letter, successor), ...)),
         letters ascending, for each state reachable from the root; the
-        builders renumber them by canonical_form's rule.
+        builders number them by canonical_form's rule or derive from them.
         """
         root = self._fold(0)
-        return root, list(self.register)
+        return list(self.register), root
+
+
+def _incremental(samples: SampleSet) -> tuple[list[tuple], int]:
+    """The register of the samples' minimal acceptor, and its root.
+
+    The one construction that reads the sample words: every builder
+    below derives its acceptor from this register.
+    """
+    builder = _IncrementalBuilder()
+    for w, label in samples.entries():
+        builder.add(w, label)
+    return builder.finish()
+
+
+def _post_order(signatures: list[tuple], root: int) -> list[int]:
+    """The states the root reaches, each after all of its successors.
+
+    Walks the successors, so any numbering of an acyclic acceptor will
+    do: a breadth-first one is no topological order.
+    """
+    order: list[int] = []
+    seen = {root}
+    stack = [(root, iter(signatures[root][1]))]
+    while stack:
+        q, kids = stack[-1]
+        for _, r in kids:
+            if r not in seen:
+                seen.add(r)
+                stack.append((r, iter(signatures[r][1])))
+                break
+        else:
+            stack.pop()
+            order.append(q)
+    return order
+
+
+def _unfold(alphabet_size: int, signatures: list[tuple],
+            root: int) -> ThreeValuedDFA:
+    """The prefix tree of a minimal acyclic acceptor, one state per path.
+
+    States are numbered in preorder, letters ascending, and transitions
+    are stored by state, then letter: the layout a trie grown from the
+    ascending words has, and so build_apta's.  Only each acceptor state's
+    unfolding size is summed from its successors' (post-order): a state's
+    child on a letter lies one more than the sizes of the letters before
+    below it.  One preorder walk from the root then lists the acceptor
+    state of each tree state, so time and memory go by the tree's size.
+    """
+    size: dict[int, int] = {}
+    below: dict[int, list[tuple[int, int]]] = {}  # (letter, distance)
+    down: dict[int, list[int]] = {}  # descending: the walk pops ascending
+    for q in _post_order(signatures, root):
+        kids, d = [], 1
+        for a, r in signatures[q][1]:
+            kids.append((a, d))
+            d += size[r]
+        size[q], below[q] = d, kids
+        down[q] = [r for _, r in reversed(signatures[q][1])]
+    seq: list[int] = []
+    stack = [root]
+    while stack:
+        q = stack.pop()
+        seq.append(q)
+        stack += down[q]
+    transitions = {(i, a): i + d for i, q in enumerate(seq)
+                   for a, d in below[q]}
+
+    def having(status: str) -> frozenset[int]:
+        marks = [sig[0] == status for sig in signatures]
+        return frozenset(compress(count(), map(marks.__getitem__, seq)))
+
+    return ThreeValuedDFA(alphabet_size, len(seq), (0,), transitions,
+                          having(POSITIVE), having(NEGATIVE))
+
+
+def _split(alphabet_size: int, signatures: list[tuple],
+           root: int) -> ThreeValuedDFA:
+    """The double automaton of a minimal acyclic acceptor.
+
+    For each polarity in turn, positive first, the states that reach a
+    state of that status are kept, the other statuses read don't-care,
+    and the kept states are folded bottom-up (post-order) into a register
+    by signature: the minimal acceptor of that polarity's words, rooted at
+    the root, a lone don't-care state when no word has that polarity.
+    canonical_form's rule numbers the two registers at once, the positive
+    part's root first.
+    """
+    order = _post_order(signatures, root)
+    joined: list[tuple] = []
+    roots = []
+    for polarity in (POSITIVE, NEGATIVE):
+        register: dict[tuple, int] = {}
+        off = len(joined)
+        folded: dict[int, int] = {}
+        for q in order:
+            status, kids = signatures[q]
+            kept = tuple((a, folded[r]) for a, r in kids if r in folded)
+            if status == polarity or kept or q == root:
+                folded[q] = register.setdefault(
+                    (polarity if status == polarity else DONT_CARE, kept),
+                    off + len(register))
+        joined += register
+        roots.append(folded[root])
+    return _numbered(alphabet_size, joined, tuple(roots))
+
+
+def build_apta(samples: SampleSet) -> ThreeValuedDFA:
+    """Prefix-tree acceptor: one state per distinct prefix of the samples.
+
+    Numbered in preorder, letters ascending, as a trie grown from the
+    ascending words; unfolded from the incremental construction's register.
+    """
+    return _unfold(samples.alphabet_size, *_incremental(samples))
 
 
 def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
@@ -251,10 +351,7 @@ def build_min_3dfa_incremental(samples: SampleSet) -> ThreeValuedDFA:
     distinct sample prefixes.  The tests hold it to a backward
     minimisation of the prefix tree, field for field.
     """
-    builder = _IncrementalBuilder()
-    for w, label in samples.entries():
-        builder.add(w, label)
-    root, signatures = builder.finish()
+    signatures, root = _incremental(samples)
     return _numbered(samples.alphabet_size, signatures, (root,))
 
 
@@ -264,20 +361,11 @@ def build_ddfa(samples: SampleSet) -> ThreeValuedDFA:
     States 0 .. P - 1 are the minimal acceptor of the positive words with
     initial state 0.  The minimal acceptor of the negative words follows,
     shifted by P, with initial state P; its accepting states are the
-    rejecting ones.  One pass over the entries feeds both builders, and
-    canonical_form's rule numbers their joined registers at once.
+    rejecting ones.  Both are split from the incremental construction's
+    register of all the words, and canonical_form's rule numbers them at
+    once.
     """
-    builders = {POSITIVE: _IncrementalBuilder(),
-                NEGATIVE: _IncrementalBuilder()}
-    for w, label in samples.entries():
-        builders[label].add(w, label)
-    pos_root, signatures = builders[POSITIVE].finish()
-    neg_root, negatives = builders[NEGATIVE].finish()
-    off = len(signatures)
-    signatures += [(status, tuple((a, r + off) for a, r in kids))
-                   for status, kids in negatives]
-    return _numbered(samples.alphabet_size, signatures,
-                     (pos_root, neg_root + off))
+    return _split(samples.alphabet_size, *_incremental(samples))
 
 
 def dump_automaton(a: ThreeValuedDFA) -> str:

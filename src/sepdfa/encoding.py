@@ -47,14 +47,12 @@ from __future__ import annotations
 
 import itertools
 import os
-import shutil
-import tempfile
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from io import BufferedIOBase
-from operator import countOf, getitem, itemgetter
+from operator import getitem, itemgetter
 
 from .automata import ThreeValuedDFA
 
@@ -76,12 +74,13 @@ class CnfFormula:
     a variable or its negation.  literals holds the clauses in order, each
     closed by a 0, and no clause is empty.  literals[:stable], which ends
     on a clause end, is what every larger size of a formula grown by
-    build_formula keeps; the rest is the tail of this size.  The
-    constructor checks the literals a caller hands it; build_formula grows
-    a formula in place and only counts the clauses it appends.  From its
-    first emit_dimacs on, the formula keeps the DIMACS text of its stable
-    part in an anonymous temporary file, which close() frees, or the
-    formula's collection if close() is never called.
+    build_formula keeps, and _stable_clauses counts its clauses; the rest
+    is the tail of this size.  The constructor checks and counts the
+    literals a caller hands it; build_formula grows a formula in place and
+    adds up the counts its encoders return.  From its first emit_dimacs
+    on, the formula keeps the DIMACS text of its stable part in an
+    anonymous temporary file, which close() frees, or the formula's
+    collection if close() is never called.
     """
 
     def __init__(self, variable_count: int, literals: array, stable: int = 0):
@@ -100,6 +99,7 @@ class CnfFormula:
                 raise EncodingError("empty clause")
         self.literals, self.variable_count = literals, variable_count
         self.stable, self.clause_count = stable, literals.count(0)
+        self._stable_clauses = literals[:stable].count(0)
         self._text: BufferedIOBase | None = None
         self._formatted = 0  # the text is that of literals[:_formatted]
 
@@ -110,6 +110,7 @@ class CnfFormula:
         write that fails leaves the text to be formatted again in full.
         """
         if self._text is None:
+            import tempfile  # only a mine writes a formula's text
             self._text = tempfile.TemporaryFile()
             self._free_text = weakref.finalize(self, self._text.close)
         text, start = self._text, self._formatted
@@ -240,12 +241,13 @@ class VarMap:
                 + i * self.alphabet_size + a)
 
 
-def encode_dfa_shape(vm: VarMap, out: array, k: int) -> None:
+def encode_dfa_shape(vm: VarMap, out: array, k: int) -> int:
     """Determinism of the candidate transition function in block k.
 
-    Appends the at-most-one clauses whose largest candidate state is k.
-    Completeness, the at-least-one row of every state and letter, holds at
-    one size only: build_formula writes those rows after the last block.
+    Appends the at-most-one clauses whose largest candidate state is k and
+    returns how many.  Completeness, the at-least-one row of every state
+    and letter, holds at one size only: build_formula writes those rows
+    after the last block.
     """
     for i in range(k + 1):
         for a in range(vm.alphabet_size):
@@ -256,6 +258,8 @@ def encode_dfa_shape(vm: VarMap, out: array, k: int) -> None:
                 pairs = ((x, row[k]) for x in row[:k])
             for x, y in pairs:
                 out.extend((-x, -y, 0))
+    # k pairs in each row of a state below k, and k + 1 choose 2 in k's
+    return vm.alphabet_size * (k * k + (k + 1) * k // 2)
 
 
 class _Transitions:
@@ -328,20 +332,20 @@ def _clause_layout(facts: Mapping[int, bool], first_e: int, k: int,
 
 
 def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
-                   k: int, table: _Transitions | None = None) -> None:
+                   k: int, table: _Transitions | None = None) -> int:
     """Tie the candidate to the acceptor in block k.
 
-    Appends the product clauses whose largest candidate state is k: the
-    seeds at the initial states (at k = 0), the acceptance clauses of k,
-    then the transition clauses, letter by letter.  Candidate states
-    paired with an accepting acceptor state must accept, those paired with
-    a rejecting one must reject.  table is the acceptor read with the
-    values the formula's shape fixes; without one it is read here, with
-    none fixed.  A clause that a fixed value makes true is left out, and
-    so is a literal that one makes false.  Clauses are filled column by
-    column, by strided slices that each store one clause slot of many
-    clauses, so the interpreted work goes by clause slot and run of
-    transitions, not by clause.
+    Appends the product clauses whose largest candidate state is k, and
+    returns how many: the seeds at the initial states (at k = 0), the
+    acceptance clauses of k, then the transition clauses, letter by
+    letter.  Candidate states paired with an accepting acceptor state must
+    accept, those paired with a rejecting one must reject.  table is the
+    acceptor read with the values the formula's shape fixes; without one
+    it is read here, with none fixed.  A clause that a fixed value makes
+    true is left out, and so is a literal that one makes false.  Clauses
+    are filled column by column, by strided slices that each store one
+    clause slot of many clauses, so the interpreted work goes by clause
+    slot and run of transitions, not by clause.
     """
     if acceptor.state_count != vm.acceptor_state_count:
         raise EncodingError("variable map was built for a different acceptor")
@@ -349,10 +353,11 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
         raise EncodingError("alphabet mismatch between acceptor and variables")
     if table is None:
         table = _Transitions(acceptor)
-    facts = table.facts
+    facts, clauses = table.facts, 0
     if k == 0:
         for q0 in acceptor.initials:
             out.extend((vm.d(q0, 0), 0))
+        clauses += len(acceptor.initials)
     # Clauses -d(p, k) ±f(k) for each status state p in order; a fixed
     # f(k) leaves out those it makes true and cuts the others to -d(p, k).
     fixed = facts.get(vm.f(k))
@@ -366,6 +371,7 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
         if fixed is None:
             block[1::3] = array("i", [sign * vm.f(k)]) * len(states)
         out.extend(block)
+        clauses += len(states)
     # A letter's transitions share one layout of width literals each: its
     # pattern, repeated once per transition, holds the -e literals and
     # closing 0s, and one slice of stride `width` stores a slot's -d(p, i)
@@ -379,6 +385,8 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
         width = len(pattern)
         if not width:
             continue
+        # one clause per state pair of the layout and transition
+        clauses += len(slots) * (stop - start)
         leaving = {i: table.leaving(vm, i) for _, i, _, _ in slots}
         entering = {j: table.entering(vm, j) for _, _, _, j in slots}
         step = max(1, _CHUNK // width)
@@ -391,9 +399,10 @@ def encode_product(vm: VarMap, acceptor: ThreeValuedDFA, out: array,
                 block[src::width] = froms[i]
                 block[dst::width] = tos[j]
             out.extend(block)
+    return clauses
 
 
-def encode_symmetry_breaking(vm: VarMap, out: array, k: int) -> None:
+def encode_symmetry_breaking(vm: VarMap, out: array, k: int) -> int:
     """Force the candidate's state numbering into breadth-first order.
 
     The auxiliary variables are defined from e by biconditionals: t(i, j)
@@ -402,14 +411,18 @@ def encode_symmetry_breaking(vm: VarMap, out: array, k: int) -> None:
     Ordering clauses then make consecutive states take consecutive parents
     and force sibling edges into ascending letter order.  Appends the
     clauses of node k, those whose largest node is k, so the clauses of
-    size n are those of the nodes below n, node by node.
+    size n are those of the nodes below n, node by node, and returns how
+    many.
     """
     if not vm.symmetry:
         raise EncodingError("variable map was built without symmetry variables")
     letters = range(vm.alphabet_size)
+    clauses = 0
 
     def emit(*lits: int) -> None:
+        nonlocal clauses
         out.extend(lits + (0,))
+        clauses += 1
 
     for i in range(k):
         # p(k, i) holds iff i is the smallest node with an edge into k.
@@ -441,9 +454,10 @@ def encode_symmetry_breaking(vm: VarMap, out: array, k: int) -> None:
     # Every node except the root has a parent.
     if k:
         emit(*[vm.p(k, parent) for parent in range(k)])
+    return clauses
 
 
-def encode_parity_constraints(vm: VarMap, out: array) -> None:
+def encode_parity_constraints(vm: VarMap, out: array) -> int:
     """Pin the candidate into safety (or co-safety) automaton shape.
 
     Letters are parity-game colours.  Colours sharing the parity of the
@@ -454,7 +468,7 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
     state, and opponent colours never loop on a non-sink state.  When the
     highest colour is even all non-sink states accept and the sink
     rejects; when it is odd the roles flip.  Needs n >= 2 so the sink is
-    distinct from the initial state.
+    distinct from the initial state.  Returns how many clauses it appends.
     """
     colours = vm.alphabet_size
     if colours < 2:
@@ -466,6 +480,7 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
     highest = colours - 1
     same = [a for a in range(colours) if a % 2 == highest % 2]
     opponent = [a for a in range(colours) if a % 2 != highest % 2]
+    start = len(out)  # a few clauses per state: counted once written
     for a in same:
         out.extend((vm.e(0, a, 0), 0))
     for a in opponent:
@@ -488,6 +503,7 @@ def encode_parity_constraints(vm: VarMap, out: array) -> None:
     for i in range(sink):
         out.extend((accept * vm.f(i), 0))
     out.extend((-accept * vm.f(sink), 0))
+    return out[start:].count(0)
 
 
 def _shape_facts(vm: VarMap) -> dict[int, bool]:
@@ -544,15 +560,14 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
     the shape.  Without base it grows from nothing.  base is what this
     function returned for a smaller size, the same acceptor and the same
     options: its formula is cut back to its stable part and grown in
-    place, so it no longer describes base's size.  The clauses of the tail
-    it cuts and of what it appends are counted in place, through a
-    memoryview, with no copy of the buffer, and not checked: every id
-    comes from a range-checked VarMap accessor or from a block whose first
-    id one checked, and every clause an encoder writes is non-empty and
-    closed.  The formula of size n is the same either way.  With safety,
-    the sink's block is part of the tail, holds no symmetry clauses (they
-    number only the states below the sink), and the product clauses leave
-    out what the shape's fixed values decide.
+    place, so it no longer describes base's size.  Its clauses are counted
+    by the encoders, which return how many they append, and not checked:
+    every id comes from a range-checked VarMap accessor or from a block
+    whose first id one checked, and every clause an encoder writes is
+    non-empty and closed.  The formula of size n is the same either way.
+    With safety, the sink's block is part of the tail, holds no symmetry
+    clauses (they number only the states below the sink), and the product
+    clauses leave out what the shape's fixed values decide.
     """
     vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count, symmetry,
                 safety)
@@ -569,26 +584,26 @@ def build_formula(n: int, acceptor: ThreeValuedDFA, symmetry: bool = True,
         # Every block of base is stable but, with safety, its sink's.
         first = base_vm.n - 1 if safety else base_vm.n
     literals = formula.literals
-    formula.clause_count -= countOf(memoryview(literals)[formula.stable:], 0)
     del literals[formula.stable:]
-    start = stable = len(literals)
+    stable, clauses = len(literals), formula._stable_clauses
     table = _Transitions(acceptor, _safety_facts(vm) if safety else None)
     for k in range(first, n):
         sink = safety and k == n - 1
-        encode_product(vm, acceptor, literals, k, table)
+        clauses += encode_product(vm, acceptor, literals, k, table)
         if symmetry and not sink:
-            encode_symmetry_breaking(vm, literals, k)
-        encode_dfa_shape(vm, literals, k)
+            clauses += encode_symmetry_breaking(vm, literals, k)
+        clauses += encode_dfa_shape(vm, literals, k)
         if not sink:
-            stable = len(literals)
+            stable, formula._stable_clauses = len(literals), clauses
     # The at-least-one rows make the transition function total at size n
     # only.
     for i, a in itertools.product(range(n), range(acceptor.alphabet_size)):
         literals.extend(vm.e_row(i, a) + [0])
+        clauses += 1
     if safety:
-        encode_parity_constraints(vm, literals)
-    formula.clause_count += countOf(memoryview(literals)[start:], 0)
+        clauses += encode_parity_constraints(vm, literals)
     formula.variable_count, formula.stable = vm.variable_count, stable
+    formula.clause_count = clauses
     return vm, formula
 
 
@@ -610,6 +625,8 @@ def emit_dimacs(formula: CnfFormula, handle: BufferedIOBase) -> None:
     stable literals it lacks are formatted into it; the tail is formatted
     afresh.
     """
+    import shutil  # with tempfile, only for a mine: see CnfFormula
+
     lits = formula.literals
     handle.write(b"p cnf %d %d\n" % (formula.variable_count,
                                      formula.clause_count))

@@ -13,9 +13,9 @@ import random
 
 from .automata import (
     ThreeValuedDFA,
-    build_apta,
-    build_ddfa,
-    build_min_3dfa_incremental,
+    _incremental,
+    _split,
+    _unfold,
     canonical_form,
     run,
 )
@@ -201,10 +201,15 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
 
 
 def parity_stats(cfg: ParityConfig) -> tuple:
-    """Corpus statistics: colours, length, sample counts, acceptor sizes."""
+    """Corpus statistics: colours, length, sample counts, acceptor sizes.
+
+    The sizes of the apta, min3dfa and ddfa acceptors, all three from one
+    incremental construction: its register holds the min3dfa's states.
+    """
     samples = gen_parity_samples(cfg)
+    k = samples.alphabet_size
+    signatures, root = _incremental(samples)
     return (cfg.colours, cfg.length, len(samples.positives),
-            len(samples.negatives), build_apta(samples).state_count,
-            build_min_3dfa_incremental(samples).state_count,
-            build_ddfa(samples).state_count)
+            len(samples.negatives), _unfold(k, signatures, root).state_count,
+            len(signatures), _split(k, signatures, root).state_count)
 

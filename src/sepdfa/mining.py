@@ -7,9 +7,10 @@ gives a separator one state larger.  It then asks the SAT solver for
 candidate DFAs of growing size until one exists.  The mode picks the
 acceptor the formula ties the candidate to, not the sizes: the raw prefix
 tree, the incrementally minimised three-valued automaton, or the
-per-polarity double automaton with one initial state per polarity.  The
-decoded DFA is a ThreeValuedDFA too, and it is replayed on every sample
-before it is reported.
+per-polarity double automaton with one initial state per polarity; the
+first and last are derived from the minimal one, so a mine reads the
+sample words once to build it.  The decoded DFA is a ThreeValuedDFA too,
+and it is replayed on every sample before it is reported.
 """
 
 from __future__ import annotations
@@ -17,17 +18,19 @@ from __future__ import annotations
 import time
 
 from . import automata
-from .automata import AutomatonFormatError, ThreeValuedDFA, _check_dfa, run
+from .automata import (AutomatonFormatError, ThreeValuedDFA, _check_dfa,
+                       _signatures, _split, _unfold)
 from .encoding import build_formula, decode_model
 from .samples import NEGATIVE, POSITIVE, SampleSet, Word, _Record
 from .solver import DEFAULT_SOLVER_COMMAND, _check_timeout, solve
 
-# Mode -> name of its SampleSet -> ThreeValuedDFA builder in automata.  The
-# name is resolved on each call, so a wrapper bound over the module
-# attribute (perfbench/tracer.py's spans) sees the build.
-_BUILDERS = {"apta": "build_apta", "min3dfa": "build_min_3dfa_incremental",
-             "ddfa": "build_ddfa"}
-MODES = tuple(_BUILDERS)
+# Mode -> how its acceptor follows from the min3dfa acceptor, the one
+# word-by-word construction of a mine, which the bounds need anyway: the
+# prefix tree unfolds it and the double automaton splits it by polarity.
+# The builder is looked up in automata on each call, so a wrapper bound
+# over the module attribute (perfbench/tracer.py's spans) sees the build.
+_DERIVATIONS = {"apta": _unfold, "min3dfa": None, "ddfa": _split}
+MODES = tuple(_DERIVATIONS)
 
 
 class SizeRangeError(ValueError):
@@ -226,10 +229,21 @@ def verify_separating(dfa: ThreeValuedDFA,
         raise AutomatonFormatError(
             f"alphabet mismatch: automaton has {dfa.alphabet_size}, "
             f"samples have {samples.alphabet_size}")
-    violations = [(w, label)
-                  for words, label in ((samples.positives, POSITIVE),
-                                       (samples.negatives, NEGATIVE))
-                  for w in words if run(dfa, w) != label]
+    # The samples' letters lie in the alphabet and the DFA is complete, so
+    # each word replays through per-state rows of targets, unchecked.
+    rows = [[0] * dfa.alphabet_size for _ in range(dfa.state_count)]
+    for (q, a), r in dfa.transitions.items():
+        rows[q][a] = r
+    start = dfa.initials[0]
+    violations = []
+    for words, label, wrong in ((samples.positives, POSITIVE, dfa.rejecting),
+                                (samples.negatives, NEGATIVE, dfa.accepting)):
+        for w in words:
+            q = start
+            for a in w:
+                q = rows[q][a]
+            if q in wrong:
+                violations.append((w, label))
     violations.sort()
     return violations
 
@@ -242,14 +256,15 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     """Find a smallest separating DFA for the samples.
 
     Both ends of the size range come from the min3dfa acceptor, whatever
-    the mode, which only picks the acceptor the formula is built on.  The
-    search starts one below the lower bound of incompatible_clique, never
-    below 1, or 2 in safety mode, where the sink must differ from the
-    initial state, unless n_start says where.  It ends at n_max, by
-    default the state count plus one: completing the acceptor with a
-    rejecting sink separates the samples.  In safety mode that default is
-    at least 3, as no safety-shaped DFA has 2 states.  Sizes grow one by
-    one, and one formula grows with them.  Outside safety mode, letters
+    the mode, which only picks the acceptor the formula is built on: apta
+    and ddfa derive theirs from the min3dfa acceptor.  The search starts
+    one below the lower bound of incompatible_clique, never below 1, or 2
+    in safety mode, where the sink must differ from the initial state,
+    unless n_start says where.  It ends at n_max, by default the state
+    count plus one: completing the acceptor with a rejecting sink
+    separates the samples.  In safety mode that default is at least 3, as
+    no safety-shaped DFA has 2 states.  Sizes grow one by one, and one
+    formula grows with them.  Outside safety mode, letters
     that no sample uses are left out of the formula and lead to state 0 in
     the returned DFA, which has been re-checked against the samples.
 
@@ -281,10 +296,9 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
             f"safety mode needs an alphabet of at least 2 letters (parity "
             f"colours); the samples have {samples.alphabet_size}")
     _check_timeout(timeout)
-    builder = _BUILDERS.get(mode)
-    if builder is None:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    acceptor = getattr(automata, _BUILDERS["min3dfa"])(samples)
+    acceptor = automata.build_min_3dfa_incremental(samples)
     lower = len(incompatible_clique(acceptor))
     bound = max(acceptor.state_count, floor) + 1 if n_max is None else n_max
     if n_start is not None and n_start > bound:
@@ -296,13 +310,15 @@ def mine_min_dfa(samples: SampleSet, mode: str = "min3dfa", *,
     used = (range(samples.alphabet_size) if safety
             else sorted({a for _, a in acceptor.transitions}) or [0])
     letter = {a: i for i, a in enumerate(used)}
-    if mode != "min3dfa":
-        acceptor = getattr(automata, builder)(samples)  # drops the min3dfa
     if len(used) < samples.alphabet_size:
         acceptor = ThreeValuedDFA(
             len(used), acceptor.state_count, acceptor.initials,
             {(q, letter[a]): r for (q, a), r in acceptor.transitions.items()},
             acceptor.accepting, acceptor.rejecting)
+    derive = _DERIVATIONS[mode]
+    if derive is not None:  # the renaming keeps the letters' order
+        acceptor = derive(len(used), _signatures(acceptor),
+                          acceptor.initials[0])
     report = MiningReport(
         mode=mode,
         safety=safety,

@@ -23,7 +23,6 @@ import os
 import re
 import shlex
 import signal
-import tempfile
 import time
 from collections.abc import Sequence
 
@@ -193,7 +192,8 @@ def solve(formula: CnfFormula, solver_command: str | Sequence[str] = DEFAULT_SOL
     if not command:
         raise SolverError("empty solver command")
     _check_timeout(timeout)
-    import subprocess  # here, so that only a mine pays for its import
+    import subprocess  # here, so that only a mine pays for their imports
+    import tempfile
     fd, temp_path = tempfile.mkstemp(prefix="sepdfa-", suffix=".cnf")
     try:
         with os.fdopen(fd, "wb") as handle:

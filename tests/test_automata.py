@@ -2,10 +2,14 @@
 
 minimize_acyclic, the batch minimisation of an acyclic acceptor, is the
 reference the incremental construction is held to here and in
-test_acceptance.
+test_acceptance.  trie_apta and two_builder_ddfa, a trie grown word by word
+and one incremental builder per polarity, are the references the prefix
+tree and the double automaton derived from the incremental register are
+held to, stored transition order included.
 """
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,7 +19,10 @@ from sepdfa.automata import (
     AutomatonFormatError,
     _IncrementalBuilder,
     _numbered,
+    _signatures,
+    _split,
     _successors,
+    _unfold,
     ThreeValuedDFA,
     build_apta,
     build_ddfa,
@@ -24,6 +31,12 @@ from sepdfa.automata import (
     dump_automaton,
     parse_automaton,
     run,
+)
+from sepdfa.generators import (
+    ParityConfig,
+    gen_parity_samples,
+    gen_random_dfa,
+    gen_samples_from_dfa,
 )
 from sepdfa.samples import DONT_CARE, NEGATIVE, POSITIVE, SampleSet
 
@@ -77,6 +90,54 @@ def minimize_acyclic(a: ThreeValuedDFA) -> ThreeValuedDFA:
         raise ValueError("automaton contains a cycle")
     return _numbered(a.alphabet_size, list(register),
                      tuple(dict.fromkeys(rep[q] for q in a.initials)))
+
+
+def trie_apta(samples: SampleSet) -> ThreeValuedDFA:
+    """The prefix tree as a trie grown from the ascending words.
+
+    A new prefix takes the next number, so states come in preorder,
+    letters ascending, and transitions are stored by state, then letter.
+    """
+    children: list[dict[int, int]] = [{}]
+    ends: dict[str, set[int]] = {POSITIVE: set(), NEGATIVE: set()}
+    for w, label in samples.entries():
+        cur = 0
+        for a in w:
+            nxt = children[cur].get(a)
+            if nxt is None:
+                nxt = len(children)
+                children[cur][a] = nxt
+                children.append({})
+            cur = nxt
+        ends[label].add(cur)
+    transitions = {(q, a): r for q, kids in enumerate(children)
+                   for a, r in kids.items()}
+    return ThreeValuedDFA(samples.alphabet_size, len(children), (0,),
+                          transitions, frozenset(ends[POSITIVE]),
+                          frozenset(ends[NEGATIVE]))
+
+
+def two_builder_ddfa(samples: SampleSet) -> ThreeValuedDFA:
+    """One incremental builder per polarity, fed in one pass over the
+    entries, their registers joined and numbered by canonical_form's rule."""
+    builders = {POSITIVE: _IncrementalBuilder(),
+                NEGATIVE: _IncrementalBuilder()}
+    for w, label in samples.entries():
+        builders[label].add(w, label)
+    signatures, pos_root = builders[POSITIVE].finish()
+    negatives, neg_root = builders[NEGATIVE].finish()
+    off = len(signatures)
+    signatures += [(status, tuple((a, r + off) for a, r in kids))
+                   for status, kids in negatives]
+    return _numbered(samples.alphabet_size, signatures,
+                     (pos_root, neg_root + off))
+
+
+def stored(a: ThreeValuedDFA) -> tuple:
+    """Every field, the transitions as stored: the encoder reads them in
+    that order, so it decides the DIMACS bytes."""
+    return (list(a.transitions.items()), a.initials, a.accepting,
+            a.rejecting, a.state_count)
 
 
 class TestThreeValuedDFA:
@@ -227,6 +288,89 @@ class TestMinimizeAcyclic:
         m = minimize_acyclic(build_ddfa(SampleSet(2, set(), set())))
         assert m.initials == (0,)
         assert m.state_count == 1
+
+
+# Corner cases: empty polarities and the empty word.
+CORNER_SETS = {
+    "no-samples": SampleSet(2, set(), set()),
+    "positives-only": SampleSet(2, {(0,), (1, 0), (1, 1)}, set()),
+    "negatives-only": SampleSet(2, set(), {(1,), (0, 0, 1)}),
+    "empty-word-positive": SampleSet(2, {()}, {(0,), (1, 1)}),
+    "empty-word-negative": SampleSet(3, {(2,), (0, 1)}, {()}),
+    "only-the-empty-word": SampleSet(1, set(), {()}),
+}
+
+
+# The rows the benchmark mines: parity (colours, length) and random
+# (hidden DFA size, seed), as perfbench/workloads.py generates them.
+BENCHMARK_ROWS = [("parity", 3, 5), ("parity", 4, 7), ("parity", 4, 8),
+                  ("random", 4, 101), ("random", 5, 102), ("random", 6, 103),
+                  ("random", 7, 104), ("random", 8, 105)]
+
+
+class TestDerivations:
+    """build_apta and build_ddfa unfold and split the incremental register;
+    a mine derives the same from the min3dfa acceptor, whose breadth-first
+    numbers are no topological order."""
+
+    @staticmethod
+    def check(s: SampleSet) -> None:
+        apta, ddfa = stored(trie_apta(s)), stored(two_builder_ddfa(s))
+        assert stored(build_apta(s)) == apta
+        assert stored(build_ddfa(s)) == ddfa
+        m = build_min_3dfa_incremental(s)
+        args = (s.alphabet_size, _signatures(m), m.initials[0])
+        assert stored(_unfold(*args)) == apta
+        assert stored(_split(*args)) == ddfa
+
+    @given(sample_sets)
+    def test_match_the_word_by_word_oracles(self, s):
+        self.check(s)
+
+    @pytest.mark.parametrize("s", CORNER_SETS.values(), ids=CORNER_SETS)
+    def test_corner_cases(self, s):
+        self.check(s)
+
+    @pytest.mark.parametrize(
+        "kind, a, b", BENCHMARK_ROWS,
+        ids=[f"{k}-{a}-{b}" for k, a, b in BENCHMARK_ROWS])
+    def test_benchmark_rows(self, kind, a, b):
+        if kind == "parity":
+            s = gen_parity_samples(ParityConfig(a, b))
+        else:
+            s = gen_samples_from_dfa(gen_random_dfa(a, 2, b), 50 * a,
+                                     2 * a + 3, seed=b)
+        self.check(s)
+
+    @given(sample_sets, st.randoms(use_true_random=False))
+    def test_any_state_numbering(self, s, rnd):
+        m = build_min_3dfa_incremental(s)
+        perm = list(range(m.state_count))
+        rnd.shuffle(perm)
+        shuffled = renamed(m, perm,
+                           lambda items: rnd.sample(items, len(items)))
+        args = (s.alphabet_size, _signatures(shuffled), shuffled.initials[0])
+        assert stored(_unfold(*args)) == stored(trie_apta(s))
+        assert stored(_split(*args)) == stored(two_builder_ddfa(s))
+
+    def test_long_word_memory_goes_by_tree_size(self):
+        # A long word makes a chain of acceptor states; keeping each
+        # state's whole unfolding would hold length squared / 2 entries.
+        length = 20_000
+        s = SampleSet(2, {tuple(i % 2 for i in range(length))}, {(1,)})
+        peaks = []
+        tracemalloc.start()
+        try:
+            for build in (trie_apta, build_apta):
+                tracemalloc.reset_peak()
+                a = build(s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                assert a.state_count == length + 2
+                del a
+        finally:
+            tracemalloc.stop()
+        trie, derived = peaks
+        assert derived < 3 * trie
 
 
 class TestIncremental:

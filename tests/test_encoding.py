@@ -55,10 +55,13 @@ def whole_size(encoder, vm, *args, rows=False):
 
 
 def clauses_of(encoder, *args):
-    """Run one encoder into a fresh buffer and split it into clause tuples."""
+    """Run one encoder into a fresh buffer and split it into clause tuples,
+    as many as the encoder says it appended."""
     literals = array("i")
-    encoder(*args, literals)
-    return split_clauses(literals)
+    count = encoder(*args, literals)
+    clauses = split_clauses(literals)
+    assert count == len(clauses)
+    return clauses
 
 
 def split_clauses(literals):
@@ -388,7 +391,8 @@ class TestBlockContract:
     def test_each_encoder_appends_one_block(self, samples, builder, n,
                                             symmetry, safety):
         # every clause an encoder appends for block k has k as its largest
-        # candidate state, and the seeds come at k = 0 only
+        # candidate state, and the seeds come at k = 0 only; each encoder
+        # returns how many clauses it appended
         acceptor = builder(samples)
         vm = VarMap(n, acceptor.alphabet_size, acceptor.state_count,
                     symmetry)
@@ -396,10 +400,12 @@ class TestBlockContract:
         seeds = [(vm.d(q0, 0),) for q0 in acceptor.initials]
         for k in range(n):
             product, others = array("i"), array("i")
-            encode_product(vm, acceptor, product, k)
-            encode_dfa_shape(vm, others, k)
+            count = encode_product(vm, acceptor, product, k)
+            assert count == product.count(0)
+            count = encode_dfa_shape(vm, others, k)
             if symmetry:
-                encode_symmetry_breaking(vm, others, k)
+                count += encode_symmetry_breaking(vm, others, k)
+            assert count == others.count(0)
             product = split_clauses(product)
             assert (product[:len(seeds)] == seeds) == (k == 0)
             for clause in product + split_clauses(others):
@@ -611,6 +617,11 @@ class TestParityConstraints:
         assert (-vm.e(2, 0, 3),) in clauses         # same parity avoids sink
         assert (vm.f(0),) in clauses
         assert (-vm.f(3),) in clauses
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("colours", [2, 3, 4, 5])
+    def test_counts_its_clauses(self, n, colours):
+        clauses_of(encode_parity_constraints, VarMap(n, colours, 1, True))
 
     def test_errors(self):
         with pytest.raises(EncodingError):

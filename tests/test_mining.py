@@ -90,6 +90,15 @@ class TestVerify:
             d, SampleSet(2, {(1,), (1, 0), ()}, {(0,), (0, 1)}))
         assert out == [((), POSITIVE), ((0, 1), NEGATIVE), ((1, 0), POSITIVE)]
 
+    @given(small_sets, st.integers(1, 4), st.integers(0, 50))
+    def test_matches_a_replay_by_run(self, samples, n, seed):
+        d = gen_random_dfa(n, 2, seed)
+        expected = sorted((w, label)
+                          for words, label in ((samples.positives, POSITIVE),
+                                               (samples.negatives, NEGATIVE))
+                          for w in words if run(d, w) != label)
+        assert verify_separating(d, samples) == expected
+
     def test_alphabet_mismatch(self):
         d = dfa(1, 1, {(0, 0): 0}, ())
         with pytest.raises(ValueError):
@@ -196,6 +205,34 @@ class TestMining:
                 result.append([(a.n, a.outcome) for a in report.attempts])
             results.append(result)
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_pass_over_the_words(self, solver_cmd, monkeypatch, mode):
+        # the min3dfa build is the only reader of the sorted words; the
+        # mode's acceptor, derived from it, is the mode's builder's
+        samples = SampleSet(2, {(0, 1), (1,), ()}, {(1, 1), (0,), (0, 0, 1)})
+        builders = {"apta": build_apta, "min3dfa": build_min_3dfa_incremental,
+                    "ddfa": build_ddfa}
+        expected = builders[mode](samples)
+        sorts, acceptors = [], []
+        entries, build = SampleSet.entries, mining.build_formula
+
+        def counted(self):
+            sorts.append(self)
+            return entries(self)
+
+        def seen(n, acceptor, **kwargs):
+            acceptors.append(acceptor)
+            return build(n, acceptor, **kwargs)
+
+        monkeypatch.setattr(SampleSet, "entries", counted)
+        monkeypatch.setattr(mining, "build_formula", seen)
+        report = mine_min_dfa(samples, mode, solver_command=solver_cmd)
+        assert sorts == [samples]
+        assert report.acceptor_size == expected.state_count
+        assert acceptors and all(
+            list(a.transitions.items()) == list(expected.transitions.items())
+            and a == expected for a in acceptors)
 
     def test_unused_letters_are_not_encoded(self, solver_cmd):
         # letters 0 and 5 of 10^5: the formulas are those of two letters,

@@ -34,8 +34,9 @@ def test_every_public_function_and_class_is_listed():
 
 # Modules that no command line imports until it runs the code that needs
 # them: dataclasses drags inspect in, traceback serves only an internal
-# error, and subprocess only the solver of a mine.
-WATCHED = ("dataclasses", "inspect", "traceback", "subprocess")
+# error, and subprocess and tempfile only the solver of a mine.  (shutil is
+# not watched: argparse imports it to size the help of every parser.)
+WATCHED = ("dataclasses", "inspect", "traceback", "subprocess", "tempfile")
 
 # Runs each argv through cli.main in turn and prints, as its last line, the
 # exit status and the watched modules loaded after each.
@@ -67,7 +68,7 @@ def test_commands_import_only_what_they_run(tmp_path, solver_cmd):
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
         capture_output=True, text=True, check=True)
     loaded = ast.literal_eval(done.stdout.splitlines()[-1])
-    assert loaded == [(0, [])] * 4 + [(0, ["subprocess"])]
+    assert loaded == [(0, [])] * 4 + [(0, ["subprocess", "tempfile"])]
 
 
 # One instance of each value type, with a field to assign.
