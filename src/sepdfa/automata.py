@@ -262,6 +262,14 @@ def _post_order(signatures: list[tuple], root: int) -> list[int]:
     return order
 
 
+def _tree_size(signatures: list[tuple], root: int) -> int:
+    """The state count of _unfold's prefix tree, without building it."""
+    size: dict[int, int] = {}
+    for q in _post_order(signatures, root):
+        size[q] = 1 + sum(size[r] for _, r in signatures[q][1])
+    return size[root]
+
+
 def _unfold(alphabet_size: int, signatures: list[tuple],
             root: int) -> ThreeValuedDFA:
     """The prefix tree of a minimal acyclic acceptor, one state per path.
@@ -313,6 +321,12 @@ def _split(alphabet_size: int, signatures: list[tuple],
     canonical_form's rule numbers the two registers at once, the positive
     part's root first.
     """
+    return _numbered(alphabet_size, *_split_registers(signatures, root))
+
+
+def _split_registers(signatures: list[tuple],
+                     root: int) -> tuple[list[tuple], tuple[int, int]]:
+    """_split's two registers, joined, and their roots, unnumbered."""
     order = _post_order(signatures, root)
     joined: list[tuple] = []
     roots = []
@@ -329,7 +343,7 @@ def _split(alphabet_size: int, signatures: list[tuple],
                     off + len(register))
         joined += register
         roots.append(folded[root])
-    return _numbered(alphabet_size, joined, tuple(roots))
+    return joined, tuple(roots)
 
 
 def build_apta(samples: SampleSet) -> ThreeValuedDFA:

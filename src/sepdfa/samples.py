@@ -12,6 +12,8 @@ runs of ASCII digits.
 
 from __future__ import annotations
 
+from itertools import chain
+
 Word = tuple[int, ...]
 
 POSITIVE = "+"
@@ -126,6 +128,16 @@ def _parse_numbers(fields: list[str]) -> tuple[int, ...]:
         raise ValueError("too many digits") from None
 
 
+# Sample lines per parse chunk.  A chunk's fields are checked and
+# converted at once, and only a chunk that fails is parsed again line by
+# line, for the exact message; the bound keeps its copies small.
+_CHUNK_LINES = 1024
+# The numbers below 1024 by their text without leading zeros: looking a
+# field up here converts it and shows it ASCII digits, at a third of int()'s
+# cost.
+_SMALL = {str(i): i for i in range(1024)}
+
+
 def parse_abbadingo(text: str) -> SampleSet:
     """Parse Abbadingo One sample text.
 
@@ -150,7 +162,46 @@ def parse_abbadingo(text: str) -> SampleSet:
         raise SampleError(
             f"header declares {count} samples, file holds {len(lines) - 1}")
     words: dict[str, set[Word]] = {"1": set(), "0": set()}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        if not _add_chunk(chunk, words):
+            _add_lines(chunk, start + 1, words)  # raises at the first fault
+    return SampleSet(alphabet_size, words["1"], words["0"])
+
+
+def _add_chunk(chunk: list[str], words: dict[str, set[Word]]) -> bool:
+    """Add the words of well-formed sample lines to words by label.
+
+    One table lookup, or else one digit check and one int conversion,
+    covers all of the chunk's fields.  False if some line is malformed,
+    perhaps after adding the words of the lines before it.
+    """
+    rows = [line.split() for line in chunk]
+    try:
+        values = list(map(_SMALL.__getitem__, chain.from_iterable(rows)))
+    except KeyError:
+        digits = "".join(chain.from_iterable(rows))
+        if not (digits.isascii() and digits.isdigit()):
+            return False
+        try:
+            values = list(map(int, chain.from_iterable(rows)))
+        except ValueError:  # more digits than int() converts
+            return False
+    end = 0
+    for fields in rows:
+        start, end = end, end + len(fields)
+        labelled = words.get(fields[0]) if len(fields) > 1 else None
+        if labelled is None or values[start + 1] != len(fields) - 2:
+            return False
+        labelled.add(tuple(values[start + 2:end]))
+    return True
+
+
+def _add_lines(lines: list[str], line_no: int,
+               words: dict[str, set[Word]]) -> None:
+    """_add_chunk one line at a time, the first numbered line_no, raising
+    SampleError at the first malformed line."""
+    for line_no, line in enumerate(lines, start=line_no):
         fields = line.split()
         if len(fields) < 2:
             raise SampleError(f"line {line_no}: expected label and length")
@@ -166,7 +217,6 @@ def parse_abbadingo(text: str) -> SampleSet:
                 f"line {line_no}: declared length {numbers[0]}, "
                 f"found {len(numbers) - 1} letters")
         labelled.add(numbers[1:])
-    return SampleSet(alphabet_size, words["1"], words["0"])
 
 
 def write_abbadingo(s: SampleSet) -> str:

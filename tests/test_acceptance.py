@@ -25,7 +25,7 @@ from sepdfa.generators import (
     gen_random_dfa,
     gen_samples_from_dfa,
 )
-from sepdfa.mining import MODES, MiningError, mine_min_dfa, verify_separating
+from sepdfa.mining import MODES, mine_min_dfa, verify_separating
 from sepdfa.samples import SampleSet
 from sepdfa.solver import solve
 from test_automata import minimize_acyclic
@@ -76,19 +76,19 @@ def random_reports(solver_cmd):
     return out
 
 
-def unsat_below(samples, minimal, solver_cmd, mode="min3dfa", safety=False):
-    """Re-encode one size below the mined optimum; True when unsat."""
+def unsat_below(samples, minimal, solver_cmd, safety=False):
+    """Encode one size below the mined optimum on the acceptor of all the
+    samples, not a mine's subset of them; True when unsat."""
     floor = 2 if safety else 1
     if minimal <= floor:
         return True
+    _, formula = build_formula(minimal - 1,
+                               build_min_3dfa_incremental(samples),
+                               safety=safety)
     try:
-        mine_min_dfa(samples, mode=mode, safety=safety,
-                     solver_command=solver_cmd,
-                     n_start=minimal - 1, n_max=minimal - 1)
-    except MiningError as err:
-        attempts = err.report.attempts
-        return (len(attempts) == 1 and attempts[0].outcome == "unsat")
-    return False
+        return solve(formula, solver_cmd).outcome == "unsat"
+    finally:
+        formula.close()
 
 
 def test_criterion_1_sample_counts(parity_corpus):

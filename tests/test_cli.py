@@ -442,15 +442,15 @@ PAIR = "1 2\n1 2 0 0\n"
 class TestClaims:
     """Every claim a mine can end with, as the command line prints it.
 
-    An attempt line keeps only its size and outcome: the formula's size is
-    pinned elsewhere, and its timings vary.
+    An attempt line keeps only its size and outcome: the subset's and the
+    formula's sizes are pinned elsewhere, and its timings vary.
     """
 
     @staticmethod
     def check(capsys, err, tail):
         # the five header lines end with the lower bound; the claim follows
         captured = capsys.readouterr()
-        lines = re.sub(r" vars=.*", "", captured.out).splitlines(True)
+        lines = re.sub(r" words=.*", "", captured.out).splitlines(True)
         assert lines[4].startswith("lower bound ")
         assert "".join(lines[5:]) == tail
         assert captured.err == (f"error: {err}\n" if err else "")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdfa import encoding
+from sepdfa import encoding, mining
 from sepdfa.automata import (
     ThreeValuedDFA,
     build_apta,
@@ -1321,20 +1321,43 @@ class TestGoldenDimacs:
         assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
         # A mine grows one formula over n = 2..4 and copies the formula's
         # text of its stable part, with a seam where the formatted tail
-        # begins: every file equals that size's formula built from nothing.
-        copies = tmp_path / "copies"
-        copies.mkdir()
-        script = fake_solver(
-            f'cp "$1" "{copies}/$(ls "{copies}" | wc -l | tr -d " ").cnf"\n'
-            f'echo "s UNSATISFIABLE"\nexit 20\n', name="copier")
-        with pytest.raises(NoSeparatorError):
-            mine_min_dfa(random_corpus(), "apta", solver_command=[script],
-                         n_start=2, n_max=4)
-        for index, n in enumerate((2, 3, 4)):
-            seen = (copies / f"{index}.cnf").read_bytes()
-            formula = golden_formula(parity_corpus, "random", "apta", n, True)
-            assert formula.stable > 0
-            assert seen == dimacs_text(formula).encode()
+        # begins: every file equals the formula of that size built from
+        # nothing on the acceptor the mine handed to build_formula.  That
+        # is the prefix tree of the 50 shortest words; once the subset is
+        # every sample, the golden formulas.
+        samples = random_corpus()
+        shortest = sorted(samples.entries(), key=lambda e: (len(e[0]), e[0]))
+        first = [w for w, _ in shortest[:mining._FIRST_WORDS]]
+        subset = SampleSet(2, samples.positives & set(first),
+                           samples.negatives & set(first))
+        for whole in (False, True):
+            if whole:
+                monkeypatch.setattr(mining, "_FIRST_WORDS", samples.size)
+            handed = []
+
+            def seen_by(n, acceptor, **kwargs):
+                handed.append((n, acceptor))
+                return build_formula(n, acceptor, **kwargs)
+
+            monkeypatch.setattr(mining, "build_formula", seen_by)
+            copies = tmp_path / f"copies-{whole}"
+            copies.mkdir()
+            script = fake_solver(
+                f'cp "$1" "{copies}/$(ls "{copies}" | wc -l | tr -d " ").cnf"'
+                f'\necho "s UNSATISFIABLE"\nexit 20\n', name=f"copier{whole}")
+            with pytest.raises(NoSeparatorError):
+                mine_min_dfa(samples, "apta", solver_command=[script],
+                             n_start=2, n_max=4)
+            assert [n for n, _ in handed] == [2, 3, 4]
+            for index, (n, acceptor) in enumerate(handed):
+                assert acceptor == build_apta(samples if whole else subset)
+                seen = (copies / f"{index}.cnf").read_bytes()
+                _, formula = build_formula(n, acceptor)
+                assert formula.stable > 0
+                assert seen == dimacs_text(formula).encode()
+                if whole:
+                    assert seen == dimacs_text(golden_formula(
+                        parity_corpus, "random", "apta", n, True)).encode()
         assert hashlib.sha256(seen).hexdigest() == GOLDEN_DIMACS[key]
 
 

@@ -18,7 +18,7 @@ from sepdfa.automata import (
     build_min_3dfa_incremental,
     run,
 )
-from sepdfa.encoding import VarMap
+from sepdfa.encoding import VarMap, build_formula
 from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.mining import (
     MODES,
@@ -33,7 +33,7 @@ from sepdfa.mining import (
     verify_separating,
 )
 from sepdfa.samples import NEGATIVE, POSITIVE, SampleSet, parse_abbadingo
-from sepdfa.solver import SolverError, SolverTimeoutError
+from sepdfa.solver import SolverError, SolverTimeoutError, solve
 from test_encoding import separates, shaped_dfas
 
 words = st.lists(st.integers(0, 1), max_size=5).map(tuple)
@@ -208,31 +208,48 @@ class TestMining:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_pass_over_the_words(self, solver_cmd, monkeypatch, mode):
-        # the min3dfa build is the only reader of the sorted words; the
-        # mode's acceptor, derived from it, is the mode's builder's
-        samples = SampleSet(2, {(0, 1), (1,), ()}, {(1, 1), (0,), (0, 0, 1)})
+        # the min3dfa build is the only reader of all the sorted words; a
+        # refining mine also sorts each proper subset it builds on, and
+        # the mode's acceptor, derived from a min3dfa one, is the mode's
+        # builder's of the samples or of the subset encoded
         builders = {"apta": build_apta, "min3dfa": build_min_3dfa_incremental,
                     "ddfa": build_ddfa}
-        expected = builders[mode](samples)
-        sorts, acceptors = [], []
         entries, build = SampleSet.entries, mining.build_formula
+        for samples in (SampleSet(2, {(0, 1), (1,), ()},
+                                  {(1, 1), (0,), (0, 0, 1)}),
+                        random_row(6, 103)):
+            subsets = samples.size > 6
+            monkeypatch.setattr(mining, "_FIRST_WORDS", 10)
+            sorts, acceptors = [], []
 
-        def counted(self):
-            sorts.append(self)
-            return entries(self)
+            def counted(self):
+                sorts.append(self)
+                return entries(self)
 
-        def seen(n, acceptor, **kwargs):
-            acceptors.append(acceptor)
-            return build(n, acceptor, **kwargs)
+            def seen(n, acceptor, **kwargs):
+                acceptors.append(acceptor)
+                return build(n, acceptor, **kwargs)
 
-        monkeypatch.setattr(SampleSet, "entries", counted)
-        monkeypatch.setattr(mining, "build_formula", seen)
-        report = mine_min_dfa(samples, mode, solver_command=solver_cmd)
-        assert sorts == [samples]
-        assert report.acceptor_size == expected.state_count
-        assert acceptors and all(
-            list(a.transitions.items()) == list(expected.transitions.items())
-            and a == expected for a in acceptors)
+            monkeypatch.setattr(SampleSet, "entries", counted)
+            monkeypatch.setattr(mining, "build_formula", seen)
+            report = mine_min_dfa(samples, mode, solver_command=solver_cmd)
+            monkeypatch.setattr(SampleSet, "entries", entries)
+            assert sorts[0] is samples and samples not in sorts[1:]
+            assert report.acceptor_size == builders[mode](
+                samples).state_count
+            handed = [a for i, a in enumerate(acceptors)
+                      if not any(a is b for b in acceptors[:i])]
+            parts = sorts[1:] if subsets else [samples]
+            assert len(handed) == len(parts) == 1 + sum(
+                att.outcome == "spurious" for att in report.attempts)
+            assert (len(parts) > 1) == subsets
+            for acceptor, part in zip(handed, parts):
+                assert part.positives <= samples.positives
+                assert part.negatives <= samples.negatives
+                expected = builders[mode](part)
+                assert list(acceptor.transitions.items()) == list(
+                    expected.transitions.items())
+                assert acceptor == expected
 
     def test_unused_letters_are_not_encoded(self, solver_cmd):
         # letters 0 and 5 of 10^5: the formulas are those of two letters,
@@ -409,12 +426,13 @@ class TestMining:
                          solver_command=[script])
 
     @pytest.mark.parametrize("solver", [
-        "sat", "echo 's UNSATISFIABLE'\nexit 20\n", "exit 1\n"])
+        "sat", "refine", "echo 's UNSATISFIABLE'\nexit 20\n", "exit 1\n"])
     def test_mine_closes_its_formula(self, solver_cmd, fake_solver,
                                      monkeypatch, solver):
-        # the formula's text file is closed when the mine ends, found,
-        # exhausted or failed; the formula is kept alive here, so that its
-        # collection cannot close the file instead
+        # every formula's text file is closed when the mine ends, found,
+        # exhausted or failed, and a refining mine's discarded ones too;
+        # the formulas are kept alive here, so that their collection
+        # cannot close the files instead
         formulas, build = [], mining.build_formula
 
         def keep(*args, **kwargs):
@@ -430,15 +448,156 @@ class TestMining:
 
         monkeypatch.setattr(mining, "build_formula", keep)
         monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-        command = solver_cmd if solver == "sat" else [fake_solver(solver)]
+        command = ([fake_solver(solver)] if solver.startswith(("echo", "exit"))
+                   else solver_cmd)
+        samples, n_max = SampleSet(2, {(0,)}, {(1,)}), 2
+        if solver == "refine":
+            samples, n_max = random_row(6, 103), 6
+            monkeypatch.setattr(mining, "_FIRST_WORDS", 10)
         try:
-            report = mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
-                                  solver_command=command, n_start=1, n_max=2)
+            report = mine_min_dfa(samples, solver_command=command, n_start=1,
+                                  n_max=n_max)
         except (NoSeparatorError, SolverError) as err:
             report = err.report
-        assert (report.dfa is not None) == (solver == "sat")
-        assert formulas and files
+        assert (report.dfa is not None) == (solver in ("sat", "refine"))
+        refined = sum(att.outcome == "spurious" for att in report.attempts)
+        assert (refined > 0) == (solver == "refine")
+        # one formula per subset, grown through its sizes
+        assert len({id(f) for f in formulas}) == 1 + refined and files
         assert all(file.closed for file in files)
+
+
+def acceptor_of(mode, samples):
+    return {"apta": build_apta, "min3dfa": build_min_3dfa_incremental,
+            "ddfa": build_ddfa}[mode](samples)
+
+
+class TestSubsets:
+    """The search on a subset of the samples that grows from the replay's
+    counterexamples."""
+
+    @given(st.tuples(st.sets(words, min_size=1, max_size=10),
+                     st.sets(words, max_size=10)).map(
+               lambda pn: SampleSet(2, pn[0], pn[1] - pn[0])),
+           st.sampled_from(MODES), st.booleans(), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_unsat_holds_for_all_samples(self, solver_cmd, samples, mode,
+                                         safety, first):
+        # every size refuted on a subset is refuted on all the samples, the
+        # subset doubles at most after each failed replay and holds every
+        # sample at most, and the acceptor size is that of all samples
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mining, "_FIRST_WORDS", first)
+            patch.setattr(mining, "_SHARED", samples.size + 1)
+            try:
+                report = mine_min_dfa(samples, mode, safety=safety,
+                                      solver_command=solver_cmd)
+            except NoSeparatorError as err:
+                report = err.report
+        assert report.acceptor_size == acceptor_of(mode, samples).state_count
+        attempts = report.attempts
+        assert attempts[0].words == min(first, samples.size)
+        for att, after in zip(attempts, attempts[1:]):
+            if att.outcome == "unsat":
+                assert (after.n, after.words) == (att.n + 1, att.words)
+            else:
+                assert att.outcome == "spurious"
+                assert after.n == att.n
+                assert att.words < after.words <= min(2 * att.words,
+                                                      samples.size)
+        assert report.dfa is None or attempts[-1].outcome == "sat"
+        if report.dfa is not None:
+            assert not verify_separating(report.dfa, samples)
+        acceptor = acceptor_of(mode, samples)
+        for att in attempts:
+            if att.outcome == "unsat":
+                _, formula = build_formula(att.n, acceptor, safety=safety)
+                try:
+                    assert solve(formula, solver_cmd).outcome == "unsat"
+                finally:
+                    formula.close()
+
+    def test_first_subset_is_the_shortest_words(self, parity_corpus):
+        # in (length, ascending) order, 50 words or a share of a large set,
+        # or every word when the acceptor is small against the samples
+        for samples in (random_row(8, 105), parity_corpus(4, 7)):
+            states = -(-samples.size // mining._SHARED)
+            part = mining._first_subset(samples, states)
+            count = max(mining._FIRST_WORDS,
+                        samples.size // mining._FIRST_SHARE)
+            chosen = sorted(samples.entries(),
+                            key=lambda e: (len(e[0]), e[0]))[:count]
+            assert part.size == count < samples.size
+            assert part.positives == {w for w, label in chosen
+                                      if label == POSITIVE}
+            assert part.negatives == {w for w, label in chosen
+                                      if label == NEGATIVE}
+            assert mining._first_subset(samples, states - 1) is samples
+        assert parity_corpus(4, 7).size // mining._FIRST_SHARE > 50
+
+    def test_mislabelled_subset_word_is_internal_error(self, solver_cmd,
+                                                       monkeypatch):
+        # a decoded DFA that rejects everything mislabels the positive word
+        # (0,), the first of the subset: the formula excludes that, so the
+        # encoding or the solver is at fault
+        def reject_all(model, vm):
+            return ThreeValuedDFA(
+                vm.alphabet_size, 1, (0,),
+                {(0, a): 0 for a in range(vm.alphabet_size)},
+                frozenset(), frozenset({0}))
+
+        samples = SampleSet(2, {(0,), (0, 0, 1)}, {(1,), (1, 1), (0, 1, 1)})
+        monkeypatch.setattr(mining, "_FIRST_WORDS", 1)
+        monkeypatch.setattr(mining, "_SHARED", samples.size + 1)
+        monkeypatch.setattr(mining, "decode_model", reject_all)
+        with pytest.raises(MiningError, match="^internal error: mined DFA "
+                           "violates 1 samples$") as exc:
+            mine_min_dfa(samples, solver_command=solver_cmd, n_start=2)
+        assert [(a.n, a.outcome, a.words)
+                for a in exc.value.report.attempts] == [(2, "sat", 1)]
+
+    def test_mislabelled_outside_words_refine(self, solver_cmd, monkeypatch):
+        # a DFA that accepts everything separates the one positive word of
+        # the first subset, so its negatives join, shortest first, until the
+        # subset mislabels one of its own
+        def accept_all(model, vm):
+            return ThreeValuedDFA(
+                vm.alphabet_size, 1, (0,),
+                {(0, a): 0 for a in range(vm.alphabet_size)},
+                frozenset({0}), frozenset())
+
+        samples = SampleSet(2, {()}, {(1,), (0, 0), (1, 1), (0, 1, 1)})
+        monkeypatch.setattr(mining, "_FIRST_WORDS", 1)
+        monkeypatch.setattr(mining, "_SHARED", samples.size + 1)
+        monkeypatch.setattr(mining, "decode_model", accept_all)
+        with pytest.raises(MiningError, match="violates 1 samples$") as exc:
+            mine_min_dfa(samples, solver_command=solver_cmd, n_start=2)
+        assert [(a.n, a.outcome, a.words)
+                for a in exc.value.report.attempts] == [
+            (2, "spurious", 1), (2, "sat", 2)]
+
+    def test_apta_never_builds_the_whole_tree(self, solver_cmd, parity_corpus,
+                                              monkeypatch):
+        # parity (4,8) has a prefix tree of 30,988 states; the subsets'
+        # trees settle the safety minimum far below that
+        samples = parity_corpus(4, 8)
+        built, unfold = [], mining._DERIVATIONS["apta"]
+
+        def counted(*args):
+            tree = unfold(*args)
+            built.append(tree.state_count)
+            return tree
+
+        def no_apta(samples):
+            raise AssertionError("prefix tree built from the words")
+
+        monkeypatch.setitem(mining._DERIVATIONS, "apta", counted)
+        monkeypatch.setattr(automata, "build_apta", no_apta)
+        report = mine_min_dfa(samples, "apta", safety=True, n_max=5,
+                              solver_command=solver_cmd)
+        assert report.minimal_size == 5 and report.claim == "minimal size 5"
+        assert report.acceptor_size == 30988
+        assert built and max(built) < 30988 // 4
 
 
 class TestSafetyMining:
@@ -559,7 +718,7 @@ class TestReportText:
         # the search decides the claim; to_text prints it as set
         sink = dfa(2, n, {(q, a): n - 1 for q in range(n) for a in range(2)},
                    {0})
-        attempts = [SizeAttempt(m, outcome, 1, 1, 0.0, 0.0)
+        attempts = [SizeAttempt(m, outcome, 1, 1, 1, 0.0, 0.0)
                     for m, outcome in tried + [(n, "sat")]]
         report = MiningReport("min3dfa", safety, True, n, lower, attempts,
                               sink)
@@ -571,11 +730,11 @@ class TestReportText:
 
     def test_attempt_line_shows_encode_time(self, solver_cmd):
         report = MiningReport("apta", False, True, 3, 2, [
-            SizeAttempt(1, "unsat", 5, 7, encode_seconds=0.0123,
+            SizeAttempt(1, "unsat", 40, 5, 7, encode_seconds=0.0123,
                         solve_seconds=0.5)])
         # perfbench/checks.py reads "n=<n> <sat|unsat> " off each line
         assert report.to_text().splitlines()[-1] == (
-            "n=1 unsat vars=5 clauses=7 encode=0.012s time=0.500s")
+            "n=1 unsat words=40 vars=5 clauses=7 encode=0.012s time=0.500s")
         mined = mine_min_dfa(SampleSet(2, {(0,)}, {(1,)}),
                              solver_command=solver_cmd)
         assert len(mined.attempts) == 2
@@ -627,7 +786,62 @@ def distinguished(samples, u, v):
     return False
 
 
+def greedy_clique(acceptor):
+    """incompatible_clique without its colouring bound, as it was before
+    the bound: every seed whose degree could give a larger clique is
+    grown."""
+    incompatible = _incompatible_sets(acceptor)
+    degrees = [bits.bit_count() for bits in incompatible]
+    best = [0]
+    for v in sorted(range(len(incompatible)), key=lambda q: -degrees[q]):
+        if degrees[v] < len(best):
+            break
+        clique = [v]
+        candidates = incompatible[v]
+        while candidates and len(clique) + candidates.bit_count() > len(best):
+            pick, most = -1, -1
+            rest = candidates
+            while rest:
+                low = rest & -rest
+                c = low.bit_length() - 1
+                rest ^= low
+                degree = (incompatible[c] & candidates).bit_count()
+                if degree > most:
+                    pick, most = c, degree
+            clique.append(pick)
+            candidates &= incompatible[pick]
+        if len(clique) > len(best):
+            best = clique
+    return tuple(sorted(best))
+
+
+def random_row(n_states, seed):
+    """The acceptance suite's corpus of a hidden random DFA."""
+    return gen_samples_from_dfa(gen_random_dfa(n_states, 2, seed),
+                                50 * n_states, 2 * n_states + 3, seed=seed)
+
+
 class TestIncompatibleClique:
+    @given(small_sets)
+    @settings(max_examples=100)
+    def test_colouring_keeps_the_greedy_clique(self, samples):
+        for build in (build_apta, build_min_3dfa_incremental, build_ddfa):
+            acceptor = build(samples)
+            assert incompatible_clique(acceptor) == greedy_clique(acceptor)
+
+    @pytest.mark.parametrize("row", [
+        ("random", 4, 101), ("random", 5, 102), ("random", 6, 103),
+        ("random", 7, 104), ("random", 8, 105), ("random", 10, 1001),
+        ("random", 12, 1201), ("random", 14, 1401), ("random", 16, 1601),
+        ("random", 20, 2001), ("parity", 3, 5), ("parity", 4, 7),
+        ("parity", 4, 8)], ids=str)
+    def test_colouring_keeps_the_greedy_clique_on_rows(self, parity_corpus,
+                                                       row):
+        kind, a, b = row
+        samples = parity_corpus(a, b) if kind == "parity" else random_row(a, b)
+        acceptor = build_min_3dfa_incremental(samples)
+        assert incompatible_clique(acceptor) == greedy_clique(acceptor)
+
     @given(small_sets)
     @settings(max_examples=60)
     def test_pairs_match_all_pairs_fixpoint(self, samples):

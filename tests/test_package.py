@@ -80,7 +80,8 @@ RECORDS = {
     "ParityConfig": (lambda: sepdfa.ParityConfig(2, 3), "length"),
     "SolverVerdict": (lambda: sepdfa.SolverVerdict("sat", b"\0\2", 0.5),
                       "model"),
-    "SizeAttempt": (lambda: sepdfa.SizeAttempt(3, "unsat", 10, 20, 0.1, 0.2),
+    "SizeAttempt": (lambda: sepdfa.SizeAttempt(3, "unsat", 9, 10, 20, 0.1,
+                                                      0.2),
                     "outcome"),
     "MiningReport": (lambda: sepdfa.MiningReport("apta", False, True, 4, 2),
                      "claim"),

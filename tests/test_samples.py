@@ -1,12 +1,15 @@
 """Sample-set container, ordering, and Abbadingo round trips."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import sepdfa
+from sepdfa import samples as samples_module
+from sepdfa.generators import gen_random_dfa, gen_samples_from_dfa
 from sepdfa.samples import (
     NEGATIVE,
     POSITIVE,
@@ -196,3 +199,67 @@ class TestAbbadingo:
     def test_blank_lines_still_rejected(self, text):
         with pytest.raises(SampleError):
             parse_abbadingo(text)
+
+
+def parse_line_by_line(text):
+    """parse_abbadingo with every sample line parsed on its own."""
+    lines = text.splitlines()
+    words = {"1": set(), "0": set()}
+    samples_module._add_lines(lines[1:], 2, words)
+    return SampleSet(int(lines[0].split()[1]), words["1"], words["0"])
+
+
+class TestChunkedParse:
+    @given(st.sets(words, max_size=12), st.sets(words, max_size=12),
+           st.integers(1, 5), st.data())
+    def test_chunks_change_nothing(self, pos, neg, chunk, data):
+        # small chunks put seams everywhere; a fault in any line is named
+        # by that line, whichever chunk holds it
+        text = write_abbadingo(SampleSet(3, pos, neg - pos))
+        lines = text.splitlines()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(samples_module, "_CHUNK_LINES", chunk)
+            assert parse_abbadingo(text) == parse_line_by_line(text)
+            if len(lines) > 1:
+                bad = data.draw(st.integers(1, len(lines) - 1))
+                fault = data.draw(st.sampled_from(
+                    ["2 0", "1", "1 x", "1 2 0", "1 1 \u00b2", "1 01 0 0"]))
+                lines[bad] = fault
+                broken = "\n".join(lines) + "\n"
+                try:
+                    parse_line_by_line(broken)
+                except SampleError as err:
+                    expected = str(err)
+                else:  # "1 01 0 0" is a word of length 1, well formed
+                    assert parse_abbadingo(broken) == parse_line_by_line(
+                        broken)
+                    return
+                with pytest.raises(SampleError) as exc:
+                    parse_abbadingo(broken)
+                assert str(exc.value) == expected
+                assert expected.startswith(f"line {bad + 1}: ")
+
+    def test_numbers_past_the_table(self):
+        # letters and lengths of 1024 and more, and leading zeros, take the
+        # digit check and int() instead of the table
+        text = "3 2000\n1 2 1999 0\n0 0001 1024\n1 1 007\n"
+        assert parse_abbadingo(text) == SampleSet(
+            2000, {(1999, 0), (7,)}, {(1024,)})
+
+    def test_memory_goes_by_lines(self):
+        # a chunk's rows and numbers are the only copies the chunked parse
+        # adds: its peak stays near the line-by-line parse's (0.7 times on
+        # this file), where one chunk of the whole file took 1.9 times
+        hidden = gen_random_dfa(8, 4, seed=3)
+        text = write_abbadingo(gen_samples_from_dfa(hidden, 20000, 12,
+                                                    seed=3))
+        peaks = []
+        for parse in (parse_abbadingo, parse_line_by_line):
+            tracemalloc.start()
+            try:
+                parsed = parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert parsed.size > 15000
+        assert peaks[0] < 1.25 * peaks[1]
