@@ -5,7 +5,8 @@ keeps the working automaton minimal while samples stream in ascending
 order, and the double automaton that places one minimal acceptor per
 polarity side by side, each with its own initial state.  The three
 builders take a SampleSet and return a ThreeValuedDFA.  Only the
-incremental construction reads the words, in entries() order; the
+incremental construction reads the words, in one pass over the set's
+entries(), ascending as the set stores them: no builder sorts.  The
 prefix tree is unfolded from its register of minimal states and the
 double automaton split from it, and a mine derives both from the
 minimal acceptor it has already built.  Every minimal acceptor is
@@ -173,71 +174,44 @@ def canonical_form(a: ThreeValuedDFA) -> ThreeValuedDFA:
     return _numbered(a.alphabet_size, _signatures(a), a.initials)
 
 
-class _IncrementalBuilder:
-    """Grows a minimal acyclic automaton from ascending samples.
-
-    Only the latest word's path is unminimised: a stack of [status,
-    children] entries, root first.  The register numbers every other
-    state by its (status, children) signature, for good.  A new word
-    folds the stacked states below its common prefix with the previous
-    word into the register and pushes its suffix.  The registered and
-    stacked states never outnumber the distinct prefixes of the words
-    added so far.
-    """
-
-    def __init__(self):
-        self.register: dict[tuple, int] = {}
-        self.stack: list[list] = [[DONT_CARE, {}]]
-        self.prev: Word = ()
-
-    def _fold(self, depth: int) -> int | None:
-        """Register the stacked states below depth, deepest first.
-
-        Each becomes its parent's last child, keeping children in letter
-        order.  Returns the root's number once the root is folded.
-        """
-        stack, register = self.stack, self.register
-        while len(stack) > depth:
-            status, kids = stack.pop()
-            q = register.setdefault((status, tuple(kids.items())),
-                                    len(register))
-            if not stack:
-                return q
-            stack[-1][1][self.prev[len(stack) - 1]] = q
-        return None
-
-    def add(self, w: Word, label: str) -> None:
-        common = 0
-        for a, b in zip(w, self.prev):
-            if a != b:
-                break
-            common += 1
-        self._fold(common + 1)
-        self.stack.extend([DONT_CARE, {}] for _ in range(common, len(w)))
-        self.stack[-1][0] = label
-        self.prev = w
-
-    def finish(self) -> tuple[list[tuple], int]:
-        """Fold the last word in; return the signatures and the root.
-
-        Signature q is state q's (status, ((letter, successor), ...)),
-        letters ascending, for each state reachable from the root; the
-        builders number them by canonical_form's rule or derive from them.
-        """
-        root = self._fold(0)
-        return list(self.register), root
-
-
 def _incremental(samples: SampleSet) -> tuple[list[tuple], int]:
     """The register of the samples' minimal acceptor, and its root.
 
-    The one construction that reads the sample words: every builder
-    below derives its acceptor from this register.
+    The one construction that reads the sample words, in one pass over
+    the ascending entries: every builder below derives its acceptor from
+    this register.  Only the latest word's path is unminimised: a stack
+    of [status, children] entries, root first.  The register numbers
+    every other state by its (status, ((letter, successor), ...))
+    signature, for good.  A new word folds the stacked states below its
+    common prefix with the previous word into the register, deepest
+    first, each becoming its parent's last child, so children stay in
+    letter order; then it pushes its suffix.  The registered and stacked
+    states never outnumber the distinct prefixes of the words read so
+    far.  Returns the signatures, the q-th that of state q, for each
+    state the root reaches, and the root's number.
     """
-    builder = _IncrementalBuilder()
+    register: dict[tuple, int] = {}
+    stack: list[list] = [[DONT_CARE, {}]]
+    prev: Word = ()
     for w, label in samples.entries():
-        builder.add(w, label)
-    return builder.finish()
+        common = 0
+        for a, b in zip(w, prev):
+            if a != b:
+                break
+            common += 1
+        while len(stack) > common + 1:
+            status, kids = stack.pop()
+            stack[-1][1][prev[len(stack) - 1]] = register.setdefault(
+                (status, tuple(kids.items())), len(register))
+        stack.extend([DONT_CARE, {}] for _ in range(common, len(w)))
+        stack[-1][0] = label
+        prev = w
+    while True:  # fold the last word's path, the root last
+        status, kids = stack.pop()
+        q = register.setdefault((status, tuple(kids.items())), len(register))
+        if not stack:
+            return list(register), q
+        stack[-1][1][prev[len(stack) - 1]] = q
 
 
 def _post_order(signatures: list[tuple], root: int) -> list[int]:

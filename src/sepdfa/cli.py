@@ -118,9 +118,9 @@ def cmd_mine(args) -> int:
 def cmd_gen_parity(args) -> int:
     samples = gen_parity_samples(ParityConfig(args.colours, args.length))
     _write_text(args.out, write_abbadingo(samples))
-    print(f"wrote {samples.size} samples "
-          f"({len(samples.positives)} positive, "
-          f"{len(samples.negatives)} negative) to {args.out}")
+    positives = [label for _, label in samples.entries()].count(POSITIVE)
+    print(f"wrote {samples.size} samples ({positives} positive, "
+          f"{samples.size - positives} negative) to {args.out}")
     return EXIT_OK
 
 

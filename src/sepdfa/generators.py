@@ -19,7 +19,7 @@ from .automata import (
     canonical_form,
     run,
 )
-from .samples import POSITIVE, SampleSet, Word, _Record
+from .samples import NEGATIVE, POSITIVE, SampleSet, Word, _Record
 
 
 # Work limits of the corpus generators: parity words enumerated, and
@@ -74,7 +74,9 @@ def gen_parity_samples(cfg: ParityConfig) -> SampleSet:
     Words are walked depth first on their per-prefix state (_parity_step,
     memoised), so each label costs O(1) rather than the O(L^2) of
     scanning the word's cycles, and a prefix that has closed both a
-    winning and a losing cycle is dropped with all its completions.  A
+    winning and a losing cycle is dropped with all its completions.  The
+    walk takes the colours in ascending order, so it lists the words
+    ascending, and the sample set keeps them in that order unsorted.  A
     request for more than WORD_BUDGET words is refused before any is
     built, with a message that names the count as a power: colours**length
     may have too many digits to print.
@@ -99,22 +101,21 @@ def gen_parity_samples(cfg: ParityConfig) -> SampleSet:
                     found.append((colour, nxt))
         return found
 
-    positives = []
-    negatives = []
+    entries: list[tuple[Word, str]] = []  # ascending: the walk's order
 
     def walk(prefix: Word, state: tuple, remaining: int) -> None:
         if remaining == 1:
             for colour, (*_, winning, losing) in live_successors(state):
                 if winning:
-                    positives.append(prefix + (colour,))
+                    entries.append((prefix + (colour,), POSITIVE))
                 elif losing:
-                    negatives.append(prefix + (colour,))
+                    entries.append((prefix + (colour,), NEGATIVE))
             return
         for colour, nxt in live_successors(state):
             walk(prefix + (colour,), nxt, remaining - 1)
 
     walk((), (None,) * cfg.colours + (False, False), cfg.length)
-    return SampleSet(cfg.colours, frozenset(positives), frozenset(negatives))
+    return SampleSet._of(cfg.colours, entries)
 
 
 def gen_random_dfa(size: int, alphabet_size: int = 2,
@@ -196,8 +197,8 @@ def gen_samples_from_dfa(dfa: ThreeValuedDFA, count: int, max_len: int,
         while len(words) < count:
             length = rng.randint(0, max_len)
             words.add(tuple(rng.randrange(k) for _ in range(length)))
-    positives = frozenset(w for w in words if run(dfa, w) == POSITIVE)
-    return SampleSet(k, positives, frozenset(words) - positives)
+    return SampleSet._of(k, [
+        (w, POSITIVE if run(dfa, w) == POSITIVE else NEGATIVE) for w in words])
 
 
 def parity_stats(cfg: ParityConfig) -> tuple:

@@ -18,7 +18,8 @@ replayed on every sample.  The decoded DFA is a ThreeValuedDFA too.
 from __future__ import annotations
 
 import time
-from itertools import chain, repeat
+from itertools import compress, count, islice
+from operator import itemgetter
 
 from . import automata
 from .automata import (AutomatonFormatError, ThreeValuedDFA, _check_dfa,
@@ -278,23 +279,37 @@ def _renamed(acceptor: ThreeValuedDFA,
         acceptor.accepting, acceptor.rejecting)
 
 
-def _shortest_first(entry: tuple[Word, str]) -> tuple[int, Word]:
-    return len(entry[0]), entry[0]
+def _shortest(entries: list[tuple[Word, str]],
+              size: int) -> list[tuple[Word, str]]:
+    """The size shortest of the ascending (word, label) entries in
+    (length, ascending) order, still ascending.
+
+    Counts the lengths, not the words: the cut is the length of the
+    size-th shortest word, every shorter word is kept, and of the words
+    of the cut's length the first ones, as many as the count leaves room
+    for.
+    """
+    lengths = list(map(len, map(itemgetter(0), entries)))
+    if size >= len(lengths):
+        return list(entries)
+    ordered = sorted(lengths)
+    cut = ordered[size - 1]
+    keep = list(map(cut.__gt__, lengths))
+    at_cut = compress(count(), map(cut.__eq__, lengths))
+    for i in islice(at_cut, ordered[:size].count(cut)):
+        keep[i] = True
+    return list(compress(entries, keep))
 
 
-def _joined(samples: SampleSet, part: SampleSet, entries, count: int
-            ) -> SampleSet:
-    """part and the count shortest of the (word, label) entries, in
-    (length, ascending) order; samples itself once that is all of them."""
-    from heapq import nsmallest  # only a mine picks words
-
-    picked = nsmallest(count, entries, key=_shortest_first)
+def _joined(samples: SampleSet, part: SampleSet,
+            entries: list[tuple[Word, str]], size: int) -> SampleSet:
+    """part and the size shortest of the ascending (word, label) entries,
+    words outside part, in (length, ascending) order; samples itself once
+    that is all of them."""
+    picked = _shortest(entries, size)
     if part.size + len(picked) == samples.size:
         return samples
-    return SampleSet(
-        samples.alphabet_size,
-        part.positives.union(w for w, label in picked if label == POSITIVE),
-        part.negatives.union(w for w, label in picked if label == NEGATIVE))
+    return SampleSet._of(samples.alphabet_size, part.entries() + picked)
 
 
 def _first_subset(samples: SampleSet, states: int) -> SampleSet:
@@ -302,9 +317,8 @@ def _first_subset(samples: SampleSet, states: int) -> SampleSet:
     all of them has the given number of states."""
     if states * _SHARED < samples.size:
         return samples
-    entries = chain(zip(samples.positives, repeat(POSITIVE)),
-                    zip(samples.negatives, repeat(NEGATIVE)))
-    return _joined(samples, SampleSet(samples.alphabet_size, (), ()), entries,
+    return _joined(samples, SampleSet(samples.alphabet_size, (), ()),
+                   samples.entries(),
                    max(_FIRST_WORDS, samples.size // _FIRST_SHARE))
 
 
@@ -321,21 +335,23 @@ def verify_separating(dfa: ThreeValuedDFA,
             f"alphabet mismatch: automaton has {dfa.alphabet_size}, "
             f"samples have {samples.alphabet_size}")
     # The samples' letters lie in the alphabet and the DFA is complete, so
-    # each word replays through per-state rows of targets, unchecked.
+    # each word replays through per-state rows of targets, unchecked, to a
+    # state that accepts or rejects.  The entries ascend, and so do the
+    # violations.
     rows = [[0] * dfa.alphabet_size for _ in range(dfa.state_count)]
     for (q, a), r in dfa.transitions.items():
         rows[q][a] = r
+    labels = [NEGATIVE] * dfa.state_count
+    for q in dfa.accepting:
+        labels[q] = POSITIVE
     start = dfa.initials[0]
     violations = []
-    for words, label, wrong in ((samples.positives, POSITIVE, dfa.rejecting),
-                                (samples.negatives, NEGATIVE, dfa.accepting)):
-        for w in words:
-            q = start
-            for a in w:
-                q = rows[q][a]
-            if q in wrong:
-                violations.append((w, label))
-    violations.sort()
+    for entry in samples.entries():
+        q = start
+        for a in entry[0]:
+            q = rows[q][a]
+        if labels[q] != entry[1]:
+            violations.append(entry)
     return violations
 
 

@@ -1,18 +1,24 @@
 """Labelled word samples and the Abbadingo One text format.
 
 Words are tuples of letter indices drawn from a fixed-size alphabet.  A
-SampleSet, the one sample type from parser to acceptor builders, keeps
-disjoint positive and negative example words; every word mentioned in
-neither set is implicitly a don't-care.  SampleSet.entries() lists the
-labelled words in ascending order, the order the builders consume.
-SampleSet is the one checker of letters and labels; parse_abbadingo checks
-only the file format, whose numbers, like those of automaton dumps, are
-runs of ASCII digits.
+SampleSet, the one sample type from parser to acceptor builders, holds
+labelled example words, no word under both labels; every word mentioned
+under neither label is implicitly a don't-care.  Its one representation is
+the list of (word, label) pairs, words ascending, that entries() returns:
+the order the builders, the writer and the replay consume.  It is sorted
+once, when the set is made, and not at all when its producer already gave
+ascending words, as the parser does on a sorted file and the parity
+generator always does; the positive and negative frozensets are derived
+from it on first use.  SampleSet is the one checker of letters and labels;
+parse_abbadingo checks only the file format, whose numbers, like those of
+automaton dumps, are runs of ASCII digits.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections.abc import Iterable
+from itertools import chain, islice, repeat
+from operator import itemgetter, lt
 
 Word = tuple[int, ...]
 
@@ -74,42 +80,123 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+_word = itemgetter(0)
+
+
+def _ascending(words: list[Word]) -> bool:
+    """Whether the words ascend strictly: one C-level pass over the
+    adjacent pairs."""
+    return all(map(lt, words, islice(words, 1, None)))
+
+
 class SampleSet(_Record):
-    """Positive and negative example words over a fixed alphabet."""
+    """Labelled example words over a fixed alphabet.
 
-    __slots__ = ("alphabet_size", "positives", "negatives")
+    Made from positive and negative words, any iterables, a word repeated
+    under one label counting once; SampleSet._of makes one from a list of
+    (word, label) pairs.  Equal and hashed by its alphabet size and its
+    positives and negatives frozensets.
+    """
 
-    def __init__(self, alphabet_size: int, positives: frozenset[Word],
-                 negatives: frozenset[Word]) -> None:
+    __slots__ = ("alphabet_size", "_entries", "_positives", "_negatives")
+
+    def __init__(self, alphabet_size: int, positives: Iterable[Word],
+                 negatives: Iterable[Word]) -> None:
+        self._settle(alphabet_size,
+                     [*zip(positives, repeat(POSITIVE)),
+                      *zip(negatives, repeat(NEGATIVE))])
+
+    @classmethod
+    def _of(cls, alphabet_size: int,
+            entries: list[tuple[Word, str]]) -> SampleSet:
+        """The set of the (word, label) pairs, labels POSITIVE or NEGATIVE.
+
+        The set keeps the list, sorting it in place unless its words
+        already ascend: the caller hands it over.
+        """
+        samples = cls.__new__(cls)
+        samples._settle(alphabet_size, entries)
+        return samples
+
+    def _settle(self, alphabet_size: int,
+                entries: list[tuple[Word, str]]) -> None:
+        """Check and keep the entries, sorted by word if they are not.
+
+        Sorting makes a repeated word its own neighbour: a repeat under the
+        same label is dropped, and one under the other label raises,
+        naming the smallest such word.  The letters are checked at once,
+        by the least and greatest of the set of all of them; only a fault
+        is looked for word by word, to name the first word that holds it.
+        """
         if alphabet_size < 1:
             raise SampleError("alphabet size must be at least 1")
+        words = list(map(_word, entries))
+        if not _ascending(words):
+            entries.sort(key=_word)  # stable, and by the words alone
+            words = list(map(_word, entries))
+            if not _ascending(words):
+                entries = _distinct(entries)
+                words = list(map(_word, entries))
+        letters = set().union(*words)
+        if letters and not 0 <= min(letters) <= max(letters) < alphabet_size:
+            for w in words:
+                _check_word(w, alphabet_size)
         self.alphabet_size = alphabet_size
-        self.positives = frozenset(positives)
-        self.negatives = frozenset(negatives)
-        overlap = self.positives & self.negatives
-        if overlap:
-            w = sorted(overlap)[0]
-            raise ConflictingLabelsError(
-                f"word {w!r} labelled both positive and negative")
-        for w in self.positives:
-            _check_word(w, self.alphabet_size)
-        for w in self.negatives:
-            _check_word(w, self.alphabet_size)
+        self._entries = entries
+
+    def _fields(self) -> tuple:
+        return self.alphabet_size, self.positives, self.negatives
+
+    def __repr__(self) -> str:
+        return (f"SampleSet(alphabet_size={self.alphabet_size!r}, "
+                f"positives={self.positives!r}, "
+                f"negatives={self.negatives!r})")
+
+    @property
+    def positives(self) -> frozenset[Word]:
+        try:
+            return self._positives
+        except AttributeError:
+            self._positives = self._labelled(POSITIVE)
+            return self._positives
+
+    @property
+    def negatives(self) -> frozenset[Word]:
+        try:
+            return self._negatives
+        except AttributeError:
+            self._negatives = self._labelled(NEGATIVE)
+            return self._negatives
+
+    def _labelled(self, label: str) -> frozenset[Word]:
+        return frozenset([w for w, of in self._entries if of == label])
 
     @property
     def size(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return len(self._entries)
 
     def entries(self) -> list[tuple[Word, str]]:
         """(word, label) pairs, words ascending as tuples.
 
         The first differing letter decides, and a proper prefix comes
-        before its extensions.  The list is built afresh on every call.
+        before its extensions.  The list is the set's own, sorted when the
+        set was made: read it, do not change it.
         """
-        entries = [(w, POSITIVE) for w in self.positives]
-        entries += [(w, NEGATIVE) for w in self.negatives]
-        entries.sort(key=lambda e: e[0])  # words only: faster, and distinct
-        return entries
+        return self._entries
+
+
+def _distinct(entries: list[tuple[Word, str]]) -> list[tuple[Word, str]]:
+    """Entries sorted by word, each word once; raises
+    ConflictingLabelsError at the first word under both labels."""
+    kept = entries[:1]
+    for entry in islice(entries, 1, None):
+        last = kept[-1]
+        if entry[0] != last[0]:
+            kept.append(entry)
+        elif entry[1] != last[1]:
+            raise ConflictingLabelsError(
+                f"word {entry[0]!r} labelled both positive and negative")
+    return kept
 
 
 def _parse_numbers(fields: list[str]) -> tuple[int, ...]:
@@ -161,20 +248,24 @@ def parse_abbadingo(text: str) -> SampleSet:
     if len(lines) - 1 != count:
         raise SampleError(
             f"header declares {count} samples, file holds {len(lines) - 1}")
-    words: dict[str, set[Word]] = {"1": set(), "0": set()}
+    entries: list[tuple[Word, str]] = []
     for start in range(1, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
-        if not _add_chunk(chunk, words):
-            _add_lines(chunk, start + 1, words)  # raises at the first fault
-    return SampleSet(alphabet_size, words["1"], words["0"])
+        if not _add_chunk(chunk, entries):
+            _add_lines(chunk, start + 1, entries)  # raises at the first fault
+    return SampleSet._of(alphabet_size, entries)
 
 
-def _add_chunk(chunk: list[str], words: dict[str, set[Word]]) -> bool:
-    """Add the words of well-formed sample lines to words by label.
+# A sample line's label field -> its label.
+_LABELS = {"1": POSITIVE, "0": NEGATIVE}
+
+
+def _add_chunk(chunk: list[str], entries: list[tuple[Word, str]]) -> bool:
+    """Append the (word, label) pairs of well-formed sample lines.
 
     One table lookup, or else one digit check and one int conversion,
     covers all of the chunk's fields.  False if some line is malformed,
-    perhaps after adding the words of the lines before it.
+    perhaps after appending the pairs of the lines before it.
     """
     rows = [line.split() for line in chunk]
     try:
@@ -190,23 +281,23 @@ def _add_chunk(chunk: list[str], words: dict[str, set[Word]]) -> bool:
     end = 0
     for fields in rows:
         start, end = end, end + len(fields)
-        labelled = words.get(fields[0]) if len(fields) > 1 else None
-        if labelled is None or values[start + 1] != len(fields) - 2:
+        label = _LABELS.get(fields[0]) if len(fields) > 1 else None
+        if label is None or values[start + 1] != len(fields) - 2:
             return False
-        labelled.add(tuple(values[start + 2:end]))
+        entries.append((tuple(values[start + 2:end]), label))
     return True
 
 
 def _add_lines(lines: list[str], line_no: int,
-               words: dict[str, set[Word]]) -> None:
+               entries: list[tuple[Word, str]]) -> None:
     """_add_chunk one line at a time, the first numbered line_no, raising
     SampleError at the first malformed line."""
     for line_no, line in enumerate(lines, start=line_no):
         fields = line.split()
         if len(fields) < 2:
             raise SampleError(f"line {line_no}: expected label and length")
-        labelled = words.get(fields[0])
-        if labelled is None:
+        label = _LABELS.get(fields[0])
+        if label is None:
             raise SampleError(f"line {line_no}: label must be 0 or 1")
         try:
             numbers = _parse_numbers(fields[1:])
@@ -216,7 +307,7 @@ def _add_lines(lines: list[str], line_no: int,
             raise SampleError(
                 f"line {line_no}: declared length {numbers[0]}, "
                 f"found {len(numbers) - 1} letters")
-        labelled.add(numbers[1:])
+        entries.append((numbers[1:], label))
 
 
 def write_abbadingo(s: SampleSet) -> str:
@@ -228,6 +319,7 @@ def write_abbadingo(s: SampleSet) -> str:
     lines = [f"{s.size} {s.alphabet_size}"]
     for w, label in s.entries():
         bit = "1" if label == POSITIVE else "0"
-        parts = [bit, str(len(w))] + [str(a) for a in w]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+        lines.append(f"{bit} {len(w)} {' '.join(map(str, w))}" if w
+                     else f"{bit} 0")
+    lines.append("")  # the final newline
+    return "\n".join(lines)

@@ -3,11 +3,12 @@
 minimize_acyclic, the batch minimisation of an acyclic acceptor, is the
 reference the incremental construction is held to here and in
 test_acceptance.  trie_apta and two_builder_ddfa, a trie grown word by word
-and one incremental builder per polarity, are the references the prefix
-tree and the double automaton derived from the incremental register are
-held to, stored transition order included.
+and one incremental construction per polarity, are the references the
+prefix tree and the double automaton derived from the incremental register
+are held to, stored transition order included.
 """
 
+import sys
 import time
 import tracemalloc
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from sepdfa.automata import (
     AutomatonFormatError,
-    _IncrementalBuilder,
+    _incremental,
     _numbered,
     _signatures,
     _split,
@@ -118,14 +119,11 @@ def trie_apta(samples: SampleSet) -> ThreeValuedDFA:
 
 
 def two_builder_ddfa(samples: SampleSet) -> ThreeValuedDFA:
-    """One incremental builder per polarity, fed in one pass over the
-    entries, their registers joined and numbered by canonical_form's rule."""
-    builders = {POSITIVE: _IncrementalBuilder(),
-                NEGATIVE: _IncrementalBuilder()}
-    for w, label in samples.entries():
-        builders[label].add(w, label)
-    signatures, pos_root = builders[POSITIVE].finish()
-    negatives, neg_root = builders[NEGATIVE].finish()
+    """One incremental construction per polarity, each on that polarity's
+    words, their registers joined and numbered by canonical_form's rule."""
+    k = samples.alphabet_size
+    signatures, pos_root = _incremental(SampleSet(k, samples.positives, ()))
+    negatives, neg_root = _incremental(SampleSet(k, (), samples.negatives))
     off = len(signatures)
     signatures += [(status, tuple((a, r + off) for a, r in kids))
                    for status, kids in negatives]
@@ -385,21 +383,29 @@ class TestIncremental:
 
     @given(sample_sets)
     def test_peak_live_bounded_by_prefix_count(self, s):
-        class Builder(_IncrementalBuilder):
-            peak_live = 1  # registered plus stacked states, at most
+        # registered plus stacked states, read from the construction's
+        # locals before each line it runs; 0 until one is read
+        peak = [0]
 
-            def add(self, w, label):
-                super().add(w, label)
-                self.peak_live = max(self.peak_live,
-                                     len(self.register) + len(self.stack))
+        def lines(frame, event, arg):
+            names = frame.f_locals
+            if "register" in names and "stack" in names:
+                peak[0] = max(peak[0],
+                              len(names["register"]) + len(names["stack"]))
+            return lines
 
-        builder = Builder()
-        for w, label in s.entries():
-            builder.add(w, label)
-        builder.finish()
+        def calls(frame, event, arg):
+            return lines if frame.f_code is _incremental.__code__ else None
+
+        outer = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            _incremental(s)
+        finally:
+            sys.settrace(outer)
         prefixes = {w[:i] for w in s.positives | s.negatives
                     for i in range(len(w) + 1)} | {()}
-        assert builder.peak_live <= len(prefixes)
+        assert 0 < peak[0] <= len(prefixes)
 
     def test_empty_word_first_sample(self):
         s = SampleSet(2, {()}, {(0,)})

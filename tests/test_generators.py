@@ -247,6 +247,23 @@ def test_gen_random_output_is_pinned(size, seed):
             == GEN_RANDOM_SHA256[(size, seed)])
 
 
+# sha256 of the sample file that `gen-parity --colours C --length L` writes,
+# for the corpora of the parity-safety benchmark: the walk lists the words
+# ascending, and the file keeps that order.
+GEN_PARITY_SHA256 = {
+    (3, 5): "a9c8ee54e39031c983cc11fa4ad25cc510a66d3da1ee54d510f4e8809c43cde6",
+    (4, 7): "d176f8c5f9d36ff3262ef1c97ead2e8d9c3f943fe379b90c52e377300fe7fb02",
+    (4, 8): "83e55678155b89fa2262eaf29ac8b4f427fbac2d2e5c67e6e5dbb82084559178",
+}
+
+
+@pytest.mark.parametrize("colours,length", sorted(GEN_PARITY_SHA256))
+def test_gen_parity_output_is_pinned(colours, length):
+    text = write_abbadingo(gen_parity_samples(ParityConfig(colours, length)))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == GEN_PARITY_SHA256[(colours, length)])
+
+
 class TestSamplesFromDfa:
     def test_labels_match_hidden_dfa(self):
         dfa = gen_random_dfa(4, 2, 3)

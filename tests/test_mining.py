@@ -208,38 +208,38 @@ class TestMining:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_pass_over_the_words(self, solver_cmd, monkeypatch, mode):
-        # the min3dfa build is the only reader of all the sorted words; a
-        # refining mine also sorts each proper subset it builds on, and
-        # the mode's acceptor, derived from a min3dfa one, is the mode's
-        # builder's of the samples or of the subset encoded
+        # the min3dfa build is the only word-by-word construction on all
+        # the samples; a refining mine also builds on each proper subset,
+        # and the mode's acceptor, derived from a min3dfa one, is the
+        # mode's builder's of the samples or of the subset encoded
         builders = {"apta": build_apta, "min3dfa": build_min_3dfa_incremental,
                     "ddfa": build_ddfa}
-        entries, build = SampleSet.entries, mining.build_formula
+        incremental, build = automata._incremental, mining.build_formula
         for samples in (SampleSet(2, {(0, 1), (1,), ()},
                                   {(1, 1), (0,), (0, 0, 1)}),
                         random_row(6, 103)):
             subsets = samples.size > 6
             monkeypatch.setattr(mining, "_FIRST_WORDS", 10)
-            sorts, acceptors = [], []
+            reads, acceptors = [], []
 
-            def counted(self):
-                sorts.append(self)
-                return entries(self)
+            def counted(part):
+                reads.append(part)
+                return incremental(part)
 
             def seen(n, acceptor, **kwargs):
                 acceptors.append(acceptor)
                 return build(n, acceptor, **kwargs)
 
-            monkeypatch.setattr(SampleSet, "entries", counted)
+            monkeypatch.setattr(automata, "_incremental", counted)
             monkeypatch.setattr(mining, "build_formula", seen)
             report = mine_min_dfa(samples, mode, solver_command=solver_cmd)
-            monkeypatch.setattr(SampleSet, "entries", entries)
-            assert sorts[0] is samples and samples not in sorts[1:]
+            monkeypatch.setattr(automata, "_incremental", incremental)
+            assert reads[0] is samples and samples not in reads[1:]
             assert report.acceptor_size == builders[mode](
                 samples).state_count
             handed = [a for i, a in enumerate(acceptors)
                       if not any(a is b for b in acceptors[:i])]
-            parts = sorts[1:] if subsets else [samples]
+            parts = reads[1:] if subsets else [samples]
             assert len(handed) == len(parts) == 1 + sum(
                 att.outcome == "spurious" for att in report.attempts)
             assert (len(parts) > 1) == subsets

@@ -87,8 +87,8 @@ class TestOrdering:
         entries = s.entries()
         assert [w for w, _ in entries] == [(0,), (0, 0), (1,)]
         assert [l for _, l in entries] == [NEGATIVE, POSITIVE, POSITIVE]
-        # built afresh, never cached on the set
-        assert s.entries() == entries and s.entries() is not entries
+        # the set's own list, sorted once when the set was made
+        assert s.entries() is entries
 
     @given(st.sets(words, max_size=8), st.sets(words, max_size=8))
     def test_sorting_random_sets(self, pos, neg):
@@ -100,6 +100,19 @@ class TestOrdering:
         assert len(ws) == s.size
         assert all(w in (s.positives if label == POSITIVE else s.negatives)
                    for w, label in entries)
+
+    def test_ascending_input_is_kept(self):
+        # a producer's ascending list becomes the set's entries, unsorted
+        entries = [((), NEGATIVE), ((0,), POSITIVE), ((0, 2), NEGATIVE)]
+        s = SampleSet._of(3, entries)
+        assert s.entries() is entries
+        assert s == SampleSet(3, {(0,)}, {(), (0, 2)})
+
+    def test_repeats_collapse(self):
+        s = SampleSet(2, [(1,), (0,), (1,)], [(0, 0), (0, 0)])
+        assert s.size == 3
+        assert s.entries() == [((0,), POSITIVE), ((0, 0), NEGATIVE),
+                               ((1,), POSITIVE)]
 
 
 ABBADINGO_EXAMPLE = "3 2\n1 2 0 1\n0 0\n1 3 1 1 0\n"
@@ -201,12 +214,45 @@ class TestAbbadingo:
             parse_abbadingo(text)
 
 
+def sample_line(w, label):
+    return " ".join(map(str, ("1" if label == POSITIVE else "0", len(w), *w)))
+
+
+class TestUnsortedFiles:
+    @given(st.sets(words, max_size=12), st.sets(words, max_size=12),
+           st.data())
+    def test_shuffled_and_repeated_lines(self, pos, neg, data):
+        # a file in any order, with repeated lines, parses to the set its
+        # sorted file holds, entries and all
+        s = SampleSet(3, pos, neg - pos)
+        body = write_abbadingo(s).splitlines()[1:]
+        if body:
+            body += data.draw(st.lists(st.sampled_from(body), max_size=6))
+        body = data.draw(st.permutations(body))
+        again = parse_abbadingo("\n".join([f"{len(body)} 3", *body]) + "\n")
+        assert again == s
+        assert again.entries() == s.entries()
+
+    @given(st.sets(words, min_size=1, max_size=12),
+           st.sets(words, max_size=12), st.data())
+    def test_conflict_names_the_smallest_word(self, pos, neg, data):
+        both = data.draw(st.sets(st.sampled_from(sorted(pos)), min_size=1))
+        lines = [sample_line(w, POSITIVE) for w in pos]
+        lines += [sample_line(w, NEGATIVE) for w in (neg - pos) | both]
+        lines = data.draw(st.permutations(lines))
+        text = "\n".join([f"{len(lines)} 3", *lines]) + "\n"
+        with pytest.raises(ConflictingLabelsError) as exc:
+            parse_abbadingo(text)
+        assert str(exc.value) == (
+            f"word {min(both)!r} labelled both positive and negative")
+
+
 def parse_line_by_line(text):
     """parse_abbadingo with every sample line parsed on its own."""
     lines = text.splitlines()
-    words = {"1": set(), "0": set()}
-    samples_module._add_lines(lines[1:], 2, words)
-    return SampleSet(int(lines[0].split()[1]), words["1"], words["0"])
+    entries = []
+    samples_module._add_lines(lines[1:], 2, entries)
+    return SampleSet._of(int(lines[0].split()[1]), entries)
 
 
 class TestChunkedParse:
